@@ -9,9 +9,9 @@
 //
 // Examples:
 //   ./geoquery "ndvi(goes.band2, goes.band1)" 4 /tmp
-//   ./geoquery "region(reproject(goes.band4, \"lcc\"), \
+//   ./geoquery "region(reproject(goes.band4, \"lcc\"),
 //               bbox(-2000000, -1500000, 2000000, 1500000))" 2 /tmp
-//   ./geoquery "aggregate(goes.band4, \"avg\", 4, 1, \
+//   ./geoquery "aggregate(goes.band4, \"avg\", 4, 1,
 //               bbox(-124, 32, -114, 42))" 8 /tmp
 
 #include <cstdio>

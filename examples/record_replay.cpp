@@ -1,19 +1,21 @@
-// Record & replay: archive a live product stream, then run a new
+// Record & replay: persist a live product stream, then run a new
 // continuous query over the recorded history.
 //
 // The paper motivates stream processing against the prevailing
-// file-based batch workflows; the archive bridges both worlds — the
-// DSMS computes a product stream once, persists it, and any later
+// file-based batch workflows; the tiled historical store bridges both
+// worlds — the DSMS computes a product stream once as a continuous
+// view, the store keeps every frame of it losslessly, and any later
 // query treats the recording as just another GeoStream.
 //
-//   ./record_replay [archive_dir]
+//   ./record_replay [store_dir]
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "ops/aggregate_op.h"
 #include "server/dsms_server.h"
-#include "server/frame_archive.h"
 #include "server/scan_schedule.h"
 #include "server/stream_generator.h"
 
@@ -26,22 +28,17 @@ int Fail(const Status& status, const char* what) {
   return 1;
 }
 
+constexpr char kProduct[] = "products.ndvi";
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string dir = argc > 1 ? argv[1] : "./ndvi_archive";
-  // The archive directory must exist (no mkdir dependency here).
-  if (std::FILE* probe = std::fopen((dir + "/.probe").c_str(), "w")) {
-    std::fclose(probe);
-    std::remove((dir + "/.probe").c_str());
-  } else {
-    std::fprintf(stderr, "archive directory %s is not writable\n",
-                 dir.c_str());
-    return 1;
-  }
+  DsmsOptions options;
+  options.store_dir = argc > 1 ? argv[1] : "./ndvi_store";
 
   // --- Phase 1: record. A live 2-band instrument feeds an NDVI
-  // --- product stream whose frames land in the archive.
+  // --- continuous view; the server tees every view frame into the
+  // --- tile store.
   InstrumentConfig config;
   config.crs_name = "latlon";
   config.cells_per_sector = 96 * 64;
@@ -51,7 +48,12 @@ int main(int argc, char** argv) {
   if (Status st = generator.Init(); !st.ok()) return Fail(st, "generator");
 
   {
-    DsmsServer server;
+    DsmsServer server(options);
+    if (server.store() == nullptr) {
+      std::fprintf(stderr, "cannot open the store in %s\n",
+                   options.store_dir.c_str());
+      return 1;
+    }
     for (size_t band = 0; band < 2; ++band) {
       auto desc = generator.Descriptor(band);
       if (!desc.ok()) return Fail(desc.status(), "descriptor");
@@ -59,62 +61,45 @@ int main(int argc, char** argv) {
         return Fail(st, "register stream");
       }
     }
-    // NDVI values live in [-1, 1]: archive with that fixed range.
-    ArchiveWriter archive(dir, -1.0, 1.0);
-    // The delivery callback re-feeds assembled frames into the
-    // archive writer as a framed stream.
-    auto id = server.RegisterQuery(
-        "ndvi(goes.band2, goes.band1)",
-        [&archive](int64_t frame_id, const Raster& raster,
-                   const std::vector<uint8_t>&) {
-          FrameInfo info;
-          info.frame_id = frame_id;
-          info.lattice = raster.lattice();
-          Status st = archive.Consume(StreamEvent::FrameBegin(info));
-          auto batch = std::make_shared<PointBatch>();
-          batch->frame_id = frame_id;
-          batch->band_count = 1;
-          for (int64_t r = 0; st.ok() && r < raster.height(); ++r) {
-            for (int64_t c = 0; c < raster.width(); ++c) {
-              batch->Append1(static_cast<int32_t>(c),
-                             static_cast<int32_t>(r), frame_id,
-                             raster.At(c, r));
-            }
-          }
-          if (st.ok()) st = archive.Consume(StreamEvent::Batch(batch));
-          if (st.ok()) {
-            st = archive.Consume(StreamEvent::FrameEnd(info));
-          }
-          if (!st.ok()) {
-            std::fprintf(stderr, "archive error: %s\n",
-                         st.ToString().c_str());
-          }
-        });
-    if (!id.ok()) return Fail(id.status(), "register query");
+    auto id =
+        server.RegisterDerivedStream(kProduct, "ndvi(goes.band2, goes.band1)");
+    if (!id.ok()) return Fail(id.status(), "register view");
     std::vector<EventSink*> sinks = {server.ingest("goes.band2"),
                                      server.ingest("goes.band1")};
     if (Status st = generator.GenerateScans(0, 6, sinks); !st.ok()) {
       return Fail(st, "generate");
     }
-    if (Status st = archive.Finish(); !st.ok()) return Fail(st, "finish");
-    std::printf("recorded %lld NDVI frames into %s\n",
-                static_cast<long long>(archive.frames_written()),
-                dir.c_str());
+    std::printf("recorded %zu NDVI frames into %s\n",
+                server.store()
+                    ->FrameIds(kProduct, INT64_MIN, INT64_MAX)
+                    .size(),
+                options.store_dir.c_str());
   }
 
-  // --- Phase 2: replay. A spatio-temporal aggregate runs over the
-  // --- recorded product as if it were live.
-  ReplayGenerator replay(dir);
-  if (Status st = replay.Open(); !st.ok()) return Fail(st, "open archive");
-  std::printf("archive holds %zu frames\n", replay.frames().size());
+  // --- Phase 2: replay. Reopen the store and run a spatio-temporal
+  // --- aggregate over the recorded product as if it were live.
+  DsmsServer server(options);
+  if (server.store() == nullptr) {
+    std::fprintf(stderr, "cannot reopen the store in %s\n",
+                 options.store_dir.c_str());
+    return 1;
+  }
+  std::printf("store holds %zu frames\n",
+              server.store()->FrameIds(kProduct, INT64_MIN, INT64_MAX).size());
 
   AggregateOp agg("historical_mean", AggregateFn::kAvg,
                   {MakeBBoxRegion(-125.0, 24.0, -66.0, 50.0)},
                   /*window=*/3, /*slide=*/1);
   NullSink sink;
   agg.BindOutput(&sink);
-  if (Status st = replay.Replay(agg.input(0)); !st.ok()) {
+  if (Status st = server.store()->Scan(kProduct, StoreScan{}, agg.input(0));
+      !st.ok()) {
     return Fail(st, "replay");
+  }
+  // Store scans leave stream lifecycle to the caller.
+  if (Status st = agg.input(0)->Consume(StreamEvent::StreamEnd());
+      !st.ok()) {
+    return Fail(st, "end of replay");
   }
   for (const AggregateResult& r : agg.results()) {
     std::printf("window [%lld, %lld]: mean NDVI %.4f over %llu pixels\n",

@@ -62,11 +62,18 @@ cmake --build build-asan -j "${JOBS}" \
                executor_test multiband_test net_test ingest_test obs_test \
                kernels_test journal_test journal_killpoint_test \
                journal_compaction_test tile_store_test \
-               tile_store_retention_test storage_governor_test \
-               disk_pressure_e2e_test catchup_test
+               tile_store_retention_test tile_store_churn_test \
+               storage_governor_test disk_pressure_e2e_test catchup_test
 (cd build-asan && \
  ctest --output-on-failure -j "${JOBS}" \
-       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|StageRunnerTest|BoundedEventQueueTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|StorageGovernorTest|JournalCompactionTest|DiskPressureE2eTest|CatchUpTest)')
+       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|StageRunnerTest|BoundedEventQueueTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|JournalCompactionTest|DiskPressureE2eTest|CatchUpTest)')
+
+echo "== tier-1: churn stress lane (tile-store readers vs retention GC) =="
+# One churn run races a writer, a retention storm and three readers;
+# a lifetime race shows up only in some interleavings, so repeat it:
+# 1000 times in the default build, 200 under TSan.
+./build/tests/tile_store_churn_test --gtest_repeat=1000 --gtest_brief=1
+./build-tsan/tests/tile_store_churn_test --gtest_repeat=200 --gtest_brief=1
 
 echo "== tier-1: scalar-only lane (GEOSTREAMS_SIMD=OFF) =="
 # The portable fallback must pass the same kernel/operator suites it

@@ -21,11 +21,6 @@ constexpr double kWeightReproject = 12.0;
 constexpr double kWeightCompose = 3.0;
 constexpr double kWeightAggregate = 2.0;
 
-double LatticeBytes(const GridLattice& lattice, const ValueSet& vs) {
-  return static_cast<double>(lattice.num_cells()) *
-         static_cast<double>(vs.BytesPerPoint());
-}
-
 /// Fraction of the lattice extent the region's bounding box covers.
 double SpatialSelectivity(const Region& region, const GridLattice& lattice) {
   const BoundingBox extent = lattice.Extent();

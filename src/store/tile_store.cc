@@ -160,28 +160,38 @@ Result<size_t> ValidateRecord(const uint8_t* data, size_t avail,
   return kStoreHeaderSize + len;
 }
 
-Status ReadWholeFile(const std::string& path, std::vector<uint8_t>* out) {
+Result<int> OpenReadOnly(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     return Status::IoError(StringPrintf("open %s: %s", path.c_str(),
                                         std::strerror(errno)));
   }
+  return fd;
+}
+
+/// Reads all of `fd` with pread (the file offset stays untouched, so
+/// the fd may be shared with concurrent tile reads).
+Status ReadWholeFd(int fd, const std::string& path, std::vector<uint8_t>* out) {
   out->clear();
   uint8_t buf[1 << 16];
   for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    const ssize_t n =
+        ::pread(fd, buf, sizeof(buf), static_cast<off_t>(out->size()));
     if (n < 0) {
       if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
       return Status::IoError(StringPrintf("read %s: %s", path.c_str(),
-                                          std::strerror(err)));
+                                          std::strerror(errno)));
     }
-    if (n == 0) break;
+    if (n == 0) return Status::OK();
     out->insert(out->end(), buf, buf + n);
   }
+}
+
+Status ReadWholeFile(const std::string& path, std::vector<uint8_t>* out) {
+  GEOSTREAMS_ASSIGN_OR_RETURN(const int fd, OpenReadOnly(path));
+  Status st = ReadWholeFd(fd, path, out);
   ::close(fd);
-  return Status::OK();
+  return st;
 }
 
 /// Same sanitization discipline as the journal: keep the common safe
@@ -269,8 +279,7 @@ uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
 // Index structures
 
 struct TileStore::TileRef {
-  uint32_t segment = 0;   // index into SourceStore::segments
-  uint64_t offset = 0;    // record start within the segment
+  uint64_t offset = 0;    // record start within the frame's run
   uint32_t length = 0;    // header + payload
   uint32_t tile_col = 0;
   uint32_t tile_row = 0;
@@ -283,6 +292,33 @@ struct TileStore::StoredLevel {
   std::vector<TileRef> tiles;
 };
 
+/// One page segment file. Its O_RDONLY fd is opened once — when the
+/// segment is created, resumed or recovered — and closed with the last
+/// reference. The source's segment list holds one reference and every
+/// StoredFrame whose run lives in the file holds another, so a scan's
+/// frame snapshot keeps each file it reads open, and POSIX keeps an
+/// unlinked file readable until its last fd closes: GC may unlink and
+/// forget a segment at any time without tearing a reader.
+struct TileStore::Segment {
+  Segment(std::string path_in, int fd_in)
+      : path(std::move(path_in)), fd(fd_in) {}
+  ~Segment() { ::close(fd); }
+  Segment(const Segment&) = delete;
+  Segment& operator=(const Segment&) = delete;
+
+  static Result<std::shared_ptr<Segment>> Open(const std::string& path) {
+    GEOSTREAMS_ASSIGN_OR_RETURN(const int fd, OpenReadOnly(path));
+    return std::make_shared<Segment>(path, fd);
+  }
+
+  const std::string path;
+  const int fd;
+  // Accounting, guarded by SourceStore::mu.
+  uint64_t bytes = 0;       // good bytes on disk
+  uint64_t live_bytes = 0;  // bytes of runs still in the index
+  uint64_t live_frames = 0;
+};
+
 struct TileStore::StoredFrame {
   int64_t frame_id = 0;
   int band_count = 1;
@@ -290,7 +326,7 @@ struct TileStore::StoredFrame {
   /// The frame's whole record run (meta + pages + commit) is
   /// contiguous in one segment; retention prunes and GC rewrites
   /// whole runs.
-  uint32_t segment = 0;
+  std::shared_ptr<Segment> segment;
   uint64_t run_offset = 0;
   uint64_t run_bytes = 0;
   uint64_t stored_ms = 0;  // NowMs() at index time (age retention)
@@ -298,23 +334,16 @@ struct TileStore::StoredFrame {
 };
 
 struct TileStore::SourceStore {
-  /// One page segment. Slots are tombstoned (`dead`), never erased,
-  /// so TileRef::segment indices stay stable across GC.
-  struct SegmentState {
-    std::string path;
-    uint64_t bytes = 0;       // good bytes on disk (0 once dead)
-    uint64_t live_bytes = 0;  // bytes of runs still in the index
-    uint64_t live_frames = 0;
-    bool dead = false;        // file unlinked; slot kept for index stability
-  };
-
   std::string name;
   std::string dir;
 
   mutable std::mutex mu;
-  std::vector<SegmentState> segments;  // page files, oldest first
-  std::unique_ptr<WritableFile> active;
-  uint32_t active_index = 0;
+  std::vector<std::shared_ptr<Segment>> segments;  // page files on disk
+  /// The segment this incarnation appends to: the recovered last page
+  /// until the first write resumes (or rotates past) it, then the
+  /// active page. GC never touches it.
+  std::shared_ptr<Segment> tail;
+  std::unique_ptr<WritableFile> active;  // appends to `tail`
   uint64_t active_bytes = 0;
   uint64_t next_page_no = 0;
   /// Recovery's final size of the last segment; the first write of
@@ -330,21 +359,6 @@ struct TileStore::SourceStore {
   /// reporting).
   int64_t pruned_upto = std::numeric_limits<int64_t>::min();
   TileStoreStats stats;
-
-  /// Scans in flight that snapshotted the index before now. Cached
-  /// fds of tombstoned segments are reaped only at zero: a snapshot
-  /// taken after a prune can no longer reference a dead segment, so
-  /// zero in-flight scans means nothing can still read those fds.
-  std::atomic<uint64_t> active_scans{0};
-  /// Tombstoned segment indices whose cached fds await reaping.
-  std::vector<uint32_t> dead_fd_reap;
-
-  std::mutex read_mu;
-  std::map<uint32_t, int> read_fds;  // segment index -> O_RDONLY fd
-
-  ~SourceStore() {
-    for (auto& [idx, fd] : read_fds) ::close(fd);
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -475,7 +489,7 @@ Status TileStore::RecoverAll() {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [name, src] : sources_) {
       std::lock_guard<std::mutex> src_lock(src->mu);
-      for (const auto& seg : src->segments) on_disk += seg.bytes;
+      for (const auto& seg : src->segments) on_disk += seg->bytes;
     }
     options_.governor->SetUsage("store", on_disk);
   }
@@ -533,11 +547,11 @@ Status TileStore::RecoverSource(const std::string& source_dir_name) {
 
   for (size_t si = 0; si < pages.size(); ++si) {
     const bool last_segment = (si + 1 == pages.size());
+    GEOSTREAMS_ASSIGN_OR_RETURN(std::shared_ptr<Segment> seg,
+                                Segment::Open(pages[si]));
     std::vector<uint8_t> data;
-    GEOSTREAMS_RETURN_IF_ERROR(ReadWholeFile(pages[si], &data));
-    src->segments.push_back(SourceStore::SegmentState{});
-    src->segments.back().path = pages[si];
-    const uint32_t seg_index = static_cast<uint32_t>(src->segments.size() - 1);
+    GEOSTREAMS_RETURN_IF_ERROR(ReadWholeFd(seg->fd, pages[si], &data));
+    src->segments.push_back(seg);
     size_t off = 0;
     uint64_t file_good_end = data.size();
     bool truncated = false;
@@ -615,7 +629,7 @@ Status TileStore::RecoverSource(const std::string& source_dir_name) {
           pending->frame_id = frame_id;
           pending->band_count = bands;
           pending->expected_points = expected;
-          pending->segment = seg_index;
+          pending->segment = seg;
           pending_run_start = off;
           pending->levels.resize(level_count);
           const GridLattice base(*crs, ox, oy, dx, dy, w, h);
@@ -636,8 +650,7 @@ Status TileStore::RecoverSource(const std::string& source_dir_name) {
           reader.U16();  // pad
           if (!reader.ok || frame_id != pending->frame_id) break;
           TileRef ref;
-          ref.segment = seg_index;
-          ref.offset = off;
+          ref.offset = off - pending_run_start;
           ref.length = static_cast<uint32_t>(*len);
           ref.tile_col = tc;
           ref.tile_row = tr;
@@ -673,8 +686,8 @@ Status TileStore::RecoverSource(const std::string& source_dir_name) {
             pending->run_offset = pending_run_start;
             pending->run_bytes = off + *len - pending_run_start;
             pending->stored_ms = recovered_now_ms;
-            src->segments[seg_index].live_bytes += pending->run_bytes;
-            ++src->segments[seg_index].live_frames;
+            seg->live_bytes += pending->run_bytes;
+            ++seg->live_frames;
             recovery_.tile_pages_recovered += tiles;
             ++recovery_.frames_recovered;
             src->watermark = std::max(src->watermark, pending->frame_id);
@@ -699,8 +712,11 @@ Status TileStore::RecoverSource(const std::string& source_dir_name) {
           << "tile store source '" << source << "': truncated torn tail at "
           << file_good_end << " of " << pages[si];
     }
-    src->segments[seg_index].bytes = file_good_end;
-    if (last_segment) src->resume_bytes = file_good_end;
+    seg->bytes = file_good_end;
+    if (last_segment) {
+      src->tail = seg;
+      src->resume_bytes = file_good_end;
+    }
   }
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -770,15 +786,12 @@ Status TileStore::EnsureOpenLocked(SourceStore* src) {
     src->active.reset();
   }
   const bool resume = !src->tainted && !src->resumed &&
-                      !src->segments.empty() &&
-                      !src->segments.back().dead &&
+                      src->tail != nullptr &&
                       src->resume_bytes < options_.segment_max_bytes;
   src->resumed = true;
   src->tainted = false;
   if (resume) {
-    GEOSTREAMS_ASSIGN_OR_RETURN(src->active,
-                                OpenFile(src->segments.back().path));
-    src->active_index = static_cast<uint32_t>(src->segments.size() - 1);
+    GEOSTREAMS_ASSIGN_OR_RETURN(src->active, OpenFile(src->tail->path));
     src->active_bytes = src->resume_bytes;
     return Status::OK();
   }
@@ -788,9 +801,15 @@ Status TileStore::EnsureOpenLocked(SourceStore* src) {
                    static_cast<unsigned long long>(src->next_page_no++)) +
       kPageSuffix;
   GEOSTREAMS_ASSIGN_OR_RETURN(src->active, OpenFile(path));
-  src->segments.push_back(SourceStore::SegmentState{});
-  src->segments.back().path = path;
-  src->active_index = static_cast<uint32_t>(src->segments.size() - 1);
+  Result<std::shared_ptr<Segment>> seg = Segment::Open(path);
+  if (!seg.ok()) {
+    Status ignored = src->active->Close();
+    (void)ignored;
+    src->active.reset();
+    return seg.status();
+  }
+  src->tail = *std::move(seg);
+  src->segments.push_back(src->tail);
   src->active_bytes = 0;
   return Status::OK();
 }
@@ -925,8 +944,7 @@ Status TileStore::PutFrame(const std::string& source, const FrameInfo& info,
         for (double v : samples) PutF64(payload, v);
 
         TileRef ref;
-        ref.segment = 0;               // fixed up after the append
-        ref.offset = run.size();       // relative to the run for now
+        ref.offset = run.size();
         ref.tile_col = static_cast<uint32_t>(tc);
         ref.tile_row = static_cast<uint32_t>(tr);
         ref.tile_w = tw;
@@ -968,22 +986,14 @@ Status TileStore::PutFrame(const std::string& source, const FrameInfo& info,
     return st;
   }
 
-  const uint64_t base_off = src->active_bytes;
-  src->active_bytes += run.size();
-  for (StoredLevel& lv : frame->levels) {
-    for (TileRef& ref : lv.tiles) {
-      ref.segment = src->active_index;
-      ref.offset += base_off;
-    }
-  }
-  frame->segment = src->active_index;
-  frame->run_offset = base_off;
+  frame->segment = src->tail;
+  frame->run_offset = src->active_bytes;
   frame->run_bytes = run.size();
   frame->stored_ms = NowMs();
-  SourceStore::SegmentState& seg = src->segments[src->active_index];
-  seg.bytes = src->active_bytes;
-  seg.live_bytes += run.size();
-  ++seg.live_frames;
+  src->active_bytes += run.size();
+  src->tail->bytes = src->active_bytes;
+  src->tail->live_bytes += run.size();
+  ++src->tail->live_frames;
   if (gov != nullptr) {
     gov->AddUsage("store", static_cast<int64_t>(run.size()));
   }
@@ -1022,47 +1032,19 @@ std::vector<int64_t> TileStore::FrameIds(const std::string& source,
   return out;
 }
 
-Status TileStore::ReadTileRecord(SourceStore* src, const TileRef& ref,
+Status TileStore::ReadTileRecord(const StoredFrame& frame, const TileRef& ref,
                                  std::vector<uint8_t>* buf) {
-  // Lock order is mu -> read_mu everywhere (GC pre-caches fds while
-  // holding mu), so the cache miss path releases read_mu before
-  // touching the segment table.
-  int fd = -1;
-  {
-    std::lock_guard<std::mutex> lock(src->read_mu);
-    auto it = src->read_fds.find(ref.segment);
-    if (it != src->read_fds.end()) fd = it->second;
-  }
-  if (fd < 0) {
-    std::string path;
-    {
-      std::lock_guard<std::mutex> seg_lock(src->mu);
-      if (ref.segment >= src->segments.size()) {
-        return Status::Internal("tile ref names an unknown segment");
-      }
-      if (src->segments[ref.segment].dead) {
-        // Only reachable when GC's pre-unlink fd cache failed: the
-        // tile is gone; the scan serves what survives.
-        return Status::IoError("tile page segment retired under the index");
-      }
-      path = src->segments[ref.segment].path;
-    }
-    const int opened = ::open(path.c_str(), O_RDONLY);
-    if (opened < 0) {
-      return Status::IoError(StringPrintf("open %s: %s", path.c_str(),
-                                          std::strerror(errno)));
-    }
-    std::lock_guard<std::mutex> lock(src->read_mu);
-    auto [it, inserted] = src->read_fds.emplace(ref.segment, opened);
-    if (!inserted) ::close(opened);  // lost the race; use the cached fd
-    fd = it->second;
-  }
+  // Lock-free: the caller's frame snapshot holds the segment, so its
+  // fd stays open — and the file readable, unlinked or not — until
+  // the snapshot is dropped.
+  const int fd = frame.segment->fd;
+  const uint64_t offset = frame.run_offset + ref.offset;
   buf->resize(ref.length);
   size_t got = 0;
   while (got < ref.length) {
     const ssize_t n =
         ::pread(fd, buf->data() + got, ref.length - got,
-                static_cast<off_t>(ref.offset + got));
+                static_cast<off_t>(offset + got));
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IoError(StringPrintf("pread: %s", std::strerror(errno)));
@@ -1159,7 +1141,7 @@ Status TileStore::EmitFrame(SourceStore* src,
                            std::max(y0, y1) + half_y);
       if (!tile_box.Intersects(region_bounds)) continue;
     }
-    Status st = ReadTileRecord(src, ref, &buf);
+    Status st = ReadTileRecord(*frame, ref, &buf);
     if (!st.ok()) {
       // Serve what survives: a rotten page loses its tile, not the
       // frame, and the loss is counted and logged once.
@@ -1249,25 +1231,20 @@ Status TileStore::Scan(const std::string& source, const StoreScan& scan,
                        EventSink* sink) {
   SourceStore* src = FindSource(source);
   if (src == nullptr) return Status::OK();
-  // active_scans is raised under the index lock, BEFORE snapshotting:
-  // GC observing zero scans knows no reader can hold pre-prune frame
-  // pointers, so tombstoned fds are safe to reap.
+  // The snapshot holds every frame's segment: each file this scan
+  // reads stays open until it returns, whatever GC does meanwhile.
   std::vector<std::shared_ptr<const StoredFrame>> frames;
   {
     std::lock_guard<std::mutex> lock(src->mu);
-    src->active_scans.fetch_add(1, std::memory_order_relaxed);
     for (auto it = src->frames.lower_bound(scan.min_frame_id);
          it != src->frames.end() && it->first <= scan.max_frame_id; ++it) {
       if (FramePasses(it->first, scan)) frames.push_back(it->second);
     }
   }
-  Status st = Status::OK();
   for (const auto& frame : frames) {
-    st = EmitFrame(src, frame, scan, sink);
-    if (!st.ok()) break;
+    GEOSTREAMS_RETURN_IF_ERROR(EmitFrame(src, frame, scan, sink));
   }
-  src->active_scans.fetch_sub(1, std::memory_order_release);
-  return st;
+  return Status::OK();
 }
 
 Status TileStore::ScanFrame(const std::string& source, int64_t frame_id,
@@ -1279,20 +1256,15 @@ Status TileStore::ScanFrame(const std::string& source, int64_t frame_id,
   std::shared_ptr<const StoredFrame> frame;
   {
     std::lock_guard<std::mutex> lock(src->mu);
-    src->active_scans.fetch_add(1, std::memory_order_relaxed);
     auto it = src->frames.find(frame_id);
     if (it != src->frames.end()) frame = it->second;
   }
-  Status st;
   if (frame == nullptr || !FramePasses(frame_id, scan)) {
-    st = Status::NotFound(StringPrintf(
+    return Status::NotFound(StringPrintf(
         "frame %lld is not stored for source %s",
         static_cast<long long>(frame_id), source.c_str()));
-  } else {
-    st = EmitFrame(src, frame, scan, sink);
   }
-  src->active_scans.fetch_sub(1, std::memory_order_release);
-  return st;
+  return EmitFrame(src, frame, scan, sink);
 }
 
 StoreHorizon TileStore::Horizon(const std::string& source) const {
@@ -1420,9 +1392,7 @@ Status TileStore::ApplyRetentionSource(SourceStore* src) {
   // actually drop when segment GC (phase 2) runs, so the byte budget
   // works on a projection that debits each pruned frame's run.
   uint64_t projected = 0;
-  for (const auto& seg : src->segments) {
-    if (!seg.dead) projected += seg.bytes;
-  }
+  for (const auto& seg : src->segments) projected += seg->bytes;
   while (src->frames.size() > options_.retention_min_frames) {
     auto oldest = src->frames.begin();
     bool evict = false;
@@ -1434,11 +1404,9 @@ Status TileStore::ApplyRetentionSource(SourceStore* src) {
     }
     if (!evict) break;
     const StoredFrame& f = *oldest->second;
-    if (f.segment < src->segments.size()) {
-      SourceStore::SegmentState& seg = src->segments[f.segment];
-      seg.live_bytes -= std::min(seg.live_bytes, f.run_bytes);
-      if (seg.live_frames > 0) --seg.live_frames;
-    }
+    Segment& seg = *f.segment;
+    seg.live_bytes -= std::min(seg.live_bytes, f.run_bytes);
+    if (seg.live_frames > 0) --seg.live_frames;
     projected -= std::min(projected, f.run_bytes);
     src->pruned_upto = std::max(src->pruned_upto, f.frame_id);
     ++src->stats.frames_pruned;
@@ -1447,16 +1415,14 @@ Status TileStore::ApplyRetentionSource(SourceStore* src) {
     src->frames.erase(oldest);
   }
 
-  // Phase 2 — segment GC over sealed segments. The newest slot is
-  // skipped (it is the active segment or this incarnation's resume
-  // target); vector growth inside a rewrite is why access is by
-  // index, never by held reference.
-  const uint32_t seg_count = static_cast<uint32_t>(src->segments.size());
-  for (uint32_t i = 0; i + 1 < seg_count; ++i) {
-    if (src->segments[i].dead) continue;
-    if (src->active != nullptr && i == src->active_index) continue;
-    if (src->segments[i].live_frames == 0) {
-      const uint64_t freed = RetireSegmentLocked(src, i);
+  // Phase 2 — segment GC over every sealed segment (all but the
+  // tail). Iterates a copy: retiring erases from the list and a
+  // rewrite appends to it.
+  const std::vector<std::shared_ptr<Segment>> sealed = src->segments;
+  for (const std::shared_ptr<Segment>& seg : sealed) {
+    if (seg == src->tail) continue;
+    if (seg->live_frames == 0) {
+      const uint64_t freed = RetireSegmentLocked(src, seg);
       if (freed > 0) {
         reclaimed_total += freed;
         ++src->stats.segments_deleted;
@@ -1465,22 +1431,20 @@ Status TileStore::ApplyRetentionSource(SourceStore* src) {
       }
       continue;
     }
-    const uint64_t bytes = src->segments[i].bytes;
-    const uint64_t live = std::min(bytes, src->segments[i].live_bytes);
+    const uint64_t bytes = seg->bytes;
+    const uint64_t live = std::min(bytes, seg->live_bytes);
     if (options_.gc_rewrite_dead_fraction > 0 && bytes > 0) {
       const double dead_fraction =
           static_cast<double>(bytes - live) / static_cast<double>(bytes);
       if (dead_fraction >= options_.gc_rewrite_dead_fraction) {
         uint64_t reclaimed = 0;
-        Status st = RewriteSegmentLocked(src, i, &reclaimed);
+        Status st = RewriteSegmentLocked(src, seg, &reclaimed);
         reclaimed_total += reclaimed;
         if (reclaimed > 0) ++segments_rewritten_this_pass;
         if (!st.ok() && first.ok()) first = st;
       }
     }
   }
-
-  ReapDeadFdsLocked(src);
 
   if (reclaimed_total > 0) {
     src->stats.bytes_reclaimed += reclaimed_total;
@@ -1509,42 +1473,29 @@ Status TileStore::ApplyRetentionSource(SourceStore* src) {
   return first;
 }
 
-uint64_t TileStore::RetireSegmentLocked(SourceStore* src, uint32_t seg_index) {
-  SourceStore::SegmentState& seg = src->segments[seg_index];
-  {
-    // Cache a read fd BEFORE the unlink: a scan that snapshotted
-    // before the prune keeps reading the unlinked file through it
-    // (POSIX keeps the inode alive until the last fd closes).
-    std::lock_guard<std::mutex> rlock(src->read_mu);
-    if (src->read_fds.find(seg_index) == src->read_fds.end()) {
-      const int fd = ::open(seg.path.c_str(), O_RDONLY);
-      if (fd >= 0) src->read_fds.emplace(seg_index, fd);
-    }
-  }
+uint64_t TileStore::RetireSegmentLocked(SourceStore* src,
+                                        std::shared_ptr<Segment> seg) {
   std::error_code ec;
-  fs::remove(seg.path, ec);
+  fs::remove(seg->path, ec);
   if (ec) {
     GEOSTREAMS_LOG(kWarning)
-        << "tile store: remove " << seg.path << ": " << ec.message()
+        << "tile store: remove " << seg->path << ": " << ec.message()
         << " (will retry next pass)";
     return 0;
   }
-  const uint64_t freed = seg.bytes;
-  seg.dead = true;
-  seg.bytes = 0;
-  seg.live_bytes = 0;
-  seg.live_frames = 0;
-  src->dead_fd_reap.push_back(seg_index);
-  return freed;
+  src->segments.erase(
+      std::find(src->segments.begin(), src->segments.end(), seg));
+  return seg->bytes;
 }
 
-Status TileStore::RewriteSegmentLocked(SourceStore* src, uint32_t seg_index,
+Status TileStore::RewriteSegmentLocked(SourceStore* src,
+                                       std::shared_ptr<Segment> seg,
                                        uint64_t* reclaimed) {
   *reclaimed = 0;
   // Surviving frames of this segment, in file order.
   std::vector<std::shared_ptr<const StoredFrame>> live;
   for (const auto& [id, frame] : src->frames) {
-    if (frame->segment == seg_index) live.push_back(frame);
+    if (frame->segment == seg) live.push_back(frame);
   }
   std::sort(live.begin(), live.end(),
             [](const std::shared_ptr<const StoredFrame>& a,
@@ -1552,7 +1503,7 @@ Status TileStore::RewriteSegmentLocked(SourceStore* src, uint32_t seg_index,
               return a->run_offset < b->run_offset;
             });
   if (live.empty()) {
-    const uint64_t freed = RetireSegmentLocked(src, seg_index);
+    const uint64_t freed = RetireSegmentLocked(src, seg);
     if (freed > 0) {
       *reclaimed = freed;
       ++src->stats.segments_deleted;
@@ -1561,10 +1512,8 @@ Status TileStore::RewriteSegmentLocked(SourceStore* src, uint32_t seg_index,
     return Status::OK();
   }
 
-  const uint64_t old_bytes = src->segments[seg_index].bytes;
   std::vector<uint8_t> data;
-  GEOSTREAMS_RETURN_IF_ERROR(
-      ReadWholeFile(src->segments[seg_index].path, &data));
+  GEOSTREAMS_RETURN_IF_ERROR(ReadWholeFd(seg->fd, seg->path, &data));
 
   // Pack the live runs into a fresh page, written through the
   // injectable factory so crash kill-points and injected ENOSPC gate
@@ -1609,29 +1558,33 @@ Status TileStore::RewriteSegmentLocked(SourceStore* src, uint32_t seg_index,
     return st;
   }
 
-  // Install the copy: new segment slot, fresh StoredFrame objects
-  // (in-flight snapshots keep the old ones and their cached fd).
-  src->segments.push_back(SourceStore::SegmentState{});
-  const uint32_t new_index = static_cast<uint32_t>(src->segments.size() - 1);
-  SourceStore::SegmentState& new_seg = src->segments[new_index];
-  new_seg.path = path;
-  new_seg.bytes = packed.size();
-  new_seg.live_bytes = packed.size();
-  new_seg.live_frames = live.size();
-  for (size_t k = 0; k < live.size(); ++k) {
-    auto copy = std::make_shared<StoredFrame>(*live[k]);
-    copy->segment = new_index;
-    copy->run_offset = new_offsets[k];
-    for (StoredLevel& lv : copy->levels) {
-      for (TileRef& ref : lv.tiles) {
-        ref.segment = new_index;
-        ref.offset = ref.offset - live[k]->run_offset + new_offsets[k];
-      }
-    }
-    src->frames[copy->frame_id] = std::move(copy);
+  Result<std::shared_ptr<Segment>> opened = Segment::Open(path);
+  if (!opened.ok()) {
+    std::error_code ec;
+    fs::remove(path, ec);
+    return opened.status();
   }
 
-  const uint64_t freed = RetireSegmentLocked(src, seg_index);
+  // Install the copy: fresh StoredFrame objects that own the new
+  // segment (in-flight snapshots keep the old ones, and so the old
+  // file). Tile offsets are run-relative, so only the run moves.
+  std::shared_ptr<Segment> copy_seg = *std::move(opened);
+  copy_seg->bytes = packed.size();
+  copy_seg->live_bytes = packed.size();
+  copy_seg->live_frames = live.size();
+  src->segments.push_back(copy_seg);
+  for (size_t k = 0; k < live.size(); ++k) {
+    auto copy = std::make_shared<StoredFrame>(*live[k]);
+    copy->segment = copy_seg;
+    copy->run_offset = new_offsets[k];
+    src->frames[copy->frame_id] = std::move(copy);
+  }
+  // Nothing in the index lives in the old file any more; should the
+  // unlink fail, the next pass retries it as a fully-dead segment.
+  seg->live_bytes = 0;
+  seg->live_frames = 0;
+
+  const uint64_t freed = RetireSegmentLocked(src, seg);
   if (freed >= packed.size()) {
     *reclaimed = freed - packed.size();
   }
@@ -1642,20 +1595,6 @@ Status TileStore::RewriteSegmentLocked(SourceStore* src, uint32_t seg_index,
     options_.governor->AddUsage("store", static_cast<int64_t>(packed.size()));
   }
   return Status::OK();
-}
-
-void TileStore::ReapDeadFdsLocked(SourceStore* src) {
-  if (src->dead_fd_reap.empty()) return;
-  if (src->active_scans.load(std::memory_order_acquire) != 0) return;
-  std::lock_guard<std::mutex> rlock(src->read_mu);
-  for (uint32_t idx : src->dead_fd_reap) {
-    auto it = src->read_fds.find(idx);
-    if (it != src->read_fds.end()) {
-      ::close(it->second);
-      src->read_fds.erase(it);
-    }
-  }
-  src->dead_fd_reap.clear();
 }
 
 // ---------------------------------------------------------------------------

@@ -60,13 +60,15 @@
 // Thread-safety: PutFrame serializes per source; Scan snapshots the
 // frame index under the source mutex and then reads pages via pread
 // with no lock held. Retention never moves bytes underneath a reader:
-// segment slots are tombstoned, never erased (TileRef segment indices
-// stay stable), a read fd is cached BEFORE a segment file is unlinked
-// (POSIX keeps the data readable through the open fd), and tombstoned
-// fds are reaped only when no scan that started before the prune is
-// still in flight. StoredFrames are immutable once indexed — a
-// rewrite installs fresh StoredFrame objects while in-flight
-// snapshots keep reading the old ones through their cached fds.
+// every StoredFrame owns a reference to its segment file, which keeps
+// the segment's read-only fd open, so a snapshotted frame stays
+// readable after GC unlinks or rewrites its segment (POSIX keeps an
+// unlinked file's data until its last fd closes). StoredFrames are
+// immutable once indexed — a rewrite installs fresh StoredFrame
+// objects that own the copy, while in-flight snapshots keep the old
+// ones and, through them, the old file. The fd budget is one read fd
+// per live segment per source, plus the retired segments that
+// in-flight scans still hold.
 
 #ifndef GEOSTREAMS_STORE_TILE_STORE_H_
 #define GEOSTREAMS_STORE_TILE_STORE_H_
@@ -284,6 +286,7 @@ class TileStore {
  private:
   struct TileRef;
   struct StoredLevel;
+  struct Segment;
   struct StoredFrame;
   struct SourceStore;
 
@@ -300,22 +303,22 @@ class TileStore {
   /// Retention + GC for one source; takes src->mu internally. Returns
   /// the first error but keeps sweeping (retention is best-effort).
   Status ApplyRetentionSource(SourceStore* src);
-  /// Unlinks a fully-dead sealed segment: caches a read fd first so
-  /// in-flight scans keep reading, then tombstones the slot.
-  uint64_t RetireSegmentLocked(SourceStore* src, uint32_t seg_index);
+  /// Unlinks a fully-dead sealed segment and drops it from the
+  /// source's list; returns the bytes freed (0 when the unlink fails).
+  /// Scans still holding its frames keep reading the unlinked file
+  /// until their snapshots drop the last reference.
+  uint64_t RetireSegmentLocked(SourceStore* src, std::shared_ptr<Segment> seg);
   /// Copies the surviving frame runs of a mostly-dead sealed segment
   /// into a fresh page, reindexes them, then retires the old file.
-  Status RewriteSegmentLocked(SourceStore* src, uint32_t seg_index,
+  Status RewriteSegmentLocked(SourceStore* src, std::shared_ptr<Segment> seg,
                               uint64_t* reclaimed);
-  /// Closes cached fds of tombstoned segments once no scan that could
-  /// still reference them is in flight.
-  void ReapDeadFdsLocked(SourceStore* src);
   Status EmitFrame(SourceStore* src,
                    const std::shared_ptr<const StoredFrame>& frame,
                    const StoreScan& scan, EventSink* sink);
-  /// pread of one tile record, CRC-verified. `buf` is reused.
-  Status ReadTileRecord(SourceStore* src, const TileRef& ref,
-                        std::vector<uint8_t>* buf);
+  /// pread of one tile record of `frame`, CRC-verified. `buf` is
+  /// reused.
+  static Status ReadTileRecord(const StoredFrame& frame, const TileRef& ref,
+                               std::vector<uint8_t>* buf);
 
   TileStoreOptions options_;
   TileStoreRecovery recovery_;

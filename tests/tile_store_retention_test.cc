@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,13 +74,116 @@ uint64_t PageBytesOnDisk(const std::string& dir) {
   return total;
 }
 
-size_t PageFileCount(const std::string& dir) {
+/// This process's open fds that point at unlinked files under `dir`
+/// (Linux renders such /proc/self/fd links as "<path> (deleted)").
+size_t DeletedFdsUnder(const std::string& dir) {
+  const std::string root = fs::canonical(dir).string() + "/";
+  const std::string deleted = " (deleted)";
   size_t n = 0;
-  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    if (entry.path().filename().string().rfind("page-", 0) == 0) ++n;
+  for (const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const std::string target = fs::read_symlink(entry.path(), ec).string();
+    if (ec || target.rfind(root, 0) != 0 || target.size() < deleted.size()) {
+      continue;
+    }
+    if (target.compare(target.size() - deleted.size(), deleted.size(),
+                       deleted) == 0) {
+      ++n;
+    }
   }
   return n;
+}
+
+/// Collects a scan but parks the scanning thread at its first
+/// FrameBegin until Resume(): the scan has snapshotted the index and
+/// read no tile yet.
+class ParkingSink : public EventSink {
+ public:
+  Status Consume(const StreamEvent& event) override {
+    if (event.kind == EventKind::kFrameBegin) {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (!parked_) {
+        parked_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return resumed_; });
+      }
+    }
+    return sink_.Consume(event);
+  }
+  void WaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return parked_; });
+  }
+  void Resume() {
+    std::lock_guard<std::mutex> lock(mu_);
+    resumed_ = true;
+    cv_.notify_all();
+  }
+  const CollectingSink& collected() const { return sink_; }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool resumed_ = false;
+  CollectingSink sink_;
+};
+
+/// Writes frames 1..`frames`, parks a full scan A at its first
+/// FrameBegin, runs one retention pass that unlinks (or rewrites)
+/// the segments under A's snapshot, completes a second scan B, then
+/// resumes A. A must emit every snapshotted frame whole, and once A
+/// returns no fd of an unlinked page may remain open — without any
+/// further retention pass.
+void ExpectParkedScanSurvivesGc(const TileStoreOptions& options,
+                                const GridLattice& lattice, int64_t frames) {
+  auto store = TileStore::Open(options);
+  GS_ASSERT_OK(store.status());
+  for (int64_t f = 1; f <= frames; ++f) {
+    GS_ASSERT_OK(PutFullFrame(store->get(), "src", lattice, f));
+  }
+
+  ParkingSink parked;
+  Status scan_a;
+  std::thread a([&] { scan_a = (*store)->Scan("src", StoreScan{}, &parked); });
+  parked.WaitParked();
+
+  GS_ASSERT_OK((*store)->RunRetentionNow());
+  const TileStoreStats gc = (*store)->TotalStats();
+  EXPECT_GT(gc.frames_pruned, 0u);
+  EXPECT_GT(gc.segments_deleted + gc.segments_rewritten, 0u);
+  // The GC really unlinked files that A's snapshot still holds open.
+  EXPECT_GT(DeletedFdsUnder(options.dir), 0u);
+
+  CollectingSink b;
+  GS_ASSERT_OK((*store)->Scan("src", StoreScan{}, &b));
+  EXPECT_EQ(b.NumFrames(),
+            (*store)->FrameIds("src", INT64_MIN, INT64_MAX).size());
+
+  parked.Resume();
+  a.join();
+  GS_ASSERT_OK(scan_a);
+
+  const std::vector<StreamEvent>& events = parked.collected().events();
+  ASSERT_TRUE(testing_util::WellFormedFrames(events));
+  EXPECT_EQ(parked.collected().NumFrames(), static_cast<uint64_t>(frames));
+  std::map<int64_t, uint64_t> points;
+  for (const StreamEvent& e : events) {
+    if (e.kind != EventKind::kPointBatch) continue;
+    for (size_t i = 0; i < e.batch->size(); ++i) {
+      ASSERT_EQ(e.batch->ValueAt(i, 0),
+                TestValue(e.batch->frame_id, e.batch->cols[i],
+                          e.batch->rows[i]));
+    }
+    points[e.batch->frame_id] += e.batch->size();
+  }
+  for (int64_t f = 1; f <= frames; ++f) {
+    EXPECT_EQ(points[f], static_cast<uint64_t>(lattice.num_cells()))
+        << "frame " << f << " emitted incomplete";
+  }
+  EXPECT_EQ((*store)->TotalStats().tile_read_errors, 0u);
+  EXPECT_EQ(DeletedFdsUnder(options.dir), 0u)
+      << "an unlinked page stayed open after the last scan holding it";
 }
 
 /// Scans one frame and checks every cell is bit-exact for `frame_id`.
@@ -395,6 +500,41 @@ TEST(TileStoreRetentionTest, BackgroundThreadPrunesWithoutExplicitCalls) {
   EXPECT_EQ((*store)->FrameIds("src", INT64_MIN, INT64_MAX),
             (std::vector<int64_t>{5, 6}));
   // Destructor joins the thread cleanly (no hang, no crash).
+}
+
+TEST(TileStoreRetentionTest, ParkedScanKeepsUnlinkedSegmentUntilItReturns) {
+  TileStoreOptions options;
+  options.dir = FreshDir("park-delete");
+  options.tile_size = 16;
+  options.segment_max_bytes = 1;  // one frame per segment
+  options.retention_max_frames = 2;
+  // Frames 1..4 are pruned and their segments unlinked under A.
+  ExpectParkedScanSurvivesGc(options, LatLonLattice(24, 16), 6);
+}
+
+TEST(TileStoreRetentionTest, ParkedScanKeepsRewrittenSegmentUntilItReturns) {
+  const GridLattice lattice = LatLonLattice(24, 16);
+  uint64_t run_bytes = 0;
+  {
+    TileStoreOptions probe;
+    probe.dir = FreshDir("park-probe");
+    probe.tile_size = 16;
+    auto store = TileStore::Open(probe);
+    GS_ASSERT_OK(store.status());
+    GS_ASSERT_OK(PutFullFrame(store->get(), "src", lattice, 1));
+    run_bytes = PageBytesOnDisk(probe.dir);
+  }
+  ASSERT_GT(run_bytes, 0u);
+
+  TileStoreOptions options;
+  options.dir = FreshDir("park-rewrite");
+  options.tile_size = 16;
+  options.segment_max_bytes = 4 * run_bytes;  // 4 frames per segment
+  options.retention_max_frames = 6;
+  options.gc_rewrite_dead_fraction = 0.5;
+  // Segments [1..4] [5..8] [9]: pruning 1..3 rewrites segment one
+  // around frame 4 and unlinks the original under A.
+  ExpectParkedScanSurvivesGc(options, lattice, 9);
 }
 
 }  // namespace
