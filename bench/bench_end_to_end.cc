@@ -20,7 +20,6 @@
 #include "server/dsms_server.h"
 #include "server/scan_schedule.h"
 #include "server/stream_generator.h"
-#include "stream/executor.h"
 
 namespace geostreams {
 namespace {
@@ -143,7 +142,7 @@ void BM_DsmsEndToEnd_WorkerPool(benchmark::State& state) {
   // for its pipeline, and the ingest thread only enqueues. On a
   // multi-core host the series demonstrates near-linear scaling until
   // workers exceed cores; `workers=0` rows in BM_DsmsEndToEnd are the
-  // synchronous baseline.
+  // caller-runs baseline (plans run on the ingest thread).
   const size_t workers = static_cast<size_t>(state.range(0));
   constexpr int kQueries = 16;
   DsmsOptions options;
@@ -191,43 +190,6 @@ BENCHMARK(BM_DsmsEndToEnd_WorkerPool)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-void BM_Dsms_ThreadedIngest(benchmark::State& state) {
-  // Ingest decoupled from query processing by a bounded queue
-  // (StageRunner), as a receiving station would run it.
-  DsmsServer server;
-  StreamGenerator gen(MakeConfig(), ScanSchedule::GoesRoutine());
-  CheckOk(gen.Init(), "init");
-  for (size_t b = 0; b < 2; ++b) {
-    CheckOk(server.RegisterStream(ValueOrDie(gen.Descriptor(b), "desc")),
-            "register stream");
-  }
-  // One single-band query per band so the two ingest worker threads
-  // drive disjoint plans (operators are single-threaded by design;
-  // cross-band queries would need a serializing stage in front).
-  std::atomic<uint64_t> frames{0};
-  for (const char* q :
-       {"region(goes.band2, bbox(-120, 28, -95, 45))",
-        "vrange(goes.band1, 0, 0.2, 0.9)"}) {
-    auto id = server.RegisterQuery(
-        q, [&frames](int64_t, const Raster&, const std::vector<uint8_t>&) {
-          frames.fetch_add(1, std::memory_order_relaxed);
-        });
-    CheckOk(id.status(), "register query");
-  }
-  for (auto _ : state) {
-    StageRunner nir(server.ingest("goes.band2"), 64);
-    StageRunner vis(server.ingest("goes.band1"), 64);
-    CheckOk(gen.GenerateScans(0, 4, {&nir, &vis}), "scan");
-    CheckOk(nir.Drain(), "drain nir");
-    CheckOk(vis.Drain(), "drain vis");
-  }
-  state.SetItemsProcessed(state.iterations() * 8 * kCells);
-  state.counters["ingest_MBps"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * 8.0 * kCells * 4.0 / 1.0e6,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_Dsms_ThreadedIngest);
 
 }  // namespace
 }  // namespace geostreams

@@ -2,9 +2,7 @@
 //
 // Many clients register continuous queries with individual regions of
 // interest against one GOES-like stream. The server's dynamic cascade
-// tree acts as a single shared spatial-restriction operator (Sec. 4);
-// ingest runs decoupled from a consumer thread through a bounded
-// queue, like a receiving station would operate.
+// tree acts as a single shared spatial-restriction operator (Sec. 4).
 //
 //   ./regional_server [num_clients] [num_scans] [--workers=N]
 //                     [--port=P] [--delay-ms=D] [--ingest-port=P]
@@ -42,10 +40,11 @@
 // command away. With --trace-every=N every Nth ingested batch carries
 // a trace context (TRACE <query-id> shows the sampled spans).
 //
-// With --workers=N the server runs its query worker pool: every
-// client query becomes one scheduler pipeline and N threads execute
-// them in parallel (N=0, the default, keeps execution synchronous on
-// the ingest thread).
+// Every client query is one scheduler pipeline. With --workers=N, N
+// threads execute them in parallel, decoupled from ingest through the
+// per-query queues; N=0, the default, runs them on the ingest thread
+// before each ingest call returns. Supervision (health, dead letters,
+// RESTART) and tracing are the same either way.
 //
 // With --port=P the example turns into a real TCP server: instead of
 // simulating clients in-process it listens on 127.0.0.1:P (P=0 picks
@@ -79,7 +78,6 @@
 #include "server/dsms_server.h"
 #include "server/scan_schedule.h"
 #include "server/stream_generator.h"
-#include "stream/executor.h"
 
 using namespace geostreams;
 
@@ -382,15 +380,10 @@ int main(int argc, char** argv) {
   }
   std::printf("registered %d regional subscriptions\n", num_clients);
 
-  // Decoupled ingest: the generator produces into a bounded queue, the
-  // worker thread drives the server.
-  {
-    StageRunner ingest(server.ingest("goes.band1"), 128);
-    if (Status st = generator.GenerateScans(0, num_scans, {&ingest});
-        !st.ok()) {
-      return Fail(st, "generate");
-    }
-    if (Status st = ingest.Drain(); !st.ok()) return Fail(st, "drain");
+  if (Status st = generator.GenerateScans(0, num_scans,
+                                         {server.ingest("goes.band1")});
+      !st.ok()) {
+    return Fail(st, "generate");
   }
   if (Status st = server.EndAllStreams(); !st.ok()) return Fail(st, "end");
 
@@ -413,8 +406,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   server.memory().HighWaterBytes()));
 
-  if (workers > 0) {
-    // Supervision summary: per-health query counts plus pool-wide
+  {
+    // Supervision summary: per-health query counts plus scheduler-wide
     // fault counters (all zero on a clean run).
     size_t healthy = 0, degraded = 0, quarantined = 0;
     for (const auto& client : clients) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + ctest, then the concurrency-
-# sensitive tests (scheduler / executor / multiband) rebuilt and run
-# under ThreadSanitizer in a separate build tree.
+# sensitive tests (scheduler / server / multiband / net / storage)
+# rebuilt and run under ThreadSanitizer and ASan+UBSan in separate
+# build trees.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,32 +42,40 @@ cmake --build build -j "${JOBS}" \
  ctest --output-on-failure -j "${JOBS}" \
        -R '^(StorageGovernorTest|DiskPressureKillPointTest|DiskPressureE2eTest)')
 
-echo "== tier-1: TSan lane (scheduler/supervision/server/executor/multiband/net/ingest/obs) =="
+echo "== tier-1: TSan lane (scheduler/supervision/server/pipeline/multiband/net/ingest/obs) =="
 cmake -B build-tsan -S . -DGEOSTREAMS_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j "${JOBS}" \
       --target scheduler_test supervisor_test failure_test server_test \
-               executor_test multiband_test net_test ingest_test obs_test \
+               pipeline_test multiband_test net_test ingest_test obs_test \
                kernels_test journal_test journal_killpoint_test \
                tile_store_test tile_store_retention_test \
                tile_store_churn_test storage_governor_test catchup_test
 (cd build-tsan && \
  ctest --output-on-failure -j "${JOBS}" \
-       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|StageRunnerTest|BoundedEventQueueTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|CatchUpTest)')
+       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|CatchUpTest)')
 
 echo "== tier-1: ASan+UBSan lane (same concurrency/supervision set) =="
 cmake -B build-asan -S . "-DGEOSTREAMS_SANITIZE=address,undefined" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "${JOBS}" \
       --target scheduler_test supervisor_test failure_test server_test \
-               executor_test multiband_test net_test ingest_test obs_test \
+               pipeline_test multiband_test net_test ingest_test obs_test \
                kernels_test journal_test journal_killpoint_test \
                journal_compaction_test tile_store_test \
                tile_store_retention_test tile_store_churn_test \
                storage_governor_test disk_pressure_e2e_test catchup_test
 (cd build-asan && \
  ctest --output-on-failure -j "${JOBS}" \
-       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|StageRunnerTest|BoundedEventQueueTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|JournalCompactionTest|DiskPressureE2eTest|CatchUpTest)')
+       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|JournalCompactionTest|DiskPressureE2eTest|CatchUpTest)')
+
+echo "== tier-1: caller-runs stress lane (workers=0 scheduler, TSan) =="
+# Four producers run one caller-runs scheduler on their own threads;
+# the claim must keep every pipeline on one thread at a time and in
+# enqueue order. A race shows up only in some interleavings, so
+# repeat it under TSan.
+./build-tsan/tests/scheduler_test --gtest_repeat=200 --gtest_brief=1 \
+    --gtest_filter='SchedulerTest.CallerRunsKeepsPerPipelineOrderWithConcurrentProducers'
 
 echo "== tier-1: churn stress lane (tile-store readers vs retention GC) =="
 # One churn run races a writer, a retention storm and three readers;

@@ -209,7 +209,7 @@ void ClientSession::WriterLoop() {
           options_.metrics != nullptr) {
         const uint64_t now = TraceWallNowUs();
         if (now > item.stamp.delivered_wall_us) {
-          MetricHistogram* write_stage = WriteStageHistogram(item.stamp.query);
+          MetricHistogram* write_stage = WriteStageHistogram(item.stamp.pipeline);
           const uint64_t latency = now - item.stamp.delivered_wall_us;
           if (write_stage == nullptr) {
             // Family kind conflict: metrics off for this stage.

@@ -77,8 +77,7 @@ struct ClientSessionOptions {
 struct FrameStamp {
   uint64_t delivered_wall_us = 0;   // 0 = no write-stage observation
   uint64_t trace_ordinal = ~0ull;   // ~0 = no exemplar
-  std::string pipeline;             // exemplar pipeline label
-  std::string query;                // stage label value
+  std::string pipeline;             // exemplar and `query` stage label
 };
 
 class ClientSession {

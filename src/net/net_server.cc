@@ -424,19 +424,18 @@ void NetServer::FanOutFrame(DsmsServer* dsms, Subscription* sub,
                             const std::vector<uint8_t>& png) {
   // The delivery callback runs inside the operator chain, so the
   // frame's trace (when sampled) is active on this thread. Entry here
-  // closes the `operators` stage (scheduler claim — or the ingest
-  // anchor on the synchronous path — to chain exit); encode + enqueue
-  // is the `deliver` stage. `total` spans capture (else admission) to
+  // closes the `operators` stage (scheduler claim to chain exit);
+  // encode + enqueue is the `deliver` stage. Both carry the same
+  // `query` label as the scheduler's `queue` stage: the pipeline name. `total` spans capture (else admission) to
   // fan-out done, into the per-source series the ingest session's
   // ISTATS p95 reads — observed once per frame (ClaimTotalStage), not
   // once per subscribed query.
   TraceContext* trace = ActiveTrace();
   const bool staged = trace != nullptr && trace->last_anchor_wall_us() != 0;
-  const std::string query_label =
-      StringPrintf("%lld", static_cast<long long>(sub->query_id.load()));
   if (staged) {
     ObserveE2eStage(dsms->metrics_registry(), "operators", "query",
-                    query_label, trace->AdvanceStage(TraceWallNowUs()), trace);
+                    trace->pipeline(), trace->AdvanceStage(TraceWallNowUs()),
+                    trace);
   }
   auto buffer = std::make_shared<const std::vector<uint8_t>>(
       EncodeResultFrame(sub->query_id.load(), frame_id, raster, png));
@@ -447,7 +446,6 @@ void NetServer::FanOutFrame(DsmsServer* dsms, Subscription* sub,
     stamp.delivered_wall_us = TraceWallNowUs();
     stamp.trace_ordinal = trace->ring_ordinal();
     stamp.pipeline = trace->pipeline();
-    stamp.query = query_label;
   }
   {
     std::lock_guard<std::mutex> lock(sub->mu);
@@ -458,8 +456,8 @@ void NetServer::FanOutFrame(DsmsServer* dsms, Subscription* sub,
   }
   if (staged) {
     const uint64_t now = TraceWallNowUs();
-    ObserveE2eStage(dsms->metrics_registry(), "deliver", "query", query_label,
-                    trace->AdvanceStage(now), trace);
+    ObserveE2eStage(dsms->metrics_registry(), "deliver", "query",
+                    trace->pipeline(), trace->AdvanceStage(now), trace);
     const uint64_t birth = trace->capture_wall_us() != 0
                                ? trace->capture_wall_us()
                                : trace->admit_wall_us();

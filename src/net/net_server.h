@@ -7,9 +7,10 @@
 //   reader thread (owned here)  — reads command lines, dispatches,
 //                                 queues responses;
 //   writer thread (ClientSession) — drains the outbound queue;
-//   delivery callbacks          — run on the engine's scheduler
-//                                 workers (or the ingest thread when
-//                                 the engine is synchronous), encode
+//   delivery callbacks          — run on whichever thread the
+//                                 engine's scheduler delivers on (a
+//                                 worker, or the ingest thread with
+//                                 zero workers), encode
 //                                 each frame ONCE, and fan the shared
 //                                 buffer out to every subscribed
 //                                 session with a non-blocking

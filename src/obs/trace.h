@@ -52,7 +52,7 @@ struct TraceRecord {
   uint64_t ordinal = 0;   // assigned by the ring; survives eviction
   uint64_t trace_id = 0;
   std::string origin;     // source stream name
-  std::string pipeline;   // scheduler queue name ("" when inline)
+  std::string pipeline;   // scheduler pipeline name, e.g. "q7"
   uint64_t queue_wait_us = 0;
   uint64_t total_us = 0;  // ingest stamp -> Finish()
   /// Wall-clock (Unix epoch) microseconds when the trace was born at
@@ -131,9 +131,7 @@ class TraceContext {
   bool observes_source_stages() const { return source_stage_owner_; }
 
   /// Claims the once-per-frame per-source `total` observation: true
-  /// exactly once, and only on the owning context. (The inline path
-  /// delivers one trace through every query's chain, so the owner
-  /// flag alone would still observe `total` per query.)
+  /// exactly once, and only on the owning context.
   bool ClaimTotalStage();
 
   /// TraceRing slot reserved for this trace (exemplar linkage), or
@@ -211,9 +209,9 @@ class ScopedTraceActivation {
   TraceContext* previous_;
 };
 
-/// Bounded ring of finished traces. Thread-safe (the synchronous
-/// ingest path can push from multiple producer threads). Ordinals are
-/// assigned at push and survive eviction, like DeadLetterQueue.
+/// Bounded ring of finished traces. Thread-safe (TRACE snapshots it
+/// while a delivering thread pushes). Ordinals are assigned at push
+/// and survive eviction, like DeadLetterQueue.
 class TraceRing {
  public:
   explicit TraceRing(size_t capacity) : capacity_(capacity ? capacity : 1) {}

@@ -96,9 +96,8 @@ struct DsmsServer::SourceState : public EventSink {
   /// plan rather than from an ingest call.
   bool derived = false;
   /// Boundary guard handed out by DsmsServer::ingest() (and used as
-  /// the backing plan's sink for derived streams under a worker
-  /// pool): takes the server's state lock in shared mode and runs the
-  /// opt-in checksum check.
+  /// the backing plan's sink for derived streams): takes the server's
+  /// state lock in shared mode and runs the opt-in checksum check.
   std::unique_ptr<GuardedIngestSink> guard;
   /// Corrupt batches rejected at this boundary. `boundary_mu` guards
   /// the dead-letter ring and counter: several producers may ingest
@@ -170,18 +169,28 @@ class DsmsServer::IsolatedEntrySink : public EventSink {
 };
 
 /// The ingest boundary (Fig. 3's arrow from the stream generator into
-/// the server). Every event takes the server's state lock in shared
-/// mode, so producers and the control plane (network sessions
-/// registering queries) can run concurrently; with
-/// verify_ingest_checksums on, a batch whose attached FNV-1a digest
-/// does not match its content is dead-lettered here — it never enters
-/// any query chain, and the producer keeps streaming.
+/// the server). Every event is fanned out into the query pipelines
+/// under the server's state lock in shared mode, so producers and the
+/// control plane (network sessions registering queries) can run
+/// concurrently; the lock is released before the scheduler runs any
+/// plan. With verify_ingest_checksums on, a batch whose attached
+/// FNV-1a digest does not match its content is dead-lettered here —
+/// it never enters any query chain, and the producer keeps streaming.
 class DsmsServer::GuardedIngestSink : public EventSink {
  public:
   GuardedIngestSink(DsmsServer* server, SourceState* source)
       : server_(server), source_(source) {}
 
+  /// Enqueues the event into every interested pipeline, then (with
+  /// zero workers) runs them on this thread before returning.
   Status Consume(const StreamEvent& event) override {
+    const Status st = FanOut(event);
+    server_->scheduler_->RunPending();
+    return st;
+  }
+
+ private:
+  Status FanOut(const StreamEvent& event) {
     std::shared_lock<std::shared_mutex> lock(server_->state_mu_);
     {
       std::lock_guard<std::mutex> boundary(source_->boundary_mu);
@@ -240,14 +249,9 @@ class DsmsServer::GuardedIngestSink : public EventSink {
     return st;
   }
 
- private:
-  /// Delivers one sampled batch with a fresh TraceContext attached.
-  /// With a worker pool the context just rides the event — the
-  /// scheduler forks it per pipeline at enqueue and does all the
-  /// timing. Synchronously the whole fan-out runs right here on the
-  /// ingest thread, so activate the trace around it and push the
-  /// record into the server-wide inline ring (spans of all queries
-  /// appear in one record — they really did run as one chain).
+  /// Fans out one sampled event with a fresh TraceContext attached.
+  /// The context just rides the event: the scheduler forks it per
+  /// pipeline at enqueue and does all the timing.
   Status ConsumeTraced(const StreamEvent& event) {
     StreamEvent traced = event;
     traced.trace = std::make_shared<TraceContext>(
@@ -256,37 +260,7 @@ class DsmsServer::GuardedIngestSink : public EventSink {
     traced.trace->SetIngestAnchors(event.anchors.capture_wall_us,
                                    event.anchors.admit_wall_us,
                                    event.anchors.durable_wall_us);
-    if (server_->scheduler_) return source_->Consume(traced);
-    TraceContext* trace = traced.trace.get();
-    if (server_->inline_traces_) {
-      // Reserve the ring slot up front so exemplar observations made
-      // during this delivery carry the ordinal TRACE answers to.
-      trace->set_ring_ordinal(server_->inline_traces_->Reserve());
-    }
-    if (event.kind == EventKind::kFrameEnd &&
-        trace->last_anchor_wall_us() != 0) {
-      // Ingest-side stages come straight from the anchors; without a
-      // worker pool there is no queue stage, so the chain continues
-      // from the seeded anchor into the delivery callback's
-      // `operators` segment.
-      const uint64_t capture = trace->capture_wall_us();
-      const uint64_t admit = trace->admit_wall_us();
-      const uint64_t durable = trace->durable_wall_us();
-      if (capture != 0 && admit > capture) {
-        ObserveE2eStage(&server_->metrics_registry_, "send", "source",
-                        source_->desc.name(), admit - capture, trace);
-      }
-      if (admit != 0 && durable > admit) {
-        ObserveE2eStage(&server_->metrics_registry_, "journal", "source",
-                        source_->desc.name(), durable - admit, trace);
-      }
-    }
-    ScopedTraceActivation activate(trace);
-    Status st = source_->Consume(traced);
-    if (st.ok() && server_->inline_traces_) {
-      server_->inline_traces_->PushReserved(trace->Finish());
-    }
-    return st;
+    return source_->Consume(traced);
   }
 
   DsmsServer* server_;
@@ -300,13 +274,11 @@ struct DsmsServer::QueryState {
   std::unique_ptr<DeliveryOp> delivery;
   NullSink null_sink;
   std::unique_ptr<ExecutablePlan> plan;
-  /// Isolation wrappers around the scheduler entry sinks (empty when
-  /// the server is synchronous).
+  /// Isolation wrappers around the scheduler entry sinks.
   std::vector<std::unique_ptr<IsolatedEntrySink>> isolated;
-  /// Scheduler pipeline id when the server runs a worker pool; all of
-  /// the plan's inputs share this pipeline so one worker at a time
-  /// drives the plan.
-  size_t sched_pipeline = SIZE_MAX;
+  /// The query's scheduler pipeline; all of the plan's inputs share
+  /// it, so one thread at a time drives the plan.
+  size_t pipeline = 0;
 
   bool is_derived = false;
   std::string derived_name;
@@ -351,7 +323,6 @@ struct DsmsServer::QueryState {
 DsmsServer::DsmsServer(DsmsOptions options) : options_(options) {
   event_log_ = std::make_unique<EventLog>(options_.event_log_capacity);
   event_log_->Append(EventSeverity::kInfo, "server", "start", "");
-  inline_traces_ = std::make_unique<TraceRing>(options_.trace_ring_capacity);
   if (!options_.journal_dir.empty() || !options_.store_dir.empty()) {
     // One governor watches the whole storage plane: both subsystems
     // admit writes through it, and either one's ENOSPC/EIO degrades
@@ -450,30 +421,23 @@ DsmsServer::DsmsServer(DsmsOptions options) : options_(options) {
           "cut over to the live stream (summed over registrations)");
     }
   }
-  if (options_.workers > 0) {
-    SchedulerOptions sched;
-    sched.policy = options_.worker_policy;
-    sched.queue_capacity = options_.worker_queue_capacity;
-    sched.workers = options_.workers;
-    sched.supervisor = options_.worker_supervisor;
-    sched.dead_letter_capacity = options_.dead_letter_capacity;
-    sched.dead_letter_max_bytes = options_.dead_letter_max_bytes;
-    sched.memory = &memory_;
-    sched.metrics = &metrics_registry_;
-    sched.trace_ring_capacity = options_.trace_ring_capacity;
-    sched.event_log = event_log_.get();
-    scheduler_ = std::make_unique<QueryScheduler>(sched);
-    Status st = scheduler_->Start();
-    if (!st.ok()) {
-      GEOSTREAMS_LOG(kError) << "worker pool failed to start: "
-                             << st.ToString();
-      scheduler_.reset();
-    } else {
-      GEOSTREAMS_LOG(kInfo) << "query worker pool: "
-                            << scheduler_->num_workers() << " threads, "
-                            << SchedulingPolicyName(sched.policy);
-    }
-  }
+  SchedulerOptions sched;
+  sched.policy = options_.worker_policy;
+  sched.queue_capacity = options_.worker_queue_capacity;
+  sched.workers = options_.workers;
+  sched.supervisor = options_.worker_supervisor;
+  sched.dead_letter_capacity = options_.dead_letter_capacity;
+  sched.dead_letter_max_bytes = options_.dead_letter_max_bytes;
+  sched.memory = &memory_;
+  sched.metrics = &metrics_registry_;
+  sched.trace_ring_capacity = options_.trace_ring_capacity;
+  sched.event_log = event_log_.get();
+  scheduler_ = std::make_unique<QueryScheduler>(sched);
+  Status started = scheduler_->Start();  // fails only if already running
+  (void)started;
+  GEOSTREAMS_LOG(kInfo) << "query scheduler: " << options_.workers
+                        << " worker threads (0 = caller runs), "
+                        << SchedulingPolicyName(sched.policy);
   RegisterCollectors();
 }
 
@@ -501,7 +465,7 @@ void DsmsServer::RegisterCollectors() {
                                      "Events accepted into pipeline queues");
   Counter* processed = reg.GetCounter(
       "geostreams_scheduler_processed_total",
-      "Events delivered through operator chains by the worker pool");
+      "Events delivered through operator chains by the scheduler");
   Counter* shed = reg.GetCounter(
       "geostreams_scheduler_shed_total",
       "Point batches shed because a pipeline queue was full");
@@ -536,18 +500,16 @@ void DsmsServer::RegisterCollectors() {
       reg.GetCounter("geostreams_ingest_checksum_failures_total",
                      "Corrupt batches rejected at the ingest boundary");
   reg.AddCollector([=, this] {
-    if (scheduler_) {
-      const ScheduledQueueStats total = scheduler_->AggregateStats();
-      enqueued->Set(total.enqueued);
-      processed->Set(total.processed);
-      shed->Set(total.dropped);
-      control_overflow->Set(total.control_overflow);
-      rejected->Set(total.rejected);
-      discarded->Set(total.discarded);
-      restarts->Set(total.restarts);
-      dead_letters->Set(total.dead_letters);
-      queued->Set(total.queued);
-    }
+    const ScheduledQueueStats total = scheduler_->AggregateStats();
+    enqueued->Set(total.enqueued);
+    processed->Set(total.processed);
+    shed->Set(total.dropped);
+    control_overflow->Set(total.control_overflow);
+    rejected->Set(total.rejected);
+    discarded->Set(total.discarded);
+    restarts->Set(total.restarts);
+    dead_letters->Set(total.dead_letters);
+    queued->Set(total.queued);
     uint64_t n_queries = 0, n_degraded = 0, n_quarantined = 0;
     {
       std::shared_lock<std::shared_mutex> lock(state_mu_);
@@ -560,14 +522,11 @@ void DsmsServer::RegisterCollectors() {
         source->freshness_gauge->Set(
             stamp != 0 && now > stamp ? now - stamp : 0);
       }
-      if (scheduler_) {
-        for (const auto& [id, query] : queries_) {
-          if (query->sched_pipeline == SIZE_MAX) continue;
-          switch (scheduler_->Health(query->sched_pipeline)) {
-            case PipelineHealth::kDegraded: ++n_degraded; break;
-            case PipelineHealth::kQuarantined: ++n_quarantined; break;
-            default: break;
-          }
+      for (const auto& [id, query] : queries_) {
+        switch (scheduler_->Health(query->pipeline)) {
+          case PipelineHealth::kDegraded: ++n_degraded; break;
+          case PipelineHealth::kQuarantined: ++n_quarantined; break;
+          default: break;
         }
       }
     }
@@ -581,10 +540,9 @@ void DsmsServer::RegisterCollectors() {
 }
 
 DsmsServer::~DsmsServer() {
-  if (scheduler_) {
-    Status ignored = scheduler_->Stop();
-    (void)ignored;
-  }
+  // Stop before queries_ (destroyed first) takes the plans away.
+  Status ignored = scheduler_->Stop();
+  (void)ignored;
 }
 
 Status DsmsServer::RegisterStream(const GeoStreamDescriptor& desc) {
@@ -704,7 +662,8 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
   // flowing (the query is invisible to it) while recorded frames run
   // through the plan on this thread, merged ascending by frame id
   // across inputs so multi-stream plans see their operands in live
-  // order. Flush periodically so a deep history cannot overflow the
+  // order. With zero workers each frame runs as it is replayed; with a
+  // pool, Flush periodically so a deep history cannot overflow the
   // scheduler queues (shed batches would be gaps).
   struct ReplayItem {
     int64_t frame_id;
@@ -762,6 +721,7 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
     Status st = store_->ScanFrame(wire.source, item.frame_id,
                                   wire_scan(wire), wire.entry);
     if (!st.ok() && st.code() != StatusCode::kNotFound) return st;
+    scheduler_->RunPending();
     replayed_to[item.wire] = item.frame_id;
     if (m_catchup_frames_) m_catchup_frames_->Increment();
     --catchup_pending;
@@ -797,9 +757,10 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
             : replayed_to[w] + 1;
     if (lo <= w0) {
       for (int64_t fid : store_->FrameIds(wire.source, lo, w0)) {
-        // Inline, no Flush: the delta is bounded by one phase-1 flush
-        // window, and WaitIdle here would deadlock against workers
-        // taking the shared lock to feed derived streams.
+        // No Flush: the delta is bounded by one phase-1 flush window,
+        // and nothing may run under the exclusive lock (plans feeding
+        // derived streams take the shared lock). With zero workers
+        // the delta runs after the lock drops (RunPending below).
         Status st = store_->ScanFrame(wire.source, fid, wire_scan(wire),
                                       wire.entry);
         if (!st.ok() && st.code() != StatusCode::kNotFound) return st;
@@ -868,6 +829,7 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
     }
     catchup_pending = 0;
   }
+  scheduler_->RunPending();
   if (!replayed.ok()) {
     // Clear the replay guard, then reuse the normal teardown (it
     // skips inputs that never got wired).
@@ -946,13 +908,9 @@ Result<QueryId> DsmsServer::RegisterInternal(
         options_.dead_letter_capacity, options_.dead_letter_max_bytes);
     source->boundary_dead_letters->BindMemoryTracker(&memory_,
                                                      "dlq." + derived_name);
-    // With a worker pool the backing plan runs on a worker thread, so
-    // the view's fan-out must take the state lock itself (via the
-    // guard). Synchronously (workers = 0) the plan already runs under
-    // the ingest call's shared lock — re-locking here would be a
-    // recursive shared_mutex acquisition (UB), so feed the source raw.
-    plan_sink = scheduler_ ? static_cast<EventSink*>(source->guard.get())
-                           : static_cast<EventSink*>(source.get());
+    // Plans never run under the state lock, so the view's fan-out
+    // takes it itself, through the guard.
+    plan_sink = source->guard.get();
     sources_.emplace(derived_name, std::move(source));
   }
 
@@ -987,33 +945,27 @@ Result<QueryId> DsmsServer::RegisterInternal(
   }
 
   // Wire plan inputs to sources (peeled leaves via the shared
-  // restriction index, the rest directly). With a worker pool, every
-  // plan input is wrapped in a scheduler entry for the query's single
-  // pipeline: sources enqueue cheaply, and the plan itself runs on
-  // whichever worker claims the pipeline.
+  // restriction index, the rest directly). Every plan input is wrapped
+  // in a scheduler entry for the query's single pipeline: sources
+  // enqueue cheaply, and the plan itself runs on whichever thread
+  // claims the pipeline.
+  query->pipeline = scheduler_->AddPipelineGroup(
+      StringPrintf("q%lld", static_cast<long long>(id)));
+  // The delivery operator sits downstream of the plan (it is the
+  // plan's sink, not one of its ops), so its assembler must be reset
+  // explicitly or a restart would resume into a frame left open by
+  // the fault (null for derived streams).
+  ExecutablePlan* plan = query->plan.get();
+  DeliveryOp* delivery = query->delivery.get();
+  scheduler_->SetPipelineReset(query->pipeline, [plan, delivery] {
+    plan->Reset();
+    if (delivery) delivery->Reset();
+  });
   for (const std::string& input_name : query->plan->input_names()) {
-    EventSink* entry = query->plan->input(input_name);
-    if (scheduler_) {
-      if (query->sched_pipeline == SIZE_MAX) {
-        query->sched_pipeline = scheduler_->AddPipelineGroup(
-            StringPrintf("q%lld", static_cast<long long>(id)));
-        // The delivery operator sits downstream of the plan (it is
-        // the plan's sink, not one of its ops), so its assembler must
-        // be reset explicitly or a restart would resume into a frame
-        // left open by the fault (null for derived streams).
-        ExecutablePlan* plan = query->plan.get();
-        DeliveryOp* delivery = query->delivery.get();
-        scheduler_->SetPipelineReset(query->sched_pipeline,
-                                     [plan, delivery] {
-                                       plan->Reset();
-                                       if (delivery) delivery->Reset();
-                                     });
-      }
-      entry = scheduler_->AddPipelineInput(query->sched_pipeline, entry);
-      query->isolated.push_back(
-          std::make_unique<IsolatedEntrySink>(entry));
-      entry = query->isolated.back().get();
-    }
+    query->isolated.push_back(std::make_unique<IsolatedEntrySink>(
+        scheduler_->AddPipelineInput(query->pipeline,
+                                     query->plan->input(input_name))));
+    EventSink* entry = query->isolated.back().get();
     auto peeled_it = std::find_if(
         query->peeled.begin(), query->peeled.end(),
         [&](const QueryState::Peeled& p) {
@@ -1066,7 +1018,7 @@ Result<QueryId> DsmsServer::RegisterInternal(
 }
 
 Status DsmsServer::UnregisterQuery(QueryId id) {
-  size_t pipeline = SIZE_MAX;
+  size_t pipeline = 0;
   {
     std::unique_lock<std::shared_mutex> lock(state_mu_);
     auto it = queries_.find(id);
@@ -1112,26 +1064,24 @@ Status DsmsServer::UnregisterQuery(QueryId id) {
       targets.erase(std::remove(targets.begin(), targets.end(), entry),
                     targets.end());
     }
-    pipeline = query.sched_pipeline;
+    pipeline = query.pipeline;
   }
-  if (scheduler_ && pipeline != SIZE_MAX) {
-    // The query is detached from every source; remove its queue and
-    // entry sinks before the plan they target is destroyed. Still-
-    // queued events are discarded — the client is gone. This waits
-    // for any in-flight event, so it must run with the state lock
-    // RELEASED: the worker mid-event may be taking the shared lock to
-    // feed a derived stream (see state_mu_'s comment). The query is
-    // already invisible to new producers (`unregistering` + detached
-    // sources), so nothing re-wires it while we wait.
-    GEOSTREAMS_RETURN_IF_ERROR(scheduler_->RemovePipeline(pipeline));
-  }
+  // The query is detached from every source; remove its queue and
+  // entry sinks before the plan they target is destroyed. Still-queued
+  // events are discarded — the client is gone. This waits for any
+  // in-flight event, so it must run with the state lock RELEASED: the
+  // thread mid-event may be taking the shared lock to feed a derived
+  // stream (see state_mu_'s comment). The query is already invisible
+  // to new producers (`unregistering` + detached sources), so nothing
+  // re-wires it while we wait.
+  GEOSTREAMS_RETURN_IF_ERROR(scheduler_->RemovePipeline(pipeline));
   std::unique_lock<std::shared_mutex> lock(state_mu_);
   queries_.erase(id);
   return Status::OK();
 }
 
 Status DsmsServer::RestartQuery(QueryId id) {
-  size_t pipeline = SIZE_MAX;
+  size_t pipeline = 0;
   {
     std::shared_lock<std::shared_mutex> lock(state_mu_);
     auto it = queries_.find(id);
@@ -1139,15 +1089,14 @@ Status DsmsServer::RestartQuery(QueryId id) {
       return Status::NotFound(StringPrintf(
           "query %lld not registered", static_cast<long long>(id)));
     }
-    pipeline = it->second->sched_pipeline;
-  }
-  if (!scheduler_ || pipeline == SIZE_MAX) {
-    // Synchronous server: no supervisor, nothing quarantines.
-    return Status::OK();
+    pipeline = it->second->pipeline;
   }
   // RestartPipeline waits for the pipeline's in-flight event; run it
   // with the state lock released (same reasoning as UnregisterQuery).
-  return scheduler_->RestartPipeline(pipeline);
+  GEOSTREAMS_RETURN_IF_ERROR(scheduler_->RestartPipeline(pipeline));
+  // A redelivery that was waiting out a backoff is claimable now.
+  scheduler_->RunPending();
+  return Status::OK();
 }
 
 Result<std::vector<DeadLetter>> DsmsServer::DeadLetters(QueryId id) const {
@@ -1157,10 +1106,7 @@ Result<std::vector<DeadLetter>> DsmsServer::DeadLetters(QueryId id) const {
     return Status::NotFound(StringPrintf(
         "query %lld not registered", static_cast<long long>(id)));
   }
-  if (!scheduler_ || it->second->sched_pipeline == SIZE_MAX) {
-    return std::vector<DeadLetter>{};
-  }
-  return scheduler_->DeadLetters(it->second->sched_pipeline);
+  return scheduler_->DeadLetters(it->second->pipeline);
 }
 
 Result<std::vector<DeadLetter>> DsmsServer::SourceDeadLetters(
@@ -1254,10 +1200,7 @@ Result<PipelineHealth> DsmsServer::QueryHealth(QueryId id) const {
     return Status::NotFound(StringPrintf(
         "query %lld not registered", static_cast<long long>(id)));
   }
-  if (!scheduler_ || it->second->sched_pipeline == SIZE_MAX) {
-    return PipelineHealth::kRunning;
-  }
-  return scheduler_->Health(it->second->sched_pipeline);
+  return scheduler_->Health(it->second->pipeline);
 }
 
 Status DsmsServer::QueryError(QueryId id) const {
@@ -1267,16 +1210,10 @@ Status DsmsServer::QueryError(QueryId id) const {
     return Status::NotFound(StringPrintf(
         "query %lld not registered", static_cast<long long>(id)));
   }
-  if (!scheduler_ || it->second->sched_pipeline == SIZE_MAX) {
-    return Status::OK();
-  }
-  return scheduler_->PipelineError(it->second->sched_pipeline);
+  return scheduler_->PipelineError(it->second->pipeline);
 }
 
-Status DsmsServer::Flush() {
-  if (!scheduler_) return Status::OK();
-  return scheduler_->WaitIdle();
-}
+Status DsmsServer::Flush() { return scheduler_->WaitIdle(); }
 
 EventSink* DsmsServer::ingest(const std::string& name) {
   std::shared_lock<std::shared_mutex> lock(state_mu_);
@@ -1334,20 +1271,14 @@ Result<TraceRing::Snapshot> DsmsServer::QueryTraces(QueryId id) const {
     return Status::NotFound(StringPrintf(
         "query %lld not registered", static_cast<long long>(id)));
   }
-  if (!scheduler_ || it->second->sched_pipeline == SIZE_MAX) {
-    // Synchronous server: every query runs on the shared ingest chain.
-    return inline_traces_ ? inline_traces_->TakeSnapshot()
-                          : TraceRing::Snapshot{};
-  }
-  // Safe lock order: workers never hold the scheduler mutex while
-  // taking state_mu_ (they release it around Consume), so querying the
+  // Safe lock order: deliveries never hold the scheduler mutex while
+  // taking state_mu_ (it is released around Consume), so querying the
   // scheduler under the shared state lock cannot deadlock.
-  return scheduler_->Traces(it->second->sched_pipeline);
+  return scheduler_->Traces(it->second->pipeline);
 }
 
 std::string DsmsServer::SummaryLine() const {
-  ScheduledQueueStats total;
-  if (scheduler_) total = scheduler_->AggregateStats();
+  const ScheduledQueueStats total = scheduler_->AggregateStats();
   size_t n_queries = 0;
   uint64_t worst_freshness_us = 0;  // max frame age across live sources
   uint64_t worst_e2e_p95_us = 0;    // max per-source total-latency p95
@@ -1382,8 +1313,7 @@ std::string DsmsServer::SummaryLine() const {
       static_cast<unsigned long long>(memory_.TotalBytes()),
       static_cast<unsigned long long>(memory_.HighWaterBytes()),
       static_cast<unsigned long long>(IngestChecksumFailures()),
-      static_cast<unsigned long long>(
-          total.traces + (inline_traces_ ? inline_traces_->total() : 0)));
+      static_cast<unsigned long long>(total.traces));
   line += StringPrintf(" freshness_us=%llu e2e_p95_us=%llu",
                        static_cast<unsigned long long>(worst_freshness_us),
                        static_cast<unsigned long long>(worst_e2e_p95_us));

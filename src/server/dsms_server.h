@@ -50,22 +50,24 @@ struct DsmsOptions {
   OptimizerOptions optimizer;
   /// Deliver PNG bytes with every frame (costs CPU).
   bool encode_png = false;
-  /// Query-execution worker pool (the server's `--workers` knob).
-  /// 0 = synchronous: plans run inline on the ingest thread, one core
-  /// total. N > 0 = a QueryScheduler pool of N threads; every query
-  /// becomes one scheduler pipeline, so distinct queries run in
-  /// parallel while each query's events stay in order. Frame
-  /// callbacks then fire on worker threads — possibly concurrently
-  /// across queries — and must be thread-safe.
+  /// Query-execution threads (the server's `--workers` knob). Every
+  /// query is one QueryScheduler pipeline whatever the value, so each
+  /// query's events stay in order and supervision, dead letters and
+  /// traces work the same way. 0 = caller-runs: no thread is started;
+  /// each ingest call runs the pipelines it fed on the calling thread
+  /// before it returns. N > 0 = a pool of N threads, so distinct
+  /// queries run in parallel. Frame callbacks fire on whichever thread
+  /// delivers — possibly concurrently across queries — and must be
+  /// thread-safe.
   size_t workers = 0;
-  /// Per-query bounded queue when workers > 0; point batches beyond
-  /// it are shed (frame/stream control events are never shed).
+  /// Per-query bounded queue; point batches beyond it are shed
+  /// (frame/stream control events are never shed).
   size_t worker_queue_capacity = 1 << 14;
-  /// Dispatch policy of the worker pool.
+  /// Dispatch policy of the scheduler.
   SchedulingPolicy worker_policy = SchedulingPolicy::kRoundRobin;
-  /// Per-query failure handling when workers > 0: restart backoff,
-  /// poison dead-lettering, quarantine thresholds. A failing query is
-  /// its own failure domain — ingest and the other queries continue.
+  /// Per-query failure handling: restart backoff, poison
+  /// dead-lettering, quarantine thresholds. A failing query is its own
+  /// failure domain — ingest and the other queries continue.
   SupervisorOptions worker_supervisor;
   /// Verify FNV-1a PointBatch checksums at the ingest boundary:
   /// a batch carrying a non-zero checksum that does not match its
@@ -86,8 +88,7 @@ struct DsmsOptions {
   /// then pays one branch at ingest and one thread-local load per
   /// operator (see bench/bench_tracing.cc).
   size_t trace_sample_every = 0;
-  /// Finished traces retained per query pipeline (and in the shared
-  /// inline ring when workers == 0).
+  /// Finished traces retained per query pipeline.
   size_t trace_ring_capacity = 32;
   /// Durable ingest journal directory. Empty = no durability (the PR 4
   /// behavior: acks mean "delivered while the server lives"). Set, the
@@ -161,9 +162,9 @@ class DsmsServer {
   /// at a frame-id watermark — no gap, no duplicate (see
   /// CatchUpGate). Requires DsmsOptions::store_dir; without a store
   /// this degrades to plain registration (there is no history to
-  /// replay). The callback starts firing during this call (on the
-  /// calling thread for the history replay, then from the normal
-  /// delivery path) — it must be ready before registration returns.
+  /// replay). The callback starts firing during this call — it must
+  /// be ready before registration returns. With zero workers, all of
+  /// the replayed history has been delivered when this returns.
   Result<QueryId> RegisterQuery(const std::string& query_text,
                                 FrameCallback callback,
                                 const CatchUpOptions& catch_up);
@@ -183,30 +184,30 @@ class DsmsServer {
   /// Entry sink for source stream `name` (the stream generator pushes
   /// events here). Null for unknown streams. The sink is safe to
   /// drive while other threads (e.g. network sessions) register and
-  /// unregister queries: every event holds the server's state lock in
-  /// shared mode, and opt-in checksum verification rejects corrupt
-  /// batches at this boundary (see verify_ingest_checksums).
+  /// unregister queries: each event is fanned out under the server's
+  /// state lock in shared mode, and opt-in checksum verification
+  /// rejects corrupt batches at this boundary (see
+  /// verify_ingest_checksums). With zero workers and one producer
+  /// thread, every callback for the event has fired when Consume
+  /// returns (unless a query is waiting out a retry backoff).
   EventSink* ingest(const std::string& name);
 
-  /// Broadcasts StreamEnd to every query, then (when a worker pool is
-  /// configured) waits until every queue has drained.
+  /// Broadcasts StreamEnd to every query, then waits until every
+  /// queue has drained.
   Status EndAllStreams();
 
-  /// Blocks until all queued work has been processed. No-op without a
-  /// worker pool. Call before reading delivery counters or
-  /// ExplainAnalyze when workers > 0.
+  /// Blocks until all queued work has been processed (with zero
+  /// workers, by running it on this thread, backoffs included). Call
+  /// before reading delivery counters or ExplainAnalyze.
   Status Flush();
 
   /// Diagnostics.
   size_t num_queries() const;
-  /// Worker threads executing query plans (0 = synchronous).
-  size_t num_workers() const {
-    return scheduler_ ? scheduler_->num_workers() : 0;
-  }
-  /// Per-query scheduler queue statistics (empty when workers = 0).
+  /// Worker threads executing query plans (0 = caller-runs).
+  size_t num_workers() const { return scheduler_->num_workers(); }
+  /// Per-query scheduler queue statistics.
   std::vector<ScheduledQueueStats> SchedulerStats() const {
-    return scheduler_ ? scheduler_->Stats()
-                      : std::vector<ScheduledQueueStats>{};
+    return scheduler_->Stats();
   }
   const StreamCatalog& catalog() const { return catalog_; }
   const MemoryTracker& memory() const { return memory_; }
@@ -249,10 +250,8 @@ class DsmsServer {
   /// ISTATS surface its degraded flag.
   StorageGovernor* governor() const { return governor_.get(); }
 
-  /// Retained trace records for a query (`TRACE <id>`): with a worker
-  /// pool, the query pipeline's own ring; on a synchronous server all
-  /// queries share one delivery chain, so every query id answers with
-  /// the shared inline ring. NotFound for unknown ids.
+  /// Retained trace records for a query (`TRACE <id>`): the query
+  /// pipeline's own ring. NotFound for unknown ids.
   Result<TraceRing::Snapshot> QueryTraces(QueryId id) const;
   /// EXPLAIN text of a registered query's optimized plan.
   Result<std::string> Explain(QueryId id) const;
@@ -261,9 +260,8 @@ class DsmsServer {
   /// Points delivered to a query's callback so far.
   Result<uint64_t> FramesDelivered(QueryId id) const;
 
-  /// Supervision health of a query's pipeline. Always kRunning when
-  /// the server is synchronous (workers = 0): without a pool there is
-  /// no supervisor and plan errors surface on the ingest call instead.
+  /// Supervision health of a query's pipeline. NotFound for unknown
+  /// ids.
   Result<PipelineHealth> QueryHealth(QueryId id) const;
   /// The error that degraded or quarantined the query; OK while the
   /// query is healthy. NotFound for unknown ids.
@@ -274,13 +272,12 @@ class DsmsServer {
   /// Un-quarantines a query (the control plane's `RESTART <id>`):
   /// clears the recorded error, resets the operator chain, and grants
   /// a fresh poison budget so events flow again without the client
-  /// reconnecting or re-registering. No-op for healthy or
-  /// unsupervised (workers = 0) queries; NotFound for unknown ids.
+  /// reconnecting or re-registering. No-op for healthy queries;
+  /// NotFound for unknown ids.
   Status RestartQuery(QueryId id);
 
   /// The query pipeline's retained dead-lettered events, oldest
-  /// first (empty when workers = 0 — without a supervisor nothing is
-  /// dead-lettered). NotFound for unknown ids.
+  /// first. NotFound for unknown ids.
   Result<std::vector<DeadLetter>> DeadLetters(QueryId id) const;
 
   /// Dead letters caught at the ingest boundary of a source stream
@@ -343,7 +340,7 @@ class DsmsServer {
   StreamCatalog catalog_;
   MemoryTracker memory_;
   /// Declared before scheduler_ so the histograms the scheduler holds
-  /// pointers into outlive the worker pool.
+  /// pointers into outlive the scheduler.
   MetricsRegistry metrics_registry_;
   /// Flight recorder. Declared right after the registry and before
   /// every subsystem that appends into it (governor, journal, store,
@@ -373,20 +370,18 @@ class DsmsServer {
   Gauge* m_catchup_lag_ = nullptr;
   std::atomic<uint64_t> catchup_backlog_{0};
   std::atomic<uint64_t> next_trace_id_{1};
-  /// Finished traces on a synchronous server (workers == 0), where
-  /// there are no per-pipeline rings. Multi-producer safe.
-  std::unique_ptr<TraceRing> inline_traces_;
-  /// Control plane vs data plane: every ingest event takes this in
-  /// shared mode (via the per-source GuardedIngestSink), while
+  /// Control plane vs data plane: every ingest event's fan-out takes
+  /// this in shared mode (via the per-source GuardedIngestSink), while
   /// registration, unregistration, and restart take it exclusively —
   /// remote clients can (un)register queries over the network while
-  /// the instrument keeps scanning. Blocking scheduler operations
-  /// (RemovePipeline's and RestartPipeline's wait for the in-flight
-  /// event) run with the lock RELEASED: a worker mid-event may itself
-  /// be acquiring the shared lock to feed a derived stream, and
-  /// holding the exclusive lock across the wait would deadlock.
+  /// the instrument keeps scanning. Plans never run under it, in
+  /// either mode. Blocking scheduler operations (RemovePipeline's and
+  /// RestartPipeline's wait for the in-flight event) run with the lock
+  /// RELEASED: a thread mid-event may itself be acquiring the shared
+  /// lock to feed a derived stream, and holding the exclusive lock
+  /// across the wait would deadlock.
   mutable std::shared_mutex state_mu_;
-  /// Worker pool (null when options_.workers == 0). Started in the
+  /// Query execution (see DsmsOptions::workers). Started in the
   /// constructor; pipelines are added as queries register.
   std::unique_ptr<QueryScheduler> scheduler_;
   std::map<std::string, std::unique_ptr<SourceState>> sources_;

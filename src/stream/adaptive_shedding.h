@@ -8,7 +8,7 @@
 // implements the classic AIMD scheme (multiplicative decrease on
 // pressure, additive increase on slack) against an observed queue
 // depth — the observation source is a callback, so it composes with
-// BoundedEventQueue, QueryScheduler stats, or anything else.
+// QueryScheduler stats or anything else.
 
 #ifndef GEOSTREAMS_STREAM_ADAPTIVE_SHEDDING_H_
 #define GEOSTREAMS_STREAM_ADAPTIVE_SHEDDING_H_

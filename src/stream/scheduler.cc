@@ -9,6 +9,12 @@
 
 namespace geostreams {
 
+namespace {
+/// The scheduler whose caller-runs loop is delivering on this thread;
+/// a nested caller-runs call on it returns at once.
+thread_local const QueryScheduler* tls_caller_runs = nullptr;
+}  // namespace
+
 const char* SchedulingPolicyName(SchedulingPolicy policy) {
   switch (policy) {
     case SchedulingPolicy::kRoundRobin:
@@ -24,9 +30,9 @@ struct QueryScheduler::Queue {
   size_t index = 0;
   std::deque<Item> events;
   ScheduledQueueStats stats;
-  /// True while a worker is delivering an event from this queue; the
+  /// True while a thread is delivering an event from this queue; the
   /// queue is then invisible to SelectQueueLocked, which is what keeps
-  /// per-pipeline order under a multi-worker pool.
+  /// per-pipeline order with several delivering threads.
   bool busy = false;
   // --- supervision state (per failure domain) ---
   bool quarantined = false;
@@ -54,10 +60,6 @@ struct QueryScheduler::Queue {
 
 QueryScheduler::QueryScheduler(SchedulerOptions options)
     : options_(options), supervisor_(options.supervisor) {
-  resolved_workers_ = options_.workers;
-  if (resolved_workers_ == 0) {
-    resolved_workers_ = std::max(1u, std::thread::hardware_concurrency());
-  }
   if (options_.metrics != nullptr) {
     queue_wait_hist_ = options_.metrics->GetHistogram(
         "geostreams_scheduler_queue_wait_us",
@@ -131,11 +133,12 @@ Status QueryScheduler::RemovePipeline(size_t pipeline) {
   }
   // Wait out an in-flight delivery so the downstream plan can be
   // destroyed safely after this returns.
-  ++removals_waiting_;
+  ++claim_waiters_;
   idle_.wait(lock, [&] { return !queues_[pipeline]->busy; });
-  --removals_waiting_;
+  --claim_waiters_;
   // Drop the ring's MemoryTracker figure before the owner vanishes.
   queues_[pipeline]->dead_letters->Clear();
+  queued_ -= queues_[pipeline]->events.size();
   entries_.erase(
       std::remove_if(entries_.begin(), entries_.end(),
                      [pipeline](const std::unique_ptr<EntrySink>& e) {
@@ -144,7 +147,7 @@ Status QueryScheduler::RemovePipeline(size_t pipeline) {
       entries_.end());
   queues_[pipeline].reset();
   free_slots_.push_back(pipeline);
-  if (busy_count_ == 0 && AllQueuesEmptyLocked()) idle_.notify_all();
+  if (busy_count_ == 0 && queued_ == 0) idle_.notify_all();
   return Status::OK();
 }
 
@@ -153,8 +156,8 @@ Status QueryScheduler::Start() {
   if (started_) return Status::FailedPrecondition("scheduler running");
   started_ = true;
   stopping_ = false;
-  workers_.reserve(resolved_workers_);
-  for (size_t i = 0; i < resolved_workers_; ++i) {
+  workers_.reserve(options_.workers);
+  for (size_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
   return Status::OK();
@@ -162,9 +165,10 @@ Status QueryScheduler::Start() {
 
 Status QueryScheduler::Stop() {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     if (!started_) return Status::OK();
     stopping_ = true;
+    CallerRunsLocked(lock, /*until_idle=*/true);
   }
   work_available_.notify_all();
   for (std::thread& worker : workers_) {
@@ -179,10 +183,39 @@ Status QueryScheduler::Stop() {
 
 Status QueryScheduler::WaitIdle() {
   std::unique_lock<std::mutex> lock(mutex_);
+  CallerRunsLocked(lock, /*until_idle=*/true);
   idle_.wait(lock, [this] {
-    return !started_ || (busy_count_ == 0 && AllQueuesEmptyLocked());
+    return !started_ || (busy_count_ == 0 && queued_ == 0);
   });
   return Status::OK();
+}
+
+void QueryScheduler::RunPending() {
+  if (options_.workers > 0) return;
+  std::unique_lock<std::mutex> lock(mutex_);
+  CallerRunsLocked(lock, /*until_idle=*/false);
+}
+
+void QueryScheduler::CallerRunsLocked(std::unique_lock<std::mutex>& lock,
+                                      bool until_idle) {
+  if (options_.workers > 0 || tls_caller_runs == this) return;
+  const QueryScheduler* outer = tls_caller_runs;
+  tls_caller_runs = this;
+  while (true) {
+    if (DeliverNextLocked(lock)) continue;
+    if (!until_idle || (busy_count_ == 0 && queued_ == 0)) break;
+    // Nothing claimable now: wake when a backoff expires or another
+    // caller releases a claim.
+    ++claim_waiters_;
+    const auto deadline = EarliestRetryLocked();
+    if (deadline.has_value()) {
+      idle_.wait_until(lock, *deadline);
+    } else {
+      idle_.wait(lock);
+    }
+    --claim_waiters_;
+  }
+  tls_caller_runs = outer;
 }
 
 Status QueryScheduler::Enqueue(size_t index, EventSink* downstream,
@@ -217,10 +250,11 @@ Status QueryScheduler::Enqueue(size_t index, EventSink* downstream,
       ++queue.stats.control_overflow;
     }
     ++queue.stats.enqueued;
+    ++queued_;
     Item item{downstream, event};
     if (event.trace) {
       // One traced batch fans out to many pipelines on different
-      // workers; fork a private context per pipeline so no two
+      // threads; fork a private context per pipeline so no two
       // threads ever share mutable trace state.
       item.event.trace = event.trace->Fork(queue.name);
       item.event.trace->MarkEnqueued();
@@ -275,13 +309,6 @@ void QueryScheduler::AdvanceCursorLocked(size_t claimed) {
   rr_cursor_ = (claimed + 1) % queues_.size();
 }
 
-bool QueryScheduler::AllQueuesEmptyLocked() const {
-  for (const auto& queue : queues_) {
-    if (queue && !queue->events.empty()) return false;
-  }
-  return true;
-}
-
 std::optional<QueryScheduler::Clock::time_point>
 QueryScheduler::EarliestRetryLocked() const {
   std::optional<Clock::time_point> earliest;
@@ -298,6 +325,7 @@ void QueryScheduler::QuarantineLocked(Queue& queue, const Status& status) {
   queue.error = status;
   if (first_error_.ok()) first_error_ = status;
   queue.stats.discarded += queue.events.size();
+  queued_ -= queue.events.size();
   queue.events.clear();
   queue.retry_pending = false;
   GEOSTREAMS_LOG(kError) << "pipeline '" << queue.name
@@ -324,6 +352,7 @@ void QueryScheduler::HandleFailureLocked(std::unique_lock<std::mutex>& lock,
       ++queue.attempts;
       ++queue.stats.restarts;
       queue.events.push_front(std::move(item));
+      ++queued_;
       queue.retry_pending = true;
       queue.retry_at =
           Clock::now() + std::chrono::milliseconds(backoff);
@@ -365,104 +394,106 @@ void QueryScheduler::HandleFailureLocked(std::unique_lock<std::mutex>& lock,
 void QueryScheduler::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    const int index = SelectQueueLocked(Clock::now());
-    if (index < 0) {
-      // Nothing claimable. Pipelines in backoff need a timed wake; on
-      // stop, busy queues still holding events are finished by the
-      // workers that claimed them, so this worker can leave once no
-      // retry is pending either.
-      const auto deadline = EarliestRetryLocked();
-      if (deadline.has_value()) {
-        work_available_.wait_until(lock, *deadline);
-      } else if (stopping_) {
-        return;
-      } else {
-        work_available_.wait(lock);
-      }
-      continue;
-    }
-    Queue& queue = *queues_[static_cast<size_t>(index)];
-    AdvanceCursorLocked(static_cast<size_t>(index));
-    queue.busy = true;
-    queue.retry_pending = false;
-    ++busy_count_;
-    Item item = std::move(queue.events.front());
-    queue.events.pop_front();
-    lock.unlock();
-    // The claim invariant makes this call single-threaded per
-    // pipeline; the mutex acquire/release around claim and release
-    // orders operator state (incl. OperatorMetrics) across workers.
-    Status st;
-    TraceContext* trace = item.event.trace.get();
-    if (trace == nullptr) {
-      st = item.downstream->Consume(item.event);
+    if (DeliverNextLocked(lock)) continue;
+    // Nothing claimable. Pipelines in backoff need a timed wake; on
+    // stop, busy queues still holding events are finished by the
+    // threads that claimed them, so this worker can leave once no
+    // retry is pending either.
+    const auto deadline = EarliestRetryLocked();
+    if (deadline.has_value()) {
+      work_available_.wait_until(lock, *deadline);
+    } else if (stopping_) {
+      return;
     } else {
-      uint64_t wait_us = trace->MarkDequeued();
-      if (queue_wait_hist_ != nullptr) queue_wait_hist_->Observe(wait_us);
-      // Reserve the ring slot before the chain runs so exemplar
-      // observations made during delivery (operator spans, e2e
-      // stages) can carry the ordinal `TRACE` will answer to. The
-      // claim invariant keeps per-pipeline reservations ordered.
-      if (queue.traces && trace->ring_ordinal() == TraceContext::kNoRingOrdinal) {
-        trace->set_ring_ordinal(queue.traces->Reserve());
-      }
-      // Frame-lifecycle stages up to the claim: `send` and `journal`
-      // come straight from the ingest anchors, observed once per
-      // frame — only the fork that owns the per-source stages (the
-      // first of a fan-out) reports them, and only while its chain
-      // still sits at the seeded anchor (a retried event has advanced
-      // past it). `queue` closes at the claim itself and is
-      // per-pipeline. Only FrameEnd events are staged so per-stage
-      // sums partition the frame's end-to-end latency.
-      if (item.event.kind == EventKind::kFrameEnd &&
-          trace->last_anchor_wall_us() != 0 && options_.metrics != nullptr) {
-        const uint64_t capture = trace->capture_wall_us();
-        const uint64_t admit = trace->admit_wall_us();
-        const uint64_t durable = trace->durable_wall_us();
-        const uint64_t seeded = durable ? durable : (admit ? admit : capture);
-        if (trace->observes_source_stages() &&
-            trace->last_anchor_wall_us() == seeded) {
-          if (capture != 0 && admit > capture) {
-            ObserveE2eStage(options_.metrics, "send", "source",
-                            trace->origin(), admit - capture, trace);
-          }
-          if (admit != 0 && durable > admit) {
-            ObserveE2eStage(options_.metrics, "journal", "source",
-                            trace->origin(), durable - admit, trace);
-          }
-        }
-        ObserveE2eStage(options_.metrics, "queue", "query", queue.name,
-                        trace->AdvanceStage(TraceWallNowUs()), trace);
-      }
-      // Activate for the chain: operators emit fresh events, so they
-      // read the trace from the thread-local, not the event.
-      ScopedTraceActivation activate(trace);
-      st = item.downstream->Consume(item.event);
+      work_available_.wait(lock);
     }
-    if (st.ok() && trace != nullptr && queue.traces) {
-      // Claim still held, so `queue` cannot be removed under us; the
-      // ring is internally synchronized. Failed deliveries are not
-      // recorded — a retry would append a second set of spans (the
-      // reserved ordinal then stays a gap in the ring).
-      if (trace->ring_ordinal() != TraceContext::kNoRingOrdinal) {
-        queue.traces->PushReserved(trace->Finish());
-      } else {
-        queue.traces->Push(trace->Finish());
-      }
-    }
-    lock.lock();
-    if (st.ok()) {
-      ++queue.stats.processed;
-      queue.attempts = 0;
-    } else {
-      HandleFailureLocked(lock, queue, std::move(item), st);
-    }
-    queue.busy = false;
-    --busy_count_;
-    if (removals_waiting_ > 0) idle_.notify_all();
-    if (!queue.events.empty()) work_available_.notify_one();
-    if (busy_count_ == 0 && AllQueuesEmptyLocked()) idle_.notify_all();
   }
+}
+
+bool QueryScheduler::DeliverNextLocked(std::unique_lock<std::mutex>& lock) {
+  const int index = SelectQueueLocked(Clock::now());
+  if (index < 0) return false;
+  Queue& queue = *queues_[static_cast<size_t>(index)];
+  AdvanceCursorLocked(static_cast<size_t>(index));
+  queue.busy = true;
+  queue.retry_pending = false;
+  ++busy_count_;
+  Item item = std::move(queue.events.front());
+  queue.events.pop_front();
+  --queued_;
+  lock.unlock();
+  // The claim invariant makes this call single-threaded per
+  // pipeline; the mutex acquire/release around claim and release
+  // orders operator state (incl. OperatorMetrics) across threads.
+  Status st;
+  TraceContext* trace = item.event.trace.get();
+  if (trace == nullptr) {
+    st = item.downstream->Consume(item.event);
+  } else {
+    uint64_t wait_us = trace->MarkDequeued();
+    if (queue_wait_hist_ != nullptr) queue_wait_hist_->Observe(wait_us);
+    // Reserve the ring slot before the chain runs so exemplar
+    // observations made during delivery (operator spans, e2e
+    // stages) can carry the ordinal `TRACE` will answer to (a retried
+    // event keeps its first reservation). The claim invariant keeps
+    // per-pipeline reservations ordered.
+    if (trace->ring_ordinal() == TraceContext::kNoRingOrdinal) {
+      trace->set_ring_ordinal(queue.traces->Reserve());
+    }
+    // Frame-lifecycle stages up to the claim: `send` and `journal`
+    // come straight from the ingest anchors, observed once per
+    // frame — only the fork that owns the per-source stages (the
+    // first of a fan-out) reports them, and only while its chain
+    // still sits at the seeded anchor (a retried event has advanced
+    // past it). `queue` closes at the claim itself and is
+    // per-pipeline. Only FrameEnd events are staged so per-stage
+    // sums partition the frame's end-to-end latency.
+    if (item.event.kind == EventKind::kFrameEnd &&
+        trace->last_anchor_wall_us() != 0 && options_.metrics != nullptr) {
+      const uint64_t capture = trace->capture_wall_us();
+      const uint64_t admit = trace->admit_wall_us();
+      const uint64_t durable = trace->durable_wall_us();
+      const uint64_t seeded = durable ? durable : (admit ? admit : capture);
+      if (trace->observes_source_stages() &&
+          trace->last_anchor_wall_us() == seeded) {
+        if (capture != 0 && admit > capture) {
+          ObserveE2eStage(options_.metrics, "send", "source",
+                          trace->origin(), admit - capture, trace);
+        }
+        if (admit != 0 && durable > admit) {
+          ObserveE2eStage(options_.metrics, "journal", "source",
+                          trace->origin(), durable - admit, trace);
+        }
+      }
+      ObserveE2eStage(options_.metrics, "queue", "query", queue.name,
+                      trace->AdvanceStage(TraceWallNowUs()), trace);
+    }
+    // Activate for the chain: operators emit fresh events, so they
+    // read the trace from the thread-local, not the event.
+    ScopedTraceActivation activate(trace);
+    st = item.downstream->Consume(item.event);
+  }
+  if (st.ok() && trace != nullptr) {
+    // Claim still held, so `queue` cannot be removed under us; the
+    // ring is internally synchronized. Failed deliveries are not
+    // recorded — a retry redelivers under the same reservation, and a
+    // dead-lettered event's reserved ordinal stays a gap in the ring.
+    queue.traces->PushReserved(trace->Finish());
+  }
+  lock.lock();
+  if (st.ok()) {
+    ++queue.stats.processed;
+    queue.attempts = 0;
+  } else {
+    HandleFailureLocked(lock, queue, std::move(item), st);
+  }
+  queue.busy = false;
+  --busy_count_;
+  if (!queue.events.empty()) work_available_.notify_one();
+  if (claim_waiters_ > 0 || (busy_count_ == 0 && queued_ == 0)) {
+    idle_.notify_all();
+  }
+  return true;
 }
 
 PipelineHealth QueryScheduler::HealthLocked(const Queue& queue) const {
@@ -483,12 +514,12 @@ Status QueryScheduler::RestartPipeline(size_t pipeline) {
     return Status::OK();  // already healthy
   }
   // Take the pipeline's claim so the reset cannot race an in-flight
-  // delivery (quarantine can land while a worker is mid-event).
-  ++removals_waiting_;
+  // delivery (quarantine can land while another thread is mid-event).
+  ++claim_waiters_;
   idle_.wait(lock, [&] {
     return !queues_[pipeline] || !queues_[pipeline]->busy;
   });
-  --removals_waiting_;
+  --claim_waiters_;
   if (!queues_[pipeline]) {
     return Status::NotFound("pipeline removed during restart");
   }
@@ -507,8 +538,7 @@ Status QueryScheduler::RestartPipeline(size_t pipeline) {
     lock.lock();
     queue.busy = false;
     --busy_count_;
-    if (removals_waiting_ > 0) idle_.notify_all();
-    if (busy_count_ == 0 && AllQueuesEmptyLocked()) idle_.notify_all();
+    idle_.notify_all();
   }
   GEOSTREAMS_LOG(kInfo) << "pipeline '" << queue.name
                         << "' restarted (un-quarantined)";

@@ -4,10 +4,15 @@
 // relational-DSMS techniques to adapt. The scheduler owns one bounded
 // queue per registered pipeline and a pool of worker threads that
 // claim queues and drain them. The central invariant: **at most one
-// worker drains a given pipeline's queue at any moment** (a per-queue
+// thread drains a given pipeline's queue at any moment** (a per-queue
 // busy flag taken under the scheduler mutex), so per-pipeline event
 // order — which `ComposeOp`/`StretchTransformOp` frame buffering
 // depends on — is preserved while distinct pipelines run in parallel.
+//
+// With zero workers the scheduler runs on its callers' threads: no
+// thread is started, and RunPending()/WaitIdle()/Stop() run the same
+// claim -> deliver -> supervise step a worker runs. Supervision,
+// tracing and stats are the same in both modes.
 //
 // Dispatch order between pipelines decides latency and memory:
 // round-robin treats queries fairly, longest-queue-first bounds the
@@ -62,8 +67,9 @@ struct SchedulerOptions {
   /// Per-pipeline bound; point batches beyond it are shed (and
   /// counted) rather than blocking the ingest thread.
   size_t queue_capacity = 1024;
-  /// Worker threads draining the queues. 0 resolves to
-  /// std::thread::hardware_concurrency().
+  /// Worker threads draining the queues. 0 = caller-runs: no thread
+  /// is started, and events are delivered by RunPending(), WaitIdle()
+  /// and Stop() on the calling thread.
   size_t workers = 1;
   /// When true, Enqueue returns ResourceExhausted for a shed batch so
   /// producers can react; when false (default) shedding is silent and
@@ -170,8 +176,8 @@ class QueryScheduler {
   /// event after a transient failure (and after dead-lettering a
   /// poison event mid-frame): typically {Pipeline,ExecutablePlan}::
   /// Reset, dropping buffered frame state so the chain accepts a
-  /// fresh sequence. Runs on a worker thread while the pipeline's
-  /// claim is held, so it never races event delivery.
+  /// fresh sequence. Runs on the delivering thread while the
+  /// pipeline's claim is held, so it never races event delivery.
   void SetPipelineReset(size_t pipeline, std::function<void()> reset);
 
   /// Removes a pipeline: waits for any in-flight event to finish,
@@ -180,7 +186,7 @@ class QueryScheduler {
   /// producers first (entry sinks become dangling).
   Status RemovePipeline(size_t pipeline);
 
-  /// Starts the worker pool.
+  /// Starts the worker pool (no thread with zero workers).
   Status Start();
 
   /// Drains every healthy queue and joins the workers. Per-pipeline
@@ -188,10 +194,20 @@ class QueryScheduler {
   /// FirstPipelineError().
   Status Stop();
 
-  /// Blocks until every healthy queue is empty and no worker is
-  /// mid-event. Pipelines waiting out a retry backoff count as
-  /// non-idle until the redelivery resolves.
+  /// Blocks until every healthy queue is empty and no event is
+  /// mid-delivery. Pipelines waiting out a retry backoff count as
+  /// non-idle until the redelivery resolves. With zero workers the
+  /// calling thread does the delivering (and the waiting out).
   Status WaitIdle();
+
+  /// Caller-runs mode: delivers, on the calling thread, every event
+  /// that is claimable now, and returns once nothing is — a pipeline
+  /// in retry backoff, or claimed by another caller, is left for a
+  /// later call. A no-op with worker threads, and when this thread is
+  /// already delivering for this scheduler (an event sink that feeds
+  /// the scheduler again, e.g. a derived stream): the outer loop picks
+  /// that work up.
+  void RunPending();
 
   /// Health / recorded error of one pipeline.
   PipelineHealth Health(size_t pipeline) const;
@@ -221,7 +237,7 @@ class QueryScheduler {
   /// Pool-wide totals across all pipelines (thread-safe snapshot).
   ScheduledQueueStats AggregateStats() const;
 
-  size_t num_workers() const { return resolved_workers_; }
+  size_t num_workers() const { return options_.workers; }
   /// Currently registered (not removed) pipelines.
   size_t num_pipelines() const;
 
@@ -254,6 +270,15 @@ class QueryScheduler {
   Status Enqueue(size_t index, EventSink* downstream,
                  const StreamEvent& event);
   void WorkerLoop();
+  /// Claims the next claimable queue, delivers its head event with the
+  /// lock released, and settles the outcome (supervision, stats,
+  /// wakeups). False when nothing is claimable now.
+  bool DeliverNextLocked(std::unique_lock<std::mutex>& lock);
+  /// The caller-runs loop behind RunPending() (`until_idle` false) and
+  /// WaitIdle()/Stop() (true: also waits out backoffs and other
+  /// callers' claims until the scheduler is idle). No-op with workers
+  /// or when nested on this thread.
+  void CallerRunsLocked(std::unique_lock<std::mutex>& lock, bool until_idle);
   /// Handles a non-OK delivery status for the claimed queue. Called
   /// with the lock held and the claim still taken; may drop the lock
   /// to run the pipeline's reset hook. `item` is the failed delivery.
@@ -274,14 +299,12 @@ class QueryScheduler {
   /// Advances the round-robin cursor past a queue that was actually
   /// claimed. Called only when an event is taken.
   void AdvanceCursorLocked(size_t claimed);
-  bool AllQueuesEmptyLocked() const;
   /// Earliest pending retry deadline, if any pipeline is in backoff.
   std::optional<Clock::time_point> EarliestRetryLocked() const;
   PipelineHealth HealthLocked(const Queue& queue) const;
 
   SchedulerOptions options_;
   PipelineSupervisor supervisor_;
-  size_t resolved_workers_ = 1;
   /// Resolved once at construction from options_.metrics (null when
   /// no registry was supplied).
   MetricHistogram* queue_wait_hist_ = nullptr;
@@ -297,7 +320,11 @@ class QueryScheduler {
   bool started_ = false;
   bool stopping_ = false;
   size_t busy_count_ = 0;
-  size_t removals_waiting_ = 0;
+  /// Events queued across all pipelines (idle = 0 queued, 0 busy).
+  size_t queued_ = 0;
+  /// Threads blocked on idle_ until some claim is released:
+  /// RemovePipeline, RestartPipeline and caller-runs drains.
+  size_t claim_waiters_ = 0;
   size_t rr_cursor_ = 0;
   /// First status that quarantined a pipeline (diagnostics only; the
   /// pool itself never aborts).

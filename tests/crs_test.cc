@@ -114,6 +114,13 @@ struct UtmCase {
   double lat;
 };
 
+// Without a printer gtest names each case after the struct's raw
+// bytes, padding included.
+void PrintTo(const UtmCase& c, std::ostream* os) {
+  *os << "zone " << c.zone << (c.north ? "N" : "S") << " lon " << c.lon
+      << " lat " << c.lat;
+}
+
 class UtmRoundTrip : public ::testing::TestWithParam<UtmCase> {};
 
 TEST_P(UtmRoundTrip, SubMillimetreRoundTrip) {

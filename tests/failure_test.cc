@@ -193,86 +193,90 @@ TEST(FailureTest, ZeroAreaRegionDeliversNothing) {
 // --- Fault-injected end-to-end runs (supervision) ---------------------------
 
 TEST(FaultInjectionE2eTest, PoisonQuarantinesExactlyOneQueryOfFour) {
-  // Four concurrent queries on a worker pool; a stream protocol
-  // violation (nested FrameBegin) poisons exactly the one query
-  // reading the corrupted band. The other three keep delivering.
-  DsmsOptions options;
-  options.workers = 2;
-  DsmsServer server(options);
-  StreamCatalog catalog = MakeTestCatalog();
-  GS_ASSERT_OK(server.RegisterStream(*catalog.Lookup("g.nir")));
-  GS_ASSERT_OK(server.RegisterStream(*catalog.Lookup("g.vis")));
+  // Four concurrent queries; a stream protocol violation (nested
+  // FrameBegin) poisons exactly the one query reading the corrupted
+  // band. The other three keep delivering. Supervision is the same
+  // whether the scheduler runs on the ingest thread or on a pool.
+  for (size_t workers : {0, 2}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    DsmsOptions options;
+    options.workers = workers;
+    DsmsServer server(options);
+    StreamCatalog catalog = MakeTestCatalog();
+    GS_ASSERT_OK(server.RegisterStream(*catalog.Lookup("g.nir")));
+    GS_ASSERT_OK(server.RegisterStream(*catalog.Lookup("g.vis")));
 
-  struct Counter {
-    std::atomic<uint64_t> frames{0};
-  };
-  Counter counters[4];
-  QueryId ids[4];
-  const char* queries[4] = {
-      "region(g.nir, bbox(-125, 40, -121, 45))",
-      "region(g.nir, bbox(-124, 41, -120, 44))",
-      "region(g.nir, bbox(-123, 42, -119, 43))",
-      "region(g.vis, bbox(-125, 40, -121, 45))",
-  };
-  for (int i = 0; i < 4; ++i) {
-    Counter* c = &counters[i];
-    auto id = server.RegisterQuery(
-        queries[i],
-        [c](int64_t, const Raster&, const std::vector<uint8_t>&) {
-          ++c->frames;
-        });
-    ASSERT_TRUE(id.ok()) << id.status().ToString();
-    ids[i] = *id;
+    struct Counter {
+      std::atomic<uint64_t> frames{0};
+    };
+    Counter counters[4];
+    QueryId ids[4];
+    const char* queries[4] = {
+        "region(g.nir, bbox(-125, 40, -121, 45))",
+        "region(g.nir, bbox(-124, 41, -120, 44))",
+        "region(g.nir, bbox(-123, 42, -119, 43))",
+        "region(g.vis, bbox(-125, 40, -121, 45))",
+    };
+    for (int i = 0; i < 4; ++i) {
+      Counter* c = &counters[i];
+      auto id = server.RegisterQuery(
+          queries[i],
+          [c](int64_t, const Raster&, const std::vector<uint8_t>&) {
+            ++c->frames;
+          });
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      ids[i] = *id;
+    }
+
+    GridLattice lattice = LatLonLattice(16, 12);
+    GS_ASSERT_OK(PushFrame(server.ingest("g.nir"), lattice, 0));
+    GS_ASSERT_OK(PushFrame(server.ingest("g.vis"), lattice, 0));
+    GS_ASSERT_OK(server.Flush());
+    for (int i = 0; i < 4; ++i) {
+      auto health = server.QueryHealth(ids[i]);
+      ASSERT_TRUE(health.ok());
+      EXPECT_EQ(*health, PipelineHealth::kRunning) << i;
+    }
+
+    // Corrupt the vis downlink: frame 1 begins, then frame 2 begins
+    // without a FrameEnd in between. Ingest itself must stay OK — the
+    // failure belongs to the query pipeline, not the source.
+    GS_ASSERT_OK(server.ingest("g.vis")->Consume(BeginFor(lattice, 1)));
+    GS_ASSERT_OK(server.ingest("g.vis")->Consume(BeginFor(lattice, 2)));
+    GS_ASSERT_OK(server.Flush());
+
+    auto vis_health = server.QueryHealth(ids[3]);
+    ASSERT_TRUE(vis_health.ok());
+    EXPECT_EQ(*vis_health, PipelineHealth::kQuarantined);
+    EXPECT_EQ(server.QueryError(ids[3]).code(),
+              StatusCode::kFailedPrecondition);
+
+    // The three healthy queries ride on: two more frames each arrive in
+    // full, and pushing to the corrupted stream still does not error.
+    for (int64_t frame = 1; frame <= 2; ++frame) {
+      GS_ASSERT_OK(PushFrame(server.ingest("g.nir"), lattice, frame));
+    }
+    GS_ASSERT_OK(PushFrame(server.ingest("g.vis"), lattice, 3));
+    GS_ASSERT_OK(server.Flush());
+    for (int i = 0; i < 3; ++i) {
+      auto health = server.QueryHealth(ids[i]);
+      ASSERT_TRUE(health.ok());
+      EXPECT_EQ(*health, PipelineHealth::kRunning) << i;
+      EXPECT_EQ(counters[i].frames.load(), 3u) << i;
+    }
+    EXPECT_EQ(counters[3].frames.load(), 1u);  // only the clean frame 0
+
+    // Post-quarantine enqueues were rejected and counted.
+    ScheduledQueueStats totals;
+    for (const auto& qs : server.SchedulerStats()) totals.MergeFrom(qs);
+    EXPECT_EQ(totals.health, PipelineHealth::kQuarantined);
+    EXPECT_GT(totals.rejected, 0u);
+
+    // The quarantined query can still be torn down cleanly.
+    GS_ASSERT_OK(server.UnregisterQuery(ids[3]));
+    EXPECT_EQ(server.num_queries(), 3u);
+    EXPECT_EQ(server.SchedulerStats().size(), 3u);
   }
-
-  GridLattice lattice = LatLonLattice(16, 12);
-  GS_ASSERT_OK(PushFrame(server.ingest("g.nir"), lattice, 0));
-  GS_ASSERT_OK(PushFrame(server.ingest("g.vis"), lattice, 0));
-  GS_ASSERT_OK(server.Flush());
-  for (int i = 0; i < 4; ++i) {
-    auto health = server.QueryHealth(ids[i]);
-    ASSERT_TRUE(health.ok());
-    EXPECT_EQ(*health, PipelineHealth::kRunning) << i;
-  }
-
-  // Corrupt the vis downlink: frame 1 begins, then frame 2 begins
-  // without a FrameEnd in between. Ingest itself must stay OK — the
-  // failure belongs to the query pipeline, not the source.
-  GS_ASSERT_OK(server.ingest("g.vis")->Consume(BeginFor(lattice, 1)));
-  GS_ASSERT_OK(server.ingest("g.vis")->Consume(BeginFor(lattice, 2)));
-  GS_ASSERT_OK(server.Flush());
-
-  auto vis_health = server.QueryHealth(ids[3]);
-  ASSERT_TRUE(vis_health.ok());
-  EXPECT_EQ(*vis_health, PipelineHealth::kQuarantined);
-  EXPECT_EQ(server.QueryError(ids[3]).code(),
-            StatusCode::kFailedPrecondition);
-
-  // The three healthy queries ride on: two more frames each arrive in
-  // full, and pushing to the corrupted stream still does not error.
-  for (int64_t frame = 1; frame <= 2; ++frame) {
-    GS_ASSERT_OK(PushFrame(server.ingest("g.nir"), lattice, frame));
-  }
-  GS_ASSERT_OK(PushFrame(server.ingest("g.vis"), lattice, 3));
-  GS_ASSERT_OK(server.Flush());
-  for (int i = 0; i < 3; ++i) {
-    auto health = server.QueryHealth(ids[i]);
-    ASSERT_TRUE(health.ok());
-    EXPECT_EQ(*health, PipelineHealth::kRunning) << i;
-    EXPECT_EQ(counters[i].frames.load(), 3u) << i;
-  }
-  EXPECT_EQ(counters[3].frames.load(), 1u);  // only the clean frame 0
-
-  // Post-quarantine enqueues were rejected and counted.
-  ScheduledQueueStats totals;
-  for (const auto& qs : server.SchedulerStats()) totals.MergeFrom(qs);
-  EXPECT_EQ(totals.health, PipelineHealth::kQuarantined);
-  EXPECT_GT(totals.rejected, 0u);
-
-  // The quarantined query can still be torn down cleanly.
-  GS_ASSERT_OK(server.UnregisterQuery(ids[3]));
-  EXPECT_EQ(server.num_queries(), 3u);
-  EXPECT_EQ(server.SchedulerStats().size(), 3u);
 }
 
 TEST(FaultInjectionE2eTest, TransientFaultRecoversWithinBackoffBudget) {
@@ -384,40 +388,43 @@ TEST(FaultInjectionE2eTest, DeadLetterCountMatchesInjectedCorruption) {
 }
 
 TEST(FaultInjectionE2eTest, ServerQueryChurnReturnsQueueCountToBaseline) {
-  // Registering and unregistering 1000 queries against a live worker
-  // pool must return the scheduler to its baseline queue count —
+  // Registering and unregistering 1000 queries against a live
+  // scheduler must return it to its baseline queue count —
   // UnregisterQuery frees the pipeline, not just the plan.
-  DsmsOptions options;
-  options.workers = 2;
-  DsmsServer server(options);
-  StreamCatalog catalog = MakeTestCatalog();
-  GS_ASSERT_OK(server.RegisterStream(*catalog.Lookup("g.nir")));
-  GridLattice lattice = LatLonLattice(16, 12);
-  ASSERT_EQ(server.SchedulerStats().size(), 0u);
-  for (int i = 0; i < 1000; ++i) {
+  for (size_t workers : {0, 2}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    DsmsOptions options;
+    options.workers = workers;
+    DsmsServer server(options);
+    StreamCatalog catalog = MakeTestCatalog();
+    GS_ASSERT_OK(server.RegisterStream(*catalog.Lookup("g.nir")));
+    GridLattice lattice = LatLonLattice(16, 12);
+    ASSERT_EQ(server.SchedulerStats().size(), 0u);
+    for (int i = 0; i < 1000; ++i) {
+      auto id = server.RegisterQuery(
+          "region(g.nir, bbox(-125, 40, -121, 45))",
+          [](int64_t, const Raster&, const std::vector<uint8_t>&) {});
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      if (i % 100 == 0) {
+        GS_ASSERT_OK(PushFrame(server.ingest("g.nir"), lattice, i));
+      }
+      GS_ASSERT_OK(server.UnregisterQuery(*id));
+    }
+    EXPECT_EQ(server.num_queries(), 0u);
+    EXPECT_EQ(server.SchedulerStats().size(), 0u);
+
+    // The pool is still serviceable after the churn.
+    std::atomic<uint64_t> frames{0};
     auto id = server.RegisterQuery(
         "region(g.nir, bbox(-125, 40, -121, 45))",
-        [](int64_t, const Raster&, const std::vector<uint8_t>&) {});
-    ASSERT_TRUE(id.ok()) << id.status().ToString();
-    if (i % 100 == 0) {
-      GS_ASSERT_OK(PushFrame(server.ingest("g.nir"), lattice, i));
-    }
-    GS_ASSERT_OK(server.UnregisterQuery(*id));
+        [&frames](int64_t, const Raster&, const std::vector<uint8_t>&) {
+          ++frames;
+        });
+    ASSERT_TRUE(id.ok());
+    GS_ASSERT_OK(PushFrame(server.ingest("g.nir"), lattice, 5000));
+    GS_ASSERT_OK(server.Flush());
+    EXPECT_EQ(frames.load(), 1u);
   }
-  EXPECT_EQ(server.num_queries(), 0u);
-  EXPECT_EQ(server.SchedulerStats().size(), 0u);
-
-  // The pool is still serviceable after the churn.
-  std::atomic<uint64_t> frames{0};
-  auto id = server.RegisterQuery(
-      "region(g.nir, bbox(-125, 40, -121, 45))",
-      [&frames](int64_t, const Raster&, const std::vector<uint8_t>&) {
-        ++frames;
-      });
-  ASSERT_TRUE(id.ok());
-  GS_ASSERT_OK(PushFrame(server.ingest("g.nir"), lattice, 5000));
-  GS_ASSERT_OK(server.Flush());
-  EXPECT_EQ(frames.load(), 1u);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1481,6 +1482,26 @@ TEST(LatencyPlaneE2eTest, StageHistogramsPartitionEndToEndLatency) {
         << metrics;
   }
 
+  // The per-query stages of one query join on one `query` label: its
+  // pipeline name, q<id>, the same value the exemplars carry.
+  const int64_t query_id =
+      std::stoll(response->substr(response->rfind(' ') + 1));
+  for (const char* stage : {"queue", "operators", "deliver", "write"}) {
+    const std::string prefix =
+        StringPrintf("geostreams_e2e_latency_us_count{stage=\"%s\",query=\"",
+                     stage);
+    std::set<std::string> labels;
+    for (size_t at = metrics.find(prefix); at != std::string::npos;
+         at = metrics.find(prefix, at + 1)) {
+      const size_t from = at + prefix.size();
+      labels.insert(metrics.substr(from, metrics.find('"', from) - from));
+    }
+    EXPECT_EQ(labels, std::set<std::string>{StringPrintf(
+                          "q%lld", static_cast<long long>(query_id))})
+        << "stage " << stage << ":\n"
+        << metrics;
+  }
+
   // The stage segments are disjoint slices of the frame's wall
   // timeline: their sums reassemble the end-to-end total. (`write`
   // overlaps `deliver`/`total` by design and is excluded.)
@@ -1525,8 +1546,6 @@ TEST(LatencyPlaneE2eTest, StageHistogramsPartitionEndToEndLatency) {
   ASSERT_NE(exemplar_ordinal, ~0ull)
       << "no exemplar on any stage=\"total\" bucket:\n"
       << metrics;
-  const int64_t query_id =
-      std::stoll(response->substr(response->rfind(' ') + 1));
   auto trace_header =
       client.Command(StringPrintf("TRACE %lld", (long long)query_id));
   ASSERT_TRUE(trace_header.ok()) << trace_header.status().ToString();

@@ -773,18 +773,39 @@ TEST(ServerDlqTest, RestartQueryGrantsFreshPoisonBudget) {
   EXPECT_FALSE(fixture.server().DeadLetters(9999).ok());
 }
 
-TEST(ServerDlqTest, SynchronousServerHasEmptyDlqAndNoopRestart) {
+TEST(ServerDlqTest, SynchronousServerDeadLettersAndRestarts) {
+  // workers = 0 runs the same supervised pipelines on the ingest
+  // thread: by the time Ingest returns (no Flush), the poison event is
+  // dead-lettered and has quarantined the query, and RESTART brings
+  // it back.
   NetFixture fixture;  // workers = 0
+  CorruptionConfig corruption;
+  corruption.target_band = 0;  // goes.band2
+  corruption.drop_frame_end_scans = {0};
+  fixture.generator().SetCorruption(corruption);
   std::atomic<int> frames{0};
   auto id = fixture.server().RegisterQuery(
-      "goes.band1", [&](int64_t, const Raster&, const std::vector<uint8_t>&) {
+      "goes.band2", [&](int64_t, const Raster&, const std::vector<uint8_t>&) {
         ++frames;
       });
   ASSERT_TRUE(id.ok());
+
+  GS_ASSERT_OK(fixture.Ingest(0, 2));
+  auto health = fixture.server().QueryHealth(*id);
+  ASSERT_TRUE(health.ok());
+  EXPECT_EQ(*health, PipelineHealth::kQuarantined);
+  EXPECT_FALSE(fixture.server().QueryError(*id).ok());
   auto letters = fixture.server().DeadLetters(*id);
   ASSERT_TRUE(letters.ok());
-  EXPECT_TRUE(letters->empty());
+  EXPECT_EQ(letters->size(), 1u);
+
   GS_ASSERT_OK(fixture.server().RestartQuery(*id));
+  health = fixture.server().QueryHealth(*id);
+  ASSERT_TRUE(health.ok());
+  EXPECT_EQ(*health, PipelineHealth::kRunning);
+  const int before = frames.load();
+  GS_ASSERT_OK(fixture.Ingest(2, 2));
+  EXPECT_EQ(frames.load(), before + 2);
 }
 
 // ---------------------------------------------------------------------------

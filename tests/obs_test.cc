@@ -616,8 +616,9 @@ TEST(ObsE2eTest, SamplingDisabledProducesNoTraces) {
 }
 
 TEST(ObsE2eTest, SynchronousServerTracesInline) {
-  // workers=0: the whole fan-out runs on the ingest thread; sampled
-  // traces land in the server-wide inline ring.
+  // workers=0: the query's pipeline runs on the ingest thread, and
+  // sampled traces land in the query's own ring, exactly as they do
+  // with a worker pool.
   DsmsOptions options;
   options.trace_sample_every = 1;
   ObsFixture fixture(options);
@@ -635,16 +636,13 @@ TEST(ObsE2eTest, SynchronousServerTracesInline) {
   ASSERT_TRUE(traces.ok()) << traces.status().ToString();
   EXPECT_GT(traces->total, 0u);
   ASSERT_FALSE(traces->records.empty());
-  // Inline traces have no scheduler queue: pipeline is empty and the
-  // wait is zero. Batches of the queried band carry operator spans
-  // (band2 batches feed no query, so their records stay span-free).
-  bool any_spans = false;
+  const std::string pipeline =
+      StringPrintf("q%lld", static_cast<long long>(*id));
   for (const TraceRecord& record : traces->records) {
-    EXPECT_TRUE(record.pipeline.empty());
-    EXPECT_EQ(record.queue_wait_us, 0u);
-    any_spans = any_spans || !record.spans.empty();
+    EXPECT_EQ(record.pipeline, pipeline);
+    EXPECT_EQ(record.origin, "goes.band1");
+    EXPECT_FALSE(record.spans.empty());
   }
-  EXPECT_TRUE(any_spans);
 }
 
 TEST(ObsE2eTest, SharedRestrictionCarriesTraceToPipelines) {
@@ -875,8 +873,7 @@ TEST(TraceTest, SourceStageOwnershipTransfersToFirstFork) {
   EXPECT_TRUE(grand->observes_source_stages());
   EXPECT_FALSE(first->observes_source_stages());
 
-  // `total` is one-shot even on the owner (the inline workers=0 path
-  // runs one trace through every query's delivery chain).
+  // `total` is one-shot even on the owner.
   TraceContext inline_root(2, "src");
   EXPECT_TRUE(inline_root.ClaimTotalStage());
   EXPECT_FALSE(inline_root.ClaimTotalStage());

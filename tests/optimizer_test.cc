@@ -276,6 +276,10 @@ struct EquivalenceCase {
   const char* query;
 };
 
+// Without a printer gtest names each case after the struct's raw bytes
+// (two pointers), which change with the load address.
+void PrintTo(const EquivalenceCase& c, std::ostream* os) { *os << c.name; }
+
 class RewriteEquivalence : public ::testing::TestWithParam<EquivalenceCase> {
  protected:
   /// Runs `expr` over 3 scans of a 2-band generated instrument and

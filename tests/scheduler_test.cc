@@ -5,7 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -476,6 +478,213 @@ TEST(SchedulerTest, WaitIdleAndDynamicPipelines) {
   GS_ASSERT_OK(in_b->Consume(OnePointBatch(0, 7)));
   GS_ASSERT_OK(scheduler.WaitIdle());
   EXPECT_EQ(sink_b.TotalPoints(), 1u);
+  GS_ASSERT_OK(scheduler.Stop());
+}
+
+// --- Caller-runs mode (workers = 0) -----------------------------------------
+
+size_t ProcessThreadCount() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(SchedulerTest, CallerRunsStartsNoThread) {
+  // workers = 0: Start() spawns nothing; events wait in their queue
+  // until a caller runs them, on the caller's own thread.
+  class ThreadSink : public EventSink {
+   public:
+    Status Consume(const StreamEvent&) override {
+      threads.push_back(std::this_thread::get_id());
+      return Status::OK();
+    }
+    std::vector<std::thread::id> threads;
+  };
+  ThreadSink sink;
+  SchedulerOptions options;
+  options.workers = 0;
+  const size_t threads_before = ProcessThreadCount();
+  QueryScheduler scheduler(options);
+  EventSink* in = scheduler.AddPipeline("q", &sink);
+  GS_ASSERT_OK(scheduler.Start());
+  EXPECT_EQ(scheduler.num_workers(), 0u);
+  EXPECT_EQ(ProcessThreadCount(), threads_before);
+
+  GS_ASSERT_OK(in->Consume(OnePointBatch(0, 0)));
+  GS_ASSERT_OK(in->Consume(OnePointBatch(0, 1)));
+  EXPECT_TRUE(sink.threads.empty());  // queued, not yet run
+  scheduler.RunPending();
+  ASSERT_EQ(sink.threads.size(), 2u);
+  for (const std::thread::id& id : sink.threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  auto stats = scheduler.Stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].processed, 2u);
+  EXPECT_EQ(stats[0].queued, 0u);
+  GS_ASSERT_OK(scheduler.Stop());
+}
+
+TEST(SchedulerTest, CallerRunsKeepsPerPipelineOrderWithConcurrentProducers) {
+  // Four producers each feed every pipeline and run pending work
+  // themselves. The claim keeps each pipeline on one thread at a time
+  // (the sinks are deliberately unsynchronized; TSan checks that), and
+  // each producer's events reach every pipeline in enqueue order.
+  constexpr int kProducers = 4;
+  constexpr size_t kPipelines = 3;
+  constexpr int kEvents = 500;
+  class OrderSink : public EventSink {
+   public:
+    Status Consume(const StreamEvent& event) override {
+      EXPECT_EQ(in_flight.fetch_add(1), 0);
+      events.emplace_back(event.batch->frame_id, event.batch->cols[0]);
+      std::this_thread::yield();  // widen the window for an overlap
+      in_flight.fetch_sub(1);
+      return Status::OK();
+    }
+    std::atomic<int> in_flight{0};
+    std::vector<std::pair<int64_t, int32_t>> events;  // (producer, seq)
+  };
+  OrderSink sinks[kPipelines];
+  SchedulerOptions options;
+  options.workers = 0;
+  QueryScheduler scheduler(options);
+  EventSink* inputs[kPipelines];
+  for (size_t q = 0; q < kPipelines; ++q) {
+    inputs[q] = scheduler.AddPipeline("q" + std::to_string(q), &sinks[q]);
+  }
+  GS_ASSERT_OK(scheduler.Start());
+  std::atomic<bool> go{false};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < kEvents; ++i) {
+        for (EventSink* in : inputs) {
+          Status st = in->Consume(OnePointBatch(p, i));
+          EXPECT_TRUE(st.ok()) << st.ToString();
+        }
+        scheduler.RunPending();
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& t : producers) t.join();
+
+  // Each RunPending returns only when nothing is claimable, and a
+  // claimed pipeline is drained by its holder, so once every producer
+  // has returned nothing is left, without a WaitIdle.
+  for (const ScheduledQueueStats& stats : scheduler.Stats()) {
+    EXPECT_EQ(stats.queued, 0u) << stats.name;
+    EXPECT_EQ(stats.processed, uint64_t{kProducers * kEvents}) << stats.name;
+  }
+  for (const OrderSink& sink : sinks) {
+    ASSERT_EQ(sink.events.size(), size_t{kProducers * kEvents});
+    std::vector<int32_t> next(kProducers, 0);
+    for (const auto& [producer, seq] : sink.events) {
+      EXPECT_EQ(seq, next[static_cast<size_t>(producer)]++);
+    }
+  }
+  GS_ASSERT_OK(scheduler.Stop());
+}
+
+TEST(SchedulerTest, CallerRunsWaitIdleHonoursRetryBackoff) {
+  // A transient fault puts the pipeline into a 50 ms backoff.
+  // RunPending does not wait it out (ingest must not block on one
+  // query's retry); WaitIdle does, and then redelivers.
+  class FlakySink : public EventSink {
+   public:
+    Status Consume(const StreamEvent&) override {
+      if (failures_left > 0) {
+        --failures_left;
+        return Status::Unavailable("downlink glitch");
+      }
+      ++delivered;
+      return Status::OK();
+    }
+    int failures_left = 1;
+    int delivered = 0;
+  };
+  FlakySink sink;
+  SchedulerOptions options;
+  options.workers = 0;
+  options.supervisor.backoff_initial_ms = 50;
+  options.supervisor.backoff_max_ms = 50;
+  options.supervisor.backoff_jitter_ms = 0;
+  QueryScheduler scheduler(options);
+  EventSink* in = scheduler.AddPipeline("flaky", &sink);
+  GS_ASSERT_OK(scheduler.Start());
+
+  const auto t0 = std::chrono::steady_clock::now();
+  GS_ASSERT_OK(in->Consume(OnePointBatch(0, 0)));
+  scheduler.RunPending();
+  EXPECT_EQ(sink.delivered, 0);
+  auto stats = scheduler.Stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].health, PipelineHealth::kDegraded);
+  EXPECT_EQ(stats[0].queued, 1u);
+  EXPECT_EQ(stats[0].restarts, 1u);
+
+  GS_ASSERT_OK(scheduler.WaitIdle());
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(50));
+  EXPECT_EQ(sink.delivered, 1);
+  stats = scheduler.Stats();
+  EXPECT_EQ(stats[0].health, PipelineHealth::kRunning);
+  EXPECT_EQ(stats[0].processed, 1u);
+  EXPECT_EQ(stats[0].queued, 0u);
+  GS_ASSERT_OK(scheduler.Stop());
+}
+
+TEST(SchedulerTest, CallerRunsNestedRunPendingLeavesWorkToOuterLoop) {
+  // A sink that feeds the scheduler again (a derived stream) calls
+  // RunPending from inside a delivery. The nested call returns at
+  // once; the outer loop delivers the new event after the current
+  // one completes, before the outer RunPending returns.
+  std::vector<std::string> log;
+  class LogSink : public EventSink {
+   public:
+    explicit LogSink(std::vector<std::string>* log) : log_(log) {}
+    Status Consume(const StreamEvent&) override {
+      log_->push_back("downstream");
+      return Status::OK();
+    }
+
+   private:
+    std::vector<std::string>* log_;
+  };
+  class FeedSink : public EventSink {
+   public:
+    FeedSink(std::vector<std::string>* log, QueryScheduler* scheduler)
+        : log_(log), scheduler_(scheduler) {}
+    Status Consume(const StreamEvent& event) override {
+      GEOSTREAMS_RETURN_IF_ERROR(next->Consume(event));
+      scheduler_->RunPending();
+      log_->push_back("upstream done");
+      return Status::OK();
+    }
+    EventSink* next = nullptr;
+
+   private:
+    std::vector<std::string>* log_;
+    QueryScheduler* scheduler_;
+  };
+  SchedulerOptions options;
+  options.workers = 0;
+  QueryScheduler scheduler(options);
+  LogSink downstream(&log);
+  FeedSink upstream(&log, &scheduler);
+  EventSink* in = scheduler.AddPipeline("view", &upstream);
+  upstream.next = scheduler.AddPipeline("reader", &downstream);
+  GS_ASSERT_OK(scheduler.Start());
+  GS_ASSERT_OK(in->Consume(OnePointBatch(0, 0)));
+  scheduler.RunPending();
+  const std::vector<std::string> expected = {"upstream done", "downstream"};
+  EXPECT_EQ(log, expected);
   GS_ASSERT_OK(scheduler.Stop());
 }
 
