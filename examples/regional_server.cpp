@@ -201,7 +201,6 @@ int main(int argc, char** argv) {
 
   DsmsOptions options;
   options.shared_restriction = true;
-  options.index_kind = DsmsOptions::IndexKind::kCascadeTree;
   options.workers = workers;
   if (trace_every > 0) {
     options.trace_sample_every = static_cast<size_t>(trace_every);

@@ -18,13 +18,16 @@ echo "== tier-1: crash-recovery lane (journal + tile-store kill points) =="
 # journal directory, the recovery fuzzers (truncation at every offset,
 # random bit flips), and the tile store's byte-budget sweep through
 # every tile-page write. Seeds are fixed inside the tests, so a
-# failure here reproduces deterministically.
+# failure here reproduces deterministically. The shared storage
+# substrate's own suites ride along: the on-disk format pins, the
+# damage classification both stores run, and the unlocked fsync.
 cmake --build build -j "${JOBS}" \
       --target journal_test journal_killpoint_test journal_compaction_test \
-               tile_store_test tile_store_retention_test
+               tile_store_test tile_store_retention_test \
+               storage_format_test record_file_test journal_sync_test
 (cd build && \
  ctest --output-on-failure -j "${JOBS}" \
-       -R '^(JournalTest|JournalRecoveryTest|JournalFaultTest|JournalFuzzTest|DeadLetterStoreTest|JournalKillPointTest|JournalCompactionTest|TileStoreTest|TileStoreRecoveryTest|TileStoreKillPointTest|TileStoreRetentionTest)')
+       -R '^(JournalTest|JournalRecoveryTest|JournalFaultTest|JournalFuzzTest|DeadLetterStoreTest|JournalKillPointTest|JournalCompactionTest|TileStoreTest|TileStoreRecoveryTest|TileStoreKillPointTest|TileStoreRetentionTest|StorageFormatTest|RecordFileTest|BothStores/DamageClassificationTest|JournalSyncTest)')
 
 echo "== tier-1: disk-pressure chaos lane (ENOSPC incidents + governor self-heal) =="
 # 200 seeded crash/restart cycles where the injected failures are
@@ -49,11 +52,13 @@ cmake --build build-tsan -j "${JOBS}" \
       --target scheduler_test supervisor_test failure_test server_test \
                pipeline_test multiband_test net_test ingest_test obs_test \
                kernels_test journal_test journal_killpoint_test \
-               tile_store_test tile_store_retention_test \
-               tile_store_churn_test storage_governor_test catchup_test
+               journal_compaction_test tile_store_test \
+               tile_store_retention_test tile_store_churn_test \
+               storage_governor_test catchup_test storage_format_test \
+               record_file_test journal_sync_test
 (cd build-tsan && \
  ctest --output-on-failure -j "${JOBS}" \
-       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|CatchUpTest)')
+       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|CatchUpTest|JournalCompactionTest|StorageFormatTest|RecordFileTest|BothStores/DamageClassificationTest|JournalSyncTest)')
 
 echo "== tier-1: ASan+UBSan lane (same concurrency/supervision set) =="
 cmake -B build-asan -S . "-DGEOSTREAMS_SANITIZE=address,undefined" \
@@ -64,10 +69,11 @@ cmake --build build-asan -j "${JOBS}" \
                kernels_test journal_test journal_killpoint_test \
                journal_compaction_test tile_store_test \
                tile_store_retention_test tile_store_churn_test \
-               storage_governor_test disk_pressure_e2e_test catchup_test
+               storage_governor_test disk_pressure_e2e_test catchup_test \
+               storage_format_test record_file_test journal_sync_test
 (cd build-asan && \
  ctest --output-on-failure -j "${JOBS}" \
-       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|JournalCompactionTest|DiskPressureE2eTest|CatchUpTest)')
+       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|JournalCompactionTest|DiskPressureE2eTest|CatchUpTest|StorageFormatTest|RecordFileTest|BothStores/DamageClassificationTest|JournalSyncTest)')
 
 echo "== tier-1: caller-runs stress lane (workers=0 scheduler, TSan) =="
 # Four producers run one caller-runs scheduler on their own threads;
@@ -76,6 +82,13 @@ echo "== tier-1: caller-runs stress lane (workers=0 scheduler, TSan) =="
 # repeat it under TSan.
 ./build-tsan/tests/scheduler_test --gtest_repeat=200 --gtest_brief=1 \
     --gtest_filter='SchedulerTest.CallerRunsKeepsPerPipelineOrderWithConcurrentProducers'
+
+echo "== tier-1: unlocked-fsync stress lane (journal appends vs group commit, TSan) =="
+# The group-commit fsync runs outside the source's append lock while
+# appends, rotation and the retention pass keep using the segment
+# handle; a lifetime or publication race shows up only in some
+# interleavings, so repeat it under TSan.
+./build-tsan/tests/journal_sync_test --gtest_repeat=200 --gtest_brief=1
 
 echo "== tier-1: churn stress lane (tile-store readers vs retention GC) =="
 # One churn run races a writer, a retention storm and three readers;

@@ -2,160 +2,27 @@
 
 #include <cstring>
 
+#include "common/byte_codec.h"
 #include "common/string_util.h"
 #include "geo/crs_registry.h"
-#include "raster/checksum.h"
 
 namespace geostreams {
 
 namespace {
 
-void PutU16(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v & 0xFF));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint16_t GetU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (p[1] << 8));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-void PutF64(std::vector<uint8_t>& out, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutString(std::vector<uint8_t>& out, const std::string& s) {
-  PutU16(out, static_cast<uint16_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-/// Bounds-checked sequential reader over a payload. Every Get fails
-/// closed: once `ok` is false the cursor stops moving and the caller
-/// reports one truncation error at the end.
-struct PayloadReader {
-  const uint8_t* p;
-  size_t remaining;
-  bool ok = true;
-
-  bool Need(size_t n) {
-    if (!ok || remaining < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  uint8_t GetU8() {
-    if (!Need(1)) return 0;
-    const uint8_t v = *p;
-    p += 1;
-    remaining -= 1;
-    return v;
-  }
-  uint16_t Get16() {
-    if (!Need(2)) return 0;
-    const uint16_t v = GetU16(p);
-    p += 2;
-    remaining -= 2;
-    return v;
-  }
-  uint32_t Get32() {
-    if (!Need(4)) return 0;
-    const uint32_t v = GetU32(p);
-    p += 4;
-    remaining -= 4;
-    return v;
-  }
-  uint64_t Get64() {
-    if (!Need(8)) return 0;
-    const uint64_t v = GetU64(p);
-    p += 8;
-    remaining -= 8;
-    return v;
-  }
-  int64_t GetI64() { return static_cast<int64_t>(Get64()); }
-  double GetF64() {
-    const uint64_t bits = Get64();
-    double v = 0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::string GetString(size_t n) {
-    if (!Need(n)) return {};
-    std::string s(reinterpret_cast<const char*>(p), n);
-    p += n;
-    remaining -= n;
-    return s;
-  }
-};
-
-/// Shared header validation: magic, type, version, length, CRC.
-/// On success `*payload`/`*payload_len`/`*flags` describe the body.
+/// Header validation for one complete message of type `expected`:
+/// the shared record checks, then the type and the exact length.
 Status ValidateHeader(const uint8_t* data, size_t len, MessageType expected,
-                      const uint8_t** payload, uint32_t* payload_len,
-                      uint8_t* flags) {
-  if (len < kWireHeaderSize) {
-    return Status::InvalidArgument(StringPrintf(
-        "wire message truncated: %zu bytes, header needs %zu", len,
-        kWireHeaderSize));
-  }
-  if (std::memcmp(data, kWireMagic, 4) != 0) {
-    return Status::InvalidArgument("wire message lacks GSF1 magic");
-  }
-  const uint8_t type = data[4];
-  *flags = data[5];
-  const uint16_t version = GetU16(data + 6);
-  const uint32_t promised = GetU32(data + 8);
-  const uint32_t payload_crc = GetU32(data + 12);
-  if (type != static_cast<uint8_t>(expected)) {
+                      RecordView* view) {
+  GEOSTREAMS_ASSIGN_OR_RETURN(*view, ParseRecord(kWireFormat, data, len));
+  if (view->type != static_cast<uint8_t>(expected)) {
     return Status::InvalidArgument(
-        StringPrintf("unexpected wire message type %u", type));
+        StringPrintf("unexpected wire message type %u", view->type));
   }
-  if (version != kWireVersion) {
-    return Status::InvalidArgument(StringPrintf(
-        "wire version %u not supported (speak %u)", version, kWireVersion));
-  }
-  if (promised > kMaxWirePayload) {
-    return Status::InvalidArgument(StringPrintf(
-        "wire payload length %u exceeds limit %u (desynchronized?)",
-        promised, kMaxWirePayload));
-  }
-  if (len != kWireHeaderSize + promised) {
+  if (len != view->size()) {
     return Status::InvalidArgument(StringPrintf(
         "wire payload truncated: header promises %u bytes, %zu present",
-        promised, len - kWireHeaderSize));
-  }
-  *payload = data + kWireHeaderSize;
-  *payload_len = promised;
-  const uint32_t crc = Crc32(*payload, promised);
-  if (crc != payload_crc) {
-    return Status::InvalidArgument(StringPrintf(
-        "wire payload checksum mismatch: header %08x, computed %08x",
-        payload_crc, crc));
+        view->payload_len, len - kWireHeaderSize));
   }
   return Status::OK();
 }
@@ -165,15 +32,8 @@ std::vector<uint8_t> FinishMessage(MessageType type, uint8_t flags,
                                    const std::vector<uint8_t>& payload) {
   std::vector<uint8_t> out;
   out.reserve(kWireHeaderSize + payload.size());
-  for (size_t i = 0; i < 4; ++i) {
-    out.push_back(static_cast<uint8_t>(kWireMagic[i]));
-  }
-  out.push_back(static_cast<uint8_t>(type));
-  out.push_back(flags);
-  PutU16(out, kWireVersion);
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32(payload.data(), payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
+  AppendRecord(kWireFormat, static_cast<uint8_t>(type), flags, payload.data(),
+               payload.size(), out);
   return out;
 }
 
@@ -188,14 +48,14 @@ void PutLattice(std::vector<uint8_t>& out, const GridLattice& lattice) {
 }
 
 Result<GridLattice> GetLattice(PayloadReader& reader) {
-  const uint16_t crs_len = reader.Get16();
-  const std::string crs_name = reader.GetString(crs_len);
-  const double origin_x = reader.GetF64();
-  const double origin_y = reader.GetF64();
-  const double dx = reader.GetF64();
-  const double dy = reader.GetF64();
-  const int64_t width = reader.GetI64();
-  const int64_t height = reader.GetI64();
+  const uint16_t crs_len = reader.U16();
+  const std::string crs_name = reader.String(crs_len);
+  const double origin_x = reader.F64();
+  const double origin_y = reader.F64();
+  const double dx = reader.F64();
+  const double dy = reader.F64();
+  const int64_t width = reader.I64();
+  const int64_t height = reader.I64();
   if (!reader.ok) {
     return Status::InvalidArgument("ingest lattice truncated");
   }
@@ -223,11 +83,7 @@ std::vector<uint8_t> EncodeFrameMessage(const FrameMessage& message) {
     payload.insert(payload.end(), message.png_bytes.begin(),
                    message.png_bytes.end());
   } else {
-    for (double sample : message.samples) {
-      uint64_t bits = 0;
-      std::memcpy(&bits, &sample, sizeof(bits));
-      PutU64(payload, bits);
-    }
+    for (double sample : message.samples) PutF64(payload, sample);
   }
 
   return FinishMessage(MessageType::kResultFrame,
@@ -253,11 +109,11 @@ std::vector<uint8_t> EncodeResultFrame(int64_t query_id, int64_t frame_id,
 }
 
 Result<FrameMessage> DecodeFrameMessage(const uint8_t* data, size_t len) {
-  const uint8_t* payload = nullptr;
-  uint32_t payload_len = 0;
-  uint8_t flags = 0;
-  GEOSTREAMS_RETURN_IF_ERROR(ValidateHeader(
-      data, len, MessageType::kResultFrame, &payload, &payload_len, &flags));
+  RecordView view;
+  GEOSTREAMS_RETURN_IF_ERROR(
+      ValidateHeader(data, len, MessageType::kResultFrame, &view));
+  const uint8_t* payload = view.payload;
+  const uint32_t payload_len = view.payload_len;
   if (payload_len < kFramePreambleSize) {
     return Status::InvalidArgument(StringPrintf(
         "frame payload too short for preamble: %u bytes", payload_len));
@@ -269,7 +125,7 @@ Result<FrameMessage> DecodeFrameMessage(const uint8_t* data, size_t len) {
   message.width = GetU32(payload + 16);
   message.height = GetU32(payload + 20);
   message.bands = GetU16(payload + 24);
-  message.png = (flags & kFlagPng) != 0;
+  message.png = (view.flags & kFlagPng) != 0;
   const uint8_t* body = payload + kFramePreambleSize;
   const size_t body_len = payload_len - kFramePreambleSize;
   if (message.png) {
@@ -287,8 +143,7 @@ Result<FrameMessage> DecodeFrameMessage(const uint8_t* data, size_t len) {
   }
   message.samples.resize(expected);
   for (uint64_t i = 0; i < expected; ++i) {
-    const uint64_t bits = GetU64(body + i * sizeof(double));
-    std::memcpy(&message.samples[i], &bits, sizeof(double));
+    message.samples[i] = GetF64(body + i * sizeof(double));
   }
   return message;
 }
@@ -345,26 +200,29 @@ std::vector<uint8_t> EncodeIngestMessage(const IngestMessage& message) {
 }
 
 Result<IngestMessage> DecodeIngestMessage(const uint8_t* data, size_t len) {
-  const uint8_t* payload = nullptr;
-  uint32_t payload_len = 0;
-  uint8_t flags = 0;
-  GEOSTREAMS_RETURN_IF_ERROR(ValidateHeader(
-      data, len, MessageType::kIngest, &payload, &payload_len, &flags));
-  PayloadReader reader{payload, payload_len};
+  RecordView view;
+  GEOSTREAMS_RETURN_IF_ERROR(
+      ValidateHeader(data, len, MessageType::kIngest, &view));
+  return DecodeIngestPayload(view);
+}
+
+Result<IngestMessage> DecodeIngestPayload(const RecordView& view) {
+  PayloadReader reader{view.payload, view.payload_len};
+  const uint8_t flags = view.flags;
 
   IngestMessage message;
-  const uint16_t source_len = reader.Get16();
+  const uint16_t source_len = reader.U16();
   if (source_len > kMaxIngestSourceLen) {
     return Status::InvalidArgument(StringPrintf(
         "ingest source name length %u exceeds %zu", source_len,
         kMaxIngestSourceLen));
   }
-  message.source = reader.GetString(source_len);
-  message.seq = reader.Get64();
+  message.source = reader.String(source_len);
+  message.seq = reader.U64();
   if ((flags & kFlagCaptureTs) != 0) {
-    message.capture_wall_us = reader.Get64();
+    message.capture_wall_us = reader.U64();
   }
-  const uint8_t kind = reader.GetU8();
+  const uint8_t kind = reader.U8();
   if (!reader.ok) {
     return Status::InvalidArgument("ingest preamble truncated");
   }
@@ -375,8 +233,8 @@ Result<IngestMessage> DecodeIngestMessage(const uint8_t* data, size_t len) {
     case EventKind::kFrameBegin:
     case EventKind::kFrameEnd: {
       FrameInfo info;
-      info.frame_id = reader.GetI64();
-      info.expected_points = reader.GetI64();
+      info.frame_id = reader.I64();
+      info.expected_points = reader.I64();
       GEOSTREAMS_ASSIGN_OR_RETURN(info.lattice, GetLattice(reader));
       message.event = static_cast<EventKind>(kind) == EventKind::kFrameBegin
                           ? StreamEvent::FrameBegin(std::move(info))
@@ -385,10 +243,10 @@ Result<IngestMessage> DecodeIngestMessage(const uint8_t* data, size_t len) {
     }
     case EventKind::kPointBatch: {
       auto batch = std::make_shared<PointBatch>();
-      batch->frame_id = reader.GetI64();
-      const uint32_t band_count = reader.Get32();
-      batch->checksum = reader.Get64();
-      const uint32_t n = reader.Get32();
+      batch->frame_id = reader.I64();
+      const uint32_t band_count = reader.U32();
+      batch->checksum = reader.U64();
+      const uint32_t n = reader.U32();
       if (!reader.ok) {
         return Status::InvalidArgument("ingest batch preamble truncated");
       }
@@ -416,15 +274,15 @@ Result<IngestMessage> DecodeIngestMessage(const uint8_t* data, size_t len) {
       batch->timestamps.resize(n);
       batch->values.resize(static_cast<size_t>(n) * band_count);
       for (uint32_t i = 0; i < n; ++i) {
-        batch->cols[i] = static_cast<int32_t>(reader.Get32());
+        batch->cols[i] = static_cast<int32_t>(reader.U32());
       }
       for (uint32_t i = 0; i < n; ++i) {
-        batch->rows[i] = static_cast<int32_t>(reader.Get32());
+        batch->rows[i] = static_cast<int32_t>(reader.U32());
       }
       for (uint32_t i = 0; i < n; ++i) {
-        batch->timestamps[i] = reader.GetI64();
+        batch->timestamps[i] = reader.I64();
       }
-      for (auto& v : batch->values) v = reader.GetF64();
+      for (auto& v : batch->values) v = reader.F64();
       message.event = StreamEvent::Batch(std::move(batch));
       break;
     }

@@ -5,7 +5,8 @@
 // ..." responses) and a binary data plane carrying query result
 // frames. Binary messages are self-delimiting and integrity-checked:
 //
-//   header (16 bytes)
+//   header (16 bytes; the record header of storage/record_file.h,
+//   which the journal and the tile store share)
 //     0   magic        "GSF1"
 //     4   type         u8   (MessageType)
 //     5   flags        u8   (kFlagPng: payload is PNG, not doubles)
@@ -62,16 +63,20 @@
 #include "common/status.h"
 #include "core/stream_event.h"
 #include "raster/raster.h"
+#include "storage/record_file.h"
 
 namespace geostreams {
 
 inline constexpr char kWireMagic[4] = {'G', 'S', 'F', '1'};
 inline constexpr uint16_t kWireVersion = 1;
-inline constexpr size_t kWireHeaderSize = 16;
+inline constexpr size_t kWireHeaderSize = kRecordHeaderSize;
 inline constexpr size_t kFramePreambleSize = 28;
 /// Upper bound on one payload; larger lengths are treated as garbage
 /// (a desynchronized or hostile peer must not drive allocation).
 inline constexpr uint32_t kMaxWirePayload = 256u << 20;
+/// The GSF1 record format (header layout: storage/record_file.h).
+inline constexpr RecordFormat kWireFormat = {
+    {'G', 'S', 'F', '1'}, kWireVersion, kMaxWirePayload, "wire"};
 
 enum class MessageType : uint8_t {
   kResultFrame = 1,
@@ -138,6 +143,10 @@ std::vector<uint8_t> EncodeIngestMessage(const IngestMessage& message);
 /// DecodeFrameMessage; lattice CRS names are resolved through the
 /// global registry, so an unknown CRS is InvalidArgument too.
 Result<IngestMessage> DecodeIngestMessage(const uint8_t* data, size_t len);
+
+/// Decodes the payload of a kIngest record whose header and CRC have
+/// already been checked (ParseRecord with kWireFormat).
+Result<IngestMessage> DecodeIngestPayload(const RecordView& view);
 
 /// Incremental decoder over a byte stream that interleaves text lines
 /// and binary messages (the client side of one connection). Feed()

@@ -1,5 +1,7 @@
-// CRC-32 (PNG chunk checksums) and Adler-32 (zlib stream checksum),
-// implemented locally so PNG delivery has no external dependencies.
+// CRC-32 and Adler-32 (zlib stream checksum), implemented locally so
+// PNG delivery has no external dependencies. The one CRC-32 of the
+// code base: PNG chunks, GSF1 messages, GST1 tile pages and GSDL dead
+// letters all use it.
 
 #ifndef GEOSTREAMS_RASTER_CHECKSUM_H_
 #define GEOSTREAMS_RASTER_CHECKSUM_H_
@@ -9,9 +11,10 @@
 
 namespace geostreams {
 
-/// CRC-32 (ISO 3309 / ITU-T V.42, polynomial 0xEDB88320) as required
-/// by the PNG specification. `crc` chains across calls; start from
-/// 0xFFFFFFFF via Crc32() or pass a previous UpdateCrc32 result.
+/// CRC-32 (ISO 3309 / ITU-T V.42, reflected IEEE polynomial) as
+/// required by the PNG specification. `crc` chains across calls;
+/// start from 0xFFFFFFFF via Crc32() or pass a previous UpdateCrc32
+/// result.
 uint32_t UpdateCrc32(uint32_t crc, const uint8_t* data, size_t len);
 
 /// One-shot CRC-32 of a buffer (pre/post-conditioned).

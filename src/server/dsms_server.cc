@@ -3,8 +3,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "mqo/cascade_tree.h"
-#include "mqo/filter_bank.h"
-#include "mqo/grid_index.h"
 #include "query/explain.h"
 #include "query/parser.h"
 #include "storage/dead_letter_store.h"
@@ -12,19 +10,6 @@
 namespace geostreams {
 
 namespace {
-
-std::unique_ptr<RegionIndex> MakeIndex(DsmsOptions::IndexKind kind,
-                                       const BoundingBox& extent) {
-  switch (kind) {
-    case DsmsOptions::IndexKind::kCascadeTree:
-      return std::make_unique<CascadeTree>(extent);
-    case DsmsOptions::IndexKind::kGrid:
-      return std::make_unique<GridIndex>(extent, 64, 64);
-    case DsmsOptions::IndexKind::kFilterBank:
-      return std::make_unique<FilterBank>();
-  }
-  return std::make_unique<FilterBank>();
-}
 
 /// Operator-kind label for the shared latency histogram family: the
 /// planner names operators "op<N>.<kind>" (delivery ops
@@ -551,8 +536,8 @@ Status DsmsServer::RegisterStream(const GeoStreamDescriptor& desc) {
   auto source = std::make_unique<SourceState>();
   source->desc = desc;
   if (options_.shared_restriction) {
-    source->shared = std::make_unique<SharedRestrictionOp>(MakeIndex(
-        options_.index_kind, desc.reference_lattice().Extent()));
+    source->shared = std::make_unique<SharedRestrictionOp>(
+        std::make_unique<CascadeTree>(desc.reference_lattice().Extent()));
   }
   source->guard = std::make_unique<GuardedIngestSink>(this, source.get());
   RegisterSourceObservables(source.get());
@@ -893,8 +878,9 @@ Result<QueryId> DsmsServer::RegisterInternal(
     source->desc = view_desc;
     source->derived = true;
     if (options_.shared_restriction) {
-      source->shared = std::make_unique<SharedRestrictionOp>(MakeIndex(
-          options_.index_kind, view_desc.reference_lattice().Extent()));
+      source->shared = std::make_unique<SharedRestrictionOp>(
+          std::make_unique<CascadeTree>(
+              view_desc.reference_lattice().Extent()));
     }
     source->guard = std::make_unique<GuardedIngestSink>(this, source.get());
     RegisterSourceObservables(source.get());

@@ -41,11 +41,9 @@
 namespace geostreams {
 
 struct DsmsOptions {
-  /// Peel leaf spatial restrictions into a shared per-stream index.
+  /// Peel leaf spatial restrictions into a shared per-stream index (a
+  /// CascadeTree over the stream's reference lattice).
   bool shared_restriction = true;
-  /// Index structure for the shared restriction.
-  enum class IndexKind { kCascadeTree, kGrid, kFilterBank };
-  IndexKind index_kind = IndexKind::kCascadeTree;
   /// Optimizer configuration applied to every registered query.
   OptimizerOptions optimizer;
   /// Deliver PNG bytes with every frame (costs CPU).

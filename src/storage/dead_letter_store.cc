@@ -1,12 +1,12 @@
 #include "storage/dead_letter_store.h"
 
 #include <algorithm>
-#include <array>
-#include <cstdio>
 #include <cstring>
 
+#include "common/byte_codec.h"
 #include "common/logging.h"
 #include "net/wire_protocol.h"
+#include "raster/checksum.h"
 
 namespace geostreams {
 
@@ -14,50 +14,6 @@ namespace {
 
 constexpr char kStoreMagic[4] = {'G', 'S', 'D', 'L'};
 constexpr size_t kStoreHeaderSize = 12;
-
-// CRC-32 (IEEE 802.3, reflected). wire_protocol keeps its table
-// private, and the .gsd framing is independent of GSF1 anyway.
-uint32_t Crc32(const uint8_t* data, size_t len) {
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  uint32_t crc = 0xffffffffu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
-  }
-  return crc ^ 0xffffffffu;
-}
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         (static_cast<uint64_t>(GetU32(p + 4)) << 32);
-}
 
 std::vector<uint8_t> EncodeLetter(const std::string& source,
                                   const DeadLetter& letter) {
@@ -68,17 +24,17 @@ std::vector<uint8_t> EncodeLetter(const std::string& source,
   const std::vector<uint8_t> msg = EncodeIngestMessage(message);
   std::vector<uint8_t> payload;
   payload.reserve(16 + letter.error.size() + 4 + msg.size());
-  PutU64(&payload, letter.ordinal);
-  PutU32(&payload, static_cast<uint32_t>(letter.error.size()));
+  PutU64(payload, letter.ordinal);
+  PutU32(payload, static_cast<uint32_t>(letter.error.size()));
   payload.insert(payload.end(), letter.error.begin(), letter.error.end());
-  PutU32(&payload, static_cast<uint32_t>(msg.size()));
+  PutU32(payload, static_cast<uint32_t>(msg.size()));
   payload.insert(payload.end(), msg.begin(), msg.end());
 
   std::vector<uint8_t> record;
   record.reserve(kStoreHeaderSize + payload.size());
-  record.insert(record.end(), kStoreMagic, kStoreMagic + 4);
-  PutU32(&record, static_cast<uint32_t>(payload.size()));
-  PutU32(&record, Crc32(payload.data(), payload.size()));
+  for (char c : kStoreMagic) record.push_back(static_cast<uint8_t>(c));
+  PutU32(record, static_cast<uint32_t>(payload.size()));
+  PutU32(record, Crc32(payload.data(), payload.size()));
   record.insert(record.end(), payload.begin(), payload.end());
   return record;
 }
@@ -105,25 +61,6 @@ Result<DeadLetter> DecodeLetterPayload(const uint8_t* p, size_t len) {
   return letter;
 }
 
-Status ReadAll(const std::string& path, std::vector<uint8_t>* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    out->clear();  // absent is fine: a fresh store
-    return Status::OK();
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  out->resize(size > 0 ? static_cast<size_t>(size) : 0);
-  if (!out->empty() &&
-      std::fread(out->data(), 1, out->size(), f) != out->size()) {
-    std::fclose(f);
-    return Status::IoError("short read of " + path);
-  }
-  std::fclose(f);
-  return Status::OK();
-}
-
 }  // namespace
 
 DeadLetterStore::DeadLetterStore(std::string path,
@@ -133,7 +70,9 @@ DeadLetterStore::DeadLetterStore(std::string path,
 Result<std::unique_ptr<DeadLetterStore>> DeadLetterStore::Open(
     const std::string& path, WritableFileFactory factory) {
   std::vector<uint8_t> data;
-  GEOSTREAMS_RETURN_IF_ERROR(ReadAll(path, &data));
+  const Status read = ReadWholeFile(path, &data);
+  // Absent is fine: a fresh store.
+  if (!read.ok() && read.code() != StatusCode::kNotFound) return read;
 
   std::vector<DeadLetter> recovered;
   uint64_t load_errors = 0;

@@ -16,8 +16,10 @@
 //                        event}) so the poisoned event itself is
 //                        recoverable with the existing decoder
 //
-// Loading is torn-tail tolerant the same way the journal is: a bad
-// record ends the load (the tail is ignored, not truncated — the
+// The file itself, the reader and the CRC-32 are the shared storage
+// substrate (storage/record_file.h, raster/checksum.h); only this
+// 12-byte framing is the store's own. Loading is torn-tail tolerant:
+// a bad record ends the load (the tail is ignored, not truncated — the
 // store appends past it only after a successful load, which rewrites
 // nothing). The store is the persistence hook behind
 // DeadLetterQueue::SetPersistHook and the target recovery quarantines
@@ -33,7 +35,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "storage/journal.h"
+#include "storage/record_file.h"
 #include "stream/supervisor.h"
 
 namespace geostreams {

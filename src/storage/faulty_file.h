@@ -32,7 +32,7 @@
 #include <mutex>
 #include <string>
 
-#include "storage/journal.h"
+#include "storage/record_file.h"
 
 namespace geostreams {
 

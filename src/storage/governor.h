@@ -46,7 +46,7 @@
 
 #include "common/status.h"
 #include "obs/metrics_registry.h"
-#include "storage/journal.h"  // WritableFileFactory
+#include "storage/record_file.h"  // WritableFileFactory
 
 namespace geostreams {
 

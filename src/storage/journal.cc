@@ -1,14 +1,10 @@
 #include "storage/journal.h"
 
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
+#include <ctime>
 #include <filesystem>
 
 #include "common/logging.h"
@@ -24,272 +20,90 @@ namespace {
 
 constexpr const char* kSegmentPrefix = "seg-";
 constexpr const char* kSegmentSuffix = ".gsj";
-constexpr const char* kNameFile = "name";
 constexpr const char* kDeadLetterFile = "dead_letters.gsd";
 // Compaction staging file: never a valid segment name, so a crash
 // mid-compaction leaves it invisible to ListSegments; recovery and
 // the next retention pass clean it up.
 constexpr const char* kCompactTmpFile = "compact.tmp";
 
-uint64_t NowMs() {
+uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
           .count());
 }
 
-uint32_t GetU32LE(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
+Result<std::vector<SegmentFile>> ListJournalSegments(const std::string& dir) {
+  return ListSegments(dir, kSegmentPrefix, kSegmentSuffix);
 }
 
-uint16_t GetU16LE(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (p[1] << 8));
+std::string SegmentPath(const std::string& dir, uint64_t start_seq) {
+  return dir + "/" + kSegmentPrefix +
+         StringPrintf("%020llu", static_cast<unsigned long long>(start_seq)) +
+         kSegmentSuffix;
 }
 
-/// Cheap pre-check of a possible record at `p` (header shape only —
-/// full CRC validation happens in DecodeIngestMessage).
-bool PlausibleRecordHeader(const uint8_t* p, size_t available) {
-  if (available < kWireHeaderSize) return false;
-  if (std::memcmp(p, kWireMagic, sizeof(kWireMagic)) != 0) return false;
-  if (p[4] != static_cast<uint8_t>(MessageType::kIngest)) return false;
-  if (GetU16LE(p + 6) != kWireVersion) return false;
-  if (GetU32LE(p + 8) > kMaxWirePayload) return false;
-  return true;
+/// Decodes one header- and CRC-valid journal record of `source`.
+Result<IngestMessage> DecodeRecord(const RecordView& record,
+                                   const std::string& source) {
+  if (record.type != static_cast<uint8_t>(MessageType::kIngest)) {
+    return Status::InvalidArgument("not an ingest record");
+  }
+  GEOSTREAMS_ASSIGN_OR_RETURN(IngestMessage message,
+                              DecodeIngestPayload(record));
+  if (message.source != source) {
+    return Status::InvalidArgument("record names source '" + message.source +
+                                   "'");
+  }
+  return message;
 }
 
-class PosixWritableFile : public WritableFile {
- public:
-  explicit PosixWritableFile(int fd, std::string path)
-      : fd_(fd), path_(std::move(path)) {}
-  ~PosixWritableFile() override {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  Status Append(const uint8_t* data, size_t len) override {
-    size_t off = 0;
-    while (off < len) {
-      const ssize_t n = ::write(fd_, data + off, len - off);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return Status::IoError(StringPrintf("write %s: %s", path_.c_str(),
-                                            std::strerror(errno)));
-      }
-      off += static_cast<size_t>(n);
-    }
-    return Status::OK();
-  }
-
-  Status Sync() override {
-    if (::fsync(fd_) != 0) {
-      return Status::IoError(StringPrintf("fsync %s: %s", path_.c_str(),
-                                          std::strerror(errno)));
-    }
-    return Status::OK();
-  }
-
-  Status Close() override {
-    if (fd_ < 0) return Status::OK();
-    const int rc = ::close(fd_);
-    fd_ = -1;
-    if (rc != 0) {
-      return Status::IoError(StringPrintf("close %s: %s", path_.c_str(),
-                                          std::strerror(errno)));
-    }
-    return Status::OK();
-  }
-
- private:
-  int fd_;
-  std::string path_;
-};
-
-Status ReadWholeFile(const std::string& path, std::vector<uint8_t>* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError(StringPrintf("open %s: %s", path.c_str(),
-                                        std::strerror(errno)));
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  out->resize(size > 0 ? static_cast<size_t>(size) : 0);
-  if (!out->empty() && std::fread(out->data(), 1, out->size(), f) !=
-                           out->size()) {
-    std::fclose(f);
-    return Status::IoError("short read of " + path);
-  }
-  std::fclose(f);
-  return Status::OK();
-}
-
-/// One segment file, ordered by the start sequence in its name.
-struct SegmentRef {
-  std::string path;
-  uint64_t start_seq = 0;
-};
-
-/// Parses "seg-<digits>.gsj"; false for anything else in the dir.
-bool ParseSegmentName(const std::string& name, uint64_t* start_seq) {
-  const size_t prefix = std::strlen(kSegmentPrefix);
-  const size_t suffix = std::strlen(kSegmentSuffix);
-  if (name.size() <= prefix + suffix) return false;
-  if (name.rfind(kSegmentPrefix, 0) != 0) return false;
-  if (name.compare(name.size() - suffix, suffix, kSegmentSuffix) != 0) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (size_t i = prefix; i < name.size() - suffix; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *start_seq = value;
-  return true;
-}
-
-Result<std::vector<SegmentRef>> ListSegments(const std::string& dir) {
-  std::vector<SegmentRef> segments;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    uint64_t start = 0;
-    const std::string name = entry.path().filename().string();
-    if (!ParseSegmentName(name, &start)) continue;
-    segments.push_back({entry.path().string(), start});
-  }
-  if (ec) {
-    return Status::IoError("list " + dir + ": " + ec.message());
-  }
-  std::sort(segments.begin(), segments.end(),
-            [](const SegmentRef& a, const SegmentRef& b) {
-              return a.start_seq < b.start_seq;
-            });
-  return segments;
-}
-
-/// A mid-file region the scanner could not decode.
-struct CorruptRegion {
-  std::string segment;  // file name
-  uint64_t offset = 0;
-  uint64_t bytes = 0;
-  std::string reason;
-};
-
-struct ScanOutcome {
+struct SourceScan {
   SourceRecovery recovery;
-  std::vector<CorruptRegion> corrupt;
-  /// Set when the last segment ended in an undecodable tail:
-  /// truncating `torn_path` to `torn_offset` removes it.
-  std::string torn_path;
-  uint64_t torn_offset = 0;
+  SegmentScan damage;
 };
 
-/// Scans the segments of one source in order, delivering committed
-/// records (seq-deduplicated) to `fn`. Shared by recovery (which then
-/// truncates/quarantines what the outcome reports) and Replay (which
-/// only reads).
-Result<ScanOutcome> ScanSource(const std::vector<SegmentRef>& segments,
-                               const std::string& source,
-                               const std::function<void(const IngestMessage&)>&
-                                   fn) {
-  ScanOutcome out;
+/// Runs the shared damage scan over one source's segments, delivering
+/// committed records (seq-deduplicated) to `fn`. Shared by recovery
+/// (which then truncates/quarantines what the scan reports) and Replay
+/// (which only reads).
+Result<SourceScan> ScanSource(const std::vector<SegmentFile>& segments,
+                              const std::string& source,
+                              const std::function<void(const IngestMessage&)>&
+                                  fn) {
+  SourceScan out;
+  SourceRecovery& recovery = out.recovery;
   uint64_t max_seq = 0;
-  for (size_t si = 0; si < segments.size(); ++si) {
-    const bool last_segment = (si + 1 == segments.size());
-    std::vector<uint8_t> data;
-    GEOSTREAMS_RETURN_IF_ERROR(ReadWholeFile(segments[si].path, &data));
-    const std::string file_name =
-        fs::path(segments[si].path).filename().string();
-    size_t off = 0;
-    while (off < data.size()) {
-      std::string reason;
-      size_t record_len = 0;
-      IngestMessage message;
-      bool ok = false;
-      if (!PlausibleRecordHeader(data.data() + off, data.size() - off)) {
-        reason = data.size() - off < kWireHeaderSize ? "truncated header"
-                                                     : "bad record header";
-      } else {
-        const size_t len = kWireHeaderSize + GetU32LE(data.data() + off + 8);
-        if (off + len > data.size()) {
-          reason = "truncated payload";
-        } else {
-          Result<IngestMessage> decoded =
-              DecodeIngestMessage(data.data() + off, len);
-          if (!decoded.ok()) {
-            reason = decoded.status().message();
-          } else if (decoded->source != source) {
-            reason = "record names source '" + decoded->source + "'";
-          } else {
-            ok = true;
-            record_len = len;
-            message = std::move(*decoded);
-          }
-        }
-      }
-      if (ok) {
-        if (message.seq <= max_seq) {
-          // A re-append after a NACKed delivery: the first committed
-          // copy already replayed.
-          ++out.recovery.duplicate_records;
-        } else {
-          max_seq = message.seq;
-          ++out.recovery.records_replayed;
-          out.recovery.bytes_replayed += record_len;
-          if (fn) fn(message);
-        }
-        off += record_len;
-        continue;
-      }
-      // Undecodable bytes at `off`. Resync: the next offset from
-      // which a record decodes cleanly ends the damaged region.
-      size_t resync = data.size();
-      for (size_t probe = off + 1; probe + kWireHeaderSize <= data.size();
-           ++probe) {
-        const uint8_t* p =
-            static_cast<const uint8_t*>(std::memchr(
-                data.data() + probe, kWireMagic[0], data.size() - probe));
-        if (p == nullptr) break;
-        probe = static_cast<size_t>(p - data.data());
-        if (PlausibleRecordHeader(p, data.size() - probe)) {
-          const size_t len = kWireHeaderSize + GetU32LE(p + 8);
-          if (probe + len <= data.size() &&
-              DecodeIngestMessage(p, len).ok()) {
-            resync = probe;
-            break;
-          }
-        }
-      }
-      if (resync == data.size() && last_segment) {
-        // Nothing valid follows in the whole journal: this is the
-        // half-written append the crash interrupted. It was never
-        // acked, so cutting it loses nothing.
-        out.recovery.torn_tail = true;
-        out.recovery.torn_bytes = data.size() - off;
-        out.torn_path = segments[si].path;
-        out.torn_offset = off;
-        break;
-      }
-      // Valid records follow (here or in a later segment): the region
-      // WAS acked once and is now unreadable — quarantine, loudly.
-      ++out.recovery.corrupt_regions;
-      out.recovery.corrupt_bytes += resync - off;
-      out.corrupt.push_back(
-          {file_name, off, resync - off,
-           StringPrintf("journal %s corrupt at offset %zu (%zu bytes "
-                        "quarantined): %s",
-                        file_name.c_str(), off, resync - off,
-                        reason.c_str())});
-      off = resync;
+  auto on_record = [&](const ScannedRecord& scanned, bool probe) -> Status {
+    GEOSTREAMS_ASSIGN_OR_RETURN(IngestMessage message,
+                                DecodeRecord(scanned.record, source));
+    if (probe) return Status::OK();
+    if (message.seq <= max_seq) {
+      // A re-append after a NACKed delivery: the first committed copy
+      // already replayed.
+      ++recovery.duplicate_records;
+    } else {
+      max_seq = message.seq;
+      ++recovery.records_replayed;
+      recovery.bytes_replayed += scanned.record.size();
+      if (fn) fn(message);
     }
+    return Status::OK();
+  };
+  GEOSTREAMS_ASSIGN_OR_RETURN(out.damage,
+                              ScanSegments(kWireFormat, segments, on_record));
+  recovery.torn_tail = out.damage.torn_tail();
+  recovery.torn_bytes = out.damage.torn.bytes;
+  recovery.corrupt_regions = out.damage.corrupt.size();
+  for (const DamagedRegion& region : out.damage.corrupt) {
+    recovery.corrupt_bytes += region.bytes;
   }
   // An empty (or fully torn) journal still knows its high-water mark
   // from the newest segment's file name: rotation names segments by
   // the next sequence they will hold.
   uint64_t floor_seq = 1;
-  if (!segments.empty()) floor_seq = segments.back().start_seq;
-  out.recovery.next_seq = std::max(max_seq + 1, floor_seq);
+  if (!segments.empty()) floor_seq = segments.back().number;
+  recovery.next_seq = std::max(max_seq + 1, floor_seq);
   return out;
 }
 
@@ -304,17 +118,6 @@ const char* FsyncPolicyName(FsyncPolicy policy) {
   return "unknown";
 }
 
-Result<std::unique_ptr<WritableFile>> OpenPosixWritable(
-    const std::string& path) {
-  const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
-  if (fd < 0) {
-    return Status::IoError(StringPrintf("open %s: %s", path.c_str(),
-                                        std::strerror(errno)));
-  }
-  return std::unique_ptr<WritableFile>(
-      std::make_unique<PosixWritableFile>(fd, path));
-}
-
 // ---------------------------------------------------------------------------
 // SourceJournal
 
@@ -324,7 +127,6 @@ SourceJournal::SourceJournal(IngestJournal* owner, std::string source,
   next_seq_ = recovered.next_seq;
   stats_.recovered_records = recovered.records_replayed;
   stats_.next_seq = next_seq_;
-  last_sync_ms_ = NowMs();
 }
 
 uint64_t SourceJournal::next_seq() const {
@@ -364,8 +166,8 @@ Status SourceJournal::EnsureOpenLocked() {
   // Resume the newest recovered segment when there is one (recovery
   // already truncated any torn tail off it); otherwise start a fresh
   // segment named by the next sequence number it will hold.
-  GEOSTREAMS_ASSIGN_OR_RETURN(std::vector<SegmentRef> segments,
-                              ListSegments(dir_));
+  GEOSTREAMS_ASSIGN_OR_RETURN(std::vector<SegmentFile> segments,
+                              ListJournalSegments(dir_));
   if (!segments.empty()) {
     std::error_code ec;
     const uint64_t size = fs::file_size(segments.back().path, ec);
@@ -376,34 +178,32 @@ Status SourceJournal::EnsureOpenLocked() {
       return Status::OK();
     }
   }
-  active_path_ = dir_ + "/" + kSegmentPrefix +
-                 StringPrintf("%020llu",
-                              static_cast<unsigned long long>(next_seq_)) +
-                 kSegmentSuffix;
+  active_path_ = SegmentPath(dir_, next_seq_);
   active_bytes_ = 0;
   GEOSTREAMS_ASSIGN_OR_RETURN(active_, owner_->OpenFile(active_path_));
   return Status::OK();
+}
+
+void SourceJournal::CountFsyncLocked(uint64_t us) {
+  ++stats_.fsyncs;
+  if (owner_->m_fsyncs_) owner_->m_fsyncs_->Increment();
+  if (owner_->m_fsync_latency_us_) owner_->m_fsync_latency_us_->Observe(us);
 }
 
 Status SourceJournal::SyncLocked() {
   if (active_ == nullptr || !dirty_) return Status::OK();
   const auto t0 = std::chrono::steady_clock::now();
   GEOSTREAMS_RETURN_IF_ERROR(active_->Sync());
-  const uint64_t us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
   dirty_ = false;
-  last_sync_ms_ = NowMs();
-  ++stats_.fsyncs;
-  if (owner_->m_fsyncs_) owner_->m_fsyncs_->Increment();
-  if (owner_->m_fsync_latency_us_) owner_->m_fsync_latency_us_->Observe(us);
+  CountFsyncLocked(ElapsedUs(t0));
   return Status::OK();
 }
 
 Status SourceJournal::RotateLocked() {
+  // Seal the segment, then drop this reference to it. The handle is
+  // shared: an unlocked Sync() still holding it keeps the file open
+  // until its fsync returns.
   GEOSTREAMS_RETURN_IF_ERROR(SyncLocked());
-  GEOSTREAMS_RETURN_IF_ERROR(active_->Close());
   active_.reset();
   active_bytes_ = 0;
   ++stats_.rotations;
@@ -433,11 +233,11 @@ uint64_t SourceJournal::RetireSegmentLocked(const std::string& path,
   if (ReadWholeFile(path, &data).ok()) {
     size_t off = 0;
     while (off < data.size()) {
-      if (!PlausibleRecordHeader(data.data() + off, data.size() - off)) break;
-      const size_t len = kWireHeaderSize + GetU32LE(data.data() + off + 8);
-      if (off + len > data.size()) break;
-      Result<IngestMessage> decoded =
-          DecodeIngestMessage(data.data() + off, len);
+      Result<RecordView> record =
+          ParseRecord(kWireFormat, data.data() + off, data.size() - off);
+      if (!record.ok()) break;
+      const size_t len = record->size();
+      Result<IngestMessage> decoded = DecodeRecord(*record, source_);
       if (!decoded.ok()) break;
       if (decoded->seq >= retain_floor_ && decoded->seq > *kept_cursor) {
         first_live = live.empty() ? decoded->seq
@@ -481,10 +281,7 @@ uint64_t SourceJournal::RetireSegmentLocked(const std::string& path,
     fs::remove(tmp, ec);
     return 0;
   }
-  const std::string target =
-      dir_ + "/" + kSegmentPrefix +
-      StringPrintf("%020llu", static_cast<unsigned long long>(first_live)) +
-      kSegmentSuffix;
+  const std::string target = SegmentPath(dir_, first_live);
   fs::rename(tmp, target, ec);
   if (ec) {
     fs::remove(tmp, ec);
@@ -527,7 +324,7 @@ void SourceJournal::ApplyRetentionLocked() {
     std::error_code ec;
     fs::remove(dir_ + "/" + kCompactTmpFile, ec);  // stale crash leftover
   }
-  Result<std::vector<SegmentRef>> segments = ListSegments(dir_);
+  Result<std::vector<SegmentFile>> segments = ListJournalSegments(dir_);
   if (!segments.ok()) return;
   uint64_t total = 0;
   std::vector<uint64_t> sizes(segments->size(), 0);
@@ -625,8 +422,6 @@ Status SourceJournal::Append(const IngestMessage& message) {
     // record is re-appended whole when the producer retries. If no
     // append ever follows, startup recovery truncates the torn tail.
     if (active_ != nullptr) {
-      Status ignored = active_->Close();
-      (void)ignored;
       active_.reset();
       resume_truncate_ = true;
     }
@@ -637,8 +432,27 @@ Status SourceJournal::Append(const IngestMessage& message) {
 }
 
 Status SourceJournal::Sync() {
+  std::shared_ptr<WritableFile> file;
+  uint64_t appends = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (active_ == nullptr || !dirty_) return Status::OK();
+    file = active_;
+    appends = stats_.appends;
+  }
+  // The fsync runs without mu_, so appends to this source never wait
+  // on the disk. The shared handle keeps the file open even if an
+  // append meanwhile rotates the segment or drops it after an error.
+  const auto t0 = std::chrono::steady_clock::now();
+  const Status st = file->Sync();
+  const uint64_t us = ElapsedUs(t0);
   std::lock_guard<std::mutex> lock(mu_);
-  return SyncLocked();
+  if (!st.ok()) return st;
+  // Records appended during the fsync may not be covered by it; they
+  // keep the source dirty for the next one.
+  if (stats_.appends == appends && active_ == file) dirty_ = false;
+  CountFsyncLocked(us);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -737,31 +551,6 @@ Result<std::unique_ptr<WritableFile>> IngestJournal::OpenFile(
   return OpenPosixWritable(path);
 }
 
-std::string IngestJournal::SourceDirName(const std::string& source) {
-  // Source names are single tokens (ParseSourceName), but the
-  // filesystem is stricter still: keep the common safe set and mangle
-  // the rest, suffixing a hash so distinct sources stay distinct.
-  std::string safe;
-  bool mangled = false;
-  for (char c : source) {
-    const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '.' || c == '-' ||
-                      c == '_';
-    safe.push_back(keep ? c : '_');
-    mangled = mangled || !keep;
-  }
-  if (safe.empty() || mangled) {
-    uint64_t h = 1469598103934665603ull;  // FNV-1a
-    for (char c : source) {
-      h ^= static_cast<uint8_t>(c);
-      h *= 1099511628211ull;
-    }
-    safe += StringPrintf("-%08llx",
-                         static_cast<unsigned long long>(h & 0xffffffffull));
-  }
-  return safe;
-}
-
 Result<std::unique_ptr<IngestJournal>> IngestJournal::Open(
     JournalOptions options) {
   if (options.dir.empty()) {
@@ -784,19 +573,10 @@ Result<std::unique_ptr<IngestJournal>> IngestJournal::Open(
 }
 
 Status IngestJournal::RecoverAll() {
-  std::error_code ec;
-  std::vector<std::string> source_dirs;
-  for (const auto& entry : fs::directory_iterator(options_.dir, ec)) {
-    if (entry.is_directory()) {
-      source_dirs.push_back(entry.path().filename().string());
-    }
-  }
-  if (ec) {
-    return Status::IoError("list " + options_.dir + ": " + ec.message());
-  }
-  std::sort(source_dirs.begin(), source_dirs.end());
-  for (const std::string& dir_name : source_dirs) {
-    GEOSTREAMS_RETURN_IF_ERROR(RecoverSource(dir_name));
+  GEOSTREAMS_ASSIGN_OR_RETURN(std::vector<SourceDir> source_dirs,
+                              ListSourceDirs(options_.dir));
+  for (const SourceDir& dir : source_dirs) {
+    GEOSTREAMS_RETURN_IF_ERROR(RecoverSource(dir));
   }
   if (m_recovered_records_) {
     m_recovered_records_->Increment(recovery_.records_replayed);
@@ -823,62 +603,55 @@ Status IngestJournal::RecoverAll() {
   return Status::OK();
 }
 
-Status IngestJournal::RecoverSource(const std::string& source_dir_name) {
-  const std::string dir = options_.dir + "/" + source_dir_name;
+Status IngestJournal::RecoverSource(const SourceDir& dir) {
+  const std::string& source = dir.source;
   {
     // A crash mid-compaction leaves the staging file; the rename
     // never happened, so the original segment is intact and the tmp
     // is garbage.
     std::error_code ec;
-    fs::remove(dir + "/" + kCompactTmpFile, ec);
+    fs::remove(dir.path + "/" + kCompactTmpFile, ec);
   }
-  // The marker file holds the original source name (directory names
-  // are sanitized); fall back to the directory name for journals
-  // written by hand or by older layouts.
-  std::string source = source_dir_name;
-  {
-    std::vector<uint8_t> bytes;
-    if (ReadWholeFile(dir + "/" + kNameFile, &bytes).ok() && !bytes.empty()) {
-      source.assign(bytes.begin(), bytes.end());
-      source = std::string(StripWhitespace(source));
-    }
-  }
-  GEOSTREAMS_ASSIGN_OR_RETURN(std::vector<SegmentRef> segments,
-                              ListSegments(dir));
-  GEOSTREAMS_ASSIGN_OR_RETURN(ScanOutcome outcome,
+  GEOSTREAMS_ASSIGN_OR_RETURN(std::vector<SegmentFile> segments,
+                              ListJournalSegments(dir.path));
+  GEOSTREAMS_ASSIGN_OR_RETURN(SourceScan scan,
                               ScanSource(segments, source, nullptr));
-  if (outcome.recovery.torn_tail) {
-    std::error_code ec;
-    fs::resize_file(outcome.torn_path, outcome.torn_offset, ec);
-    if (ec) {
-      return Status::IoError("truncate " + outcome.torn_path + ": " +
-                             ec.message());
-    }
+  if (scan.damage.torn_tail()) {
+    // Nothing valid follows in the whole journal: the half-written
+    // append the crash interrupted. It was never acked, so cutting it
+    // loses nothing.
+    GEOSTREAMS_RETURN_IF_ERROR(CutTornTail(scan.damage));
     ++recovery_.torn_tails;
     GEOSTREAMS_LOG(kWarning)
         << "journal source '" << source << "': truncated torn tail of "
-        << outcome.recovery.torn_bytes << " bytes at offset "
-        << outcome.torn_offset << " of " << outcome.torn_path;
+        << scan.damage.torn.bytes << " bytes at offset "
+        << scan.damage.torn.offset << " of " << scan.damage.torn.path;
   }
   if (m_recovered_duplicates_) {
-    m_recovered_duplicates_->Increment(outcome.recovery.duplicate_records);
+    m_recovered_duplicates_->Increment(scan.recovery.duplicate_records);
   }
-  for (const CorruptRegion& region : outcome.corrupt) {
-    GEOSTREAMS_LOG(kError)
-        << "journal source '" << source << "': " << region.reason;
+  for (const DamagedRegion& region : scan.damage.corrupt) {
+    // The region WAS acked once and is now unreadable: quarantine it,
+    // loudly, while every surviving record keeps replaying.
+    const std::string file_name = fs::path(region.path).filename().string();
+    const std::string reason = StringPrintf(
+        "journal %s corrupt at offset %llu (%llu bytes quarantined): %s",
+        file_name.c_str(), static_cast<unsigned long long>(region.offset),
+        static_cast<unsigned long long>(region.bytes), region.reason.c_str());
+    GEOSTREAMS_LOG(kError) << "journal source '" << source << "': " << reason;
     Result<DeadLetterStore*> store = DeadLettersFor(source);
     if (store.ok()) {
-      Status st = (*store)->AppendQuarantine(source, region.reason);
+      Status st = (*store)->AppendQuarantine(source, reason);
       if (!st.ok()) {
         GEOSTREAMS_LOG(kWarning)
             << "could not persist quarantine record: " << st.ToString();
       }
     }
   }
-  recovery_.records_replayed += outcome.recovery.records_replayed;
-  recovery_.torn_bytes += outcome.recovery.torn_bytes;
-  recovery_.corrupt_regions += outcome.recovery.corrupt_regions;
-  recovery_.sources[source] = outcome.recovery;
+  recovery_.records_replayed += scan.recovery.records_replayed;
+  recovery_.torn_bytes += scan.recovery.torn_bytes;
+  recovery_.corrupt_regions += scan.recovery.corrupt_regions;
+  recovery_.sources[source] = scan.recovery;
   return Status::OK();
 }
 
@@ -886,22 +659,8 @@ Result<SourceJournal*> IngestJournal::SourceFor(const std::string& source) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sources_.find(source);
   if (it != sources_.end()) return it->second.get();
-  const std::string dir = options_.dir + "/" + SourceDirName(source);
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    return Status::IoError("create " + dir + ": " + ec.message());
-  }
-  const std::string name_path = dir + "/" + kNameFile;
-  if (!fs::exists(name_path, ec)) {
-    GEOSTREAMS_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> f,
-                                OpenPosixWritable(name_path));
-    const std::string line = source + "\n";
-    GEOSTREAMS_RETURN_IF_ERROR(
-        f->Append(reinterpret_cast<const uint8_t*>(line.data()),
-                  line.size()));
-    GEOSTREAMS_RETURN_IF_ERROR(f->Close());
-  }
+  GEOSTREAMS_ASSIGN_OR_RETURN(const std::string dir,
+                              CreateSourceDir(options_.dir, source));
   SourceRecovery recovered;
   auto rec_it = recovery_.sources.find(source);
   if (rec_it != recovery_.sources.end()) recovered = rec_it->second;
@@ -919,12 +678,8 @@ Result<DeadLetterStore*> IngestJournal::DeadLettersFor(
   std::lock_guard<std::mutex> lock(mu_);
   auto it = dead_letters_.find(source);
   if (it != dead_letters_.end()) return it->second.get();
-  const std::string dir = options_.dir + "/" + SourceDirName(source);
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    return Status::IoError("create " + dir + ": " + ec.message());
-  }
+  GEOSTREAMS_ASSIGN_OR_RETURN(const std::string dir,
+                              CreateSourceDir(options_.dir, source));
   WritableFileFactory factory = options_.file_factory;
   if (!factory) factory = OpenPosixWritable;
   GEOSTREAMS_ASSIGN_OR_RETURN(
@@ -943,12 +698,9 @@ Status IngestJournal::Replay(
   if (!fs::exists(dir, ec)) {
     return Status::NotFound("no journal for source " + source);
   }
-  GEOSTREAMS_ASSIGN_OR_RETURN(std::vector<SegmentRef> segments,
-                              ListSegments(dir));
-  GEOSTREAMS_ASSIGN_OR_RETURN(ScanOutcome outcome,
-                              ScanSource(segments, source, fn));
-  (void)outcome;
-  return Status::OK();
+  GEOSTREAMS_ASSIGN_OR_RETURN(std::vector<SegmentFile> segments,
+                              ListJournalSegments(dir));
+  return ScanSource(segments, source, fn).status();
 }
 
 SourceJournalStats IngestJournal::TotalStats() const {

@@ -3,10 +3,10 @@
 // not just "delivered while the server lives".
 //
 // Records are the GSF1 kIngest messages of wire_protocol.h, byte for
-// byte: the 16-byte header already carries the payload length and a
-// CRC-32 of the payload, so journal records are self-delimiting and
-// integrity-checked with zero re-encoding on the hot path — the
-// session appends exactly the bytes the producer would replay.
+// byte, so the session appends exactly the bytes the producer would
+// replay. Files, the record header, the per-source directory and the
+// damage scan are the shared storage substrate (storage/record_file.h);
+// this file adds what is the journal's own.
 //
 // Layout under JournalOptions::dir:
 //
@@ -26,32 +26,28 @@
 // atomically rename to seg-<first-live-seq>.gsj, then remove the
 // original; a crash between the two leaves duplicates that recovery's
 // seq dedup already collapses). A segment holding only settled
-// records is deleted whole — the PR 7 behavior, now provably safe. Durability is a policy knob: kPerRecord fsyncs
-// before every ACK (the strict ack-gated contract the kill-point
-// harness audits), kGroupCommit leaves fsync to a background flusher
-// thread that runs every `group_commit_interval_ms` — the append (and
-// hence the ACK) never waits on the disk, and the loss window on
-// power failure stays bounded by the interval (nothing is lost on a
-// plain process kill either way) — and kOff leaves it to the OS.
+// records is deleted whole.
 //
-// Startup recovery (IngestJournal::Open) scans every source in seq
-// order and classifies damage by position:
-//   * a record that fails header/length/CRC checks with no valid
-//     record after it in the source's LAST segment is a torn tail —
-//     the half-written record of the append the crash interrupted.
-//     It was never acked (the append did not return), so the file is
-//     truncated at the first bad byte and the producer re-sends it;
-//   * a bad record with valid records after it (resynced by scanning
-//     for the next GSF1 magic that decodes cleanly) is mid-file
-//     corruption — those bytes WERE acked once, so the loss is
-//     recorded loudly: a quarantine entry goes into the source's
-//     persisted dead-letter store and the region is counted, while
-//     every surviving record keeps replaying;
-//   * duplicate sequence numbers (an append that succeeded but whose
-//     delivery was NACKed and retried) replay once — the scan keeps
-//     the dedup cursor the live session keeps.
-// The recovered per-source `next_seq` seeds IngestSession, so a
-// reconnecting producer resumes exactly where the acks left off.
+// Durability is a policy knob: kPerRecord fsyncs before every ACK
+// (the strict ack-gated contract the kill-point harness audits),
+// kGroupCommit leaves fsync to a background flusher thread that runs
+// every `group_commit_interval_ms` — the flusher's fsync runs outside
+// the source's append lock, so the append (and hence the ACK) never
+// waits on the disk, and the loss window on power failure stays
+// bounded by the interval (nothing is lost on a plain process kill
+// either way) — and kOff leaves it to the OS.
+//
+// Startup recovery (IngestJournal::Open) runs the substrate's damage
+// scan over every source in seq order. A torn tail was never acked
+// (the append did not return), so it is truncated and the producer
+// re-sends it. A corrupt region WAS acked once, so its loss is
+// recorded loudly: a quarantine entry goes into the source's
+// persisted dead-letter store, while every surviving record keeps
+// replaying. Duplicate sequence numbers (an append that succeeded but
+// whose delivery was NACKed and retried) replay once — the scan keeps
+// the dedup cursor the live session keeps. The recovered per-source
+// `next_seq` seeds IngestSession, so a reconnecting producer resumes
+// exactly where the acks left off.
 //
 // Thread-safety: SourceJournal serializes appends/stats with its own
 // mutex (one IngestSession drives it, but ISTATS reads stats from
@@ -74,6 +70,7 @@
 #include "common/status.h"
 #include "net/wire_protocol.h"
 #include "obs/metrics_registry.h"
+#include "storage/record_file.h"
 
 namespace geostreams {
 
@@ -89,25 +86,6 @@ enum class FsyncPolicy : uint8_t {
 };
 
 const char* FsyncPolicyName(FsyncPolicy policy);
-
-/// Minimal append-only file the journal writes through. The
-/// indirection exists so tests can inject FaultyFile (short writes,
-/// torn records, fail-at-byte-N) under the real journal logic.
-class WritableFile {
- public:
-  virtual ~WritableFile() = default;
-  virtual Status Append(const uint8_t* data, size_t len) = 0;
-  virtual Status Sync() = 0;
-  virtual Status Close() = 0;
-};
-
-using WritableFileFactory =
-    std::function<Result<std::unique_ptr<WritableFile>>(
-        const std::string& path)>;
-
-/// Opens (create/append) a plain POSIX file. The default factory.
-Result<std::unique_ptr<WritableFile>> OpenPosixWritable(
-    const std::string& path);
 
 struct JournalOptions {
   /// Root directory (created if missing). Must be non-empty.
@@ -189,6 +167,8 @@ class SourceJournal {
 
   /// Forces an fsync of the active segment now (rotation and shutdown
   /// do this implicitly; kGroupCommit callers may want a final flush).
+  /// The fsync runs without the append lock: appends to this source
+  /// proceed meanwhile and stay dirty for the next Sync().
   Status Sync();
 
   /// 1 + the highest sequence number committed (recovered + appended).
@@ -213,7 +193,10 @@ class SourceJournal {
 
   Status EnsureOpenLocked();
   Status RotateLocked();
+  /// fsyncs the active segment with mu_ held (kPerRecord appends and
+  /// rotation, which must not return before their own fsync).
   Status SyncLocked();
+  void CountFsyncLocked(uint64_t us);
   void ApplyRetentionLocked();
   /// Retires one closed segment: live records (seq >= retain floor,
   /// deduplicated against `*kept_cursor`) are compacted into a fresh
@@ -227,12 +210,13 @@ class SourceJournal {
   const std::string dir_;  // <root>/<source-dir>
 
   mutable std::mutex mu_;
-  std::unique_ptr<WritableFile> active_;
+  /// Shared so an unlocked Sync() keeps the file open while rotation
+  /// or a failed append drops the journal's own reference.
+  std::shared_ptr<WritableFile> active_;
   std::string active_path_;
   uint64_t active_bytes_ = 0;
   uint64_t next_seq_ = 1;
   uint64_t retain_floor_ = 1;
-  uint64_t last_sync_ms_ = 0;
   bool dirty_ = false;  // bytes written since the last fsync
   /// Set when an append failed with the segment open: the file may
   /// carry a torn partial record past active_bytes_ (ENOSPC persists
@@ -287,15 +271,12 @@ class IngestJournal {
   explicit IngestJournal(JournalOptions options);
 
   Status RecoverAll();
-  Status RecoverSource(const std::string& source_dir_name);
+  Status RecoverSource(const SourceDir& dir);
   Result<std::unique_ptr<WritableFile>> OpenFile(const std::string& path);
   /// Group-commit flusher: ticks every group_commit_interval_ms and
   /// fsyncs every dirty source (SyncLocked skips clean ones).
   void FlusherLoop();
   void StopFlusher();
-
-  /// Directory (under dir_) holding `source`'s segments.
-  static std::string SourceDirName(const std::string& source);
 
   JournalOptions options_;
   JournalRecovery recovery_;

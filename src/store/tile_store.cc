@@ -10,11 +10,11 @@
 #include <cstring>
 #include <filesystem>
 
+#include "common/byte_codec.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "geo/crs_registry.h"
 #include "obs/event_log.h"
-#include "raster/checksum.h"
 #include "storage/governor.h"
 
 namespace geostreams {
@@ -23,11 +23,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kStoreMagic[4] = {'G', 'S', 'T', '1'};
-constexpr size_t kStoreHeaderSize = 16;
-constexpr uint16_t kStoreVersion = 1;
-constexpr uint32_t kMaxStorePayload = 256u << 20;
-constexpr char kNameFile[] = "name";
+constexpr RecordFormat kStoreFormat = {
+    {'G', 'S', 'T', '1'}, /*version=*/1, /*max_payload=*/256u << 20, "store"};
 constexpr char kPagePrefix[] = "page-";
 constexpr char kPageSuffix[] = ".gst";
 
@@ -37,186 +34,17 @@ enum class RecordType : uint8_t {
   kFrameCommit = 3,
 };
 
-// --- little-endian encode/decode (same byte discipline as GSF1) -----------
-
-void PutU16(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v & 0xff));
-  out.push_back(static_cast<uint8_t>((v >> 8) & 0xff));
+/// The GST1 header's flags byte carries the record's pyramid level.
+void AppendStoreRecord(std::vector<uint8_t>& out, RecordType type,
+                       uint8_t level, const std::vector<uint8_t>& payload) {
+  AppendRecord(kStoreFormat, static_cast<uint8_t>(type), level,
+               payload.data(), payload.size(), out);
 }
 
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutI64(std::vector<uint8_t>& out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutF64(std::vector<uint8_t>& out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-uint16_t GetU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (p[1] << 8));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-int64_t GetI64(const uint8_t* p) { return static_cast<int64_t>(GetU64(p)); }
-
-double GetF64(const uint8_t* p) {
-  const uint64_t bits = GetU64(p);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-/// Sequential payload reader with bounds checking.
-struct PayloadReader {
-  const uint8_t* p;
-  size_t remaining;
-  bool ok = true;
-
-  const uint8_t* Take(size_t n) {
-    if (!ok || remaining < n) {
-      ok = false;
-      return nullptr;
-    }
-    const uint8_t* out = p;
-    p += n;
-    remaining -= n;
-    return out;
-  }
-  uint16_t U16() { const uint8_t* q = Take(2); return q ? GetU16(q) : 0; }
-  uint32_t U32() { const uint8_t* q = Take(4); return q ? GetU32(q) : 0; }
-  int64_t I64() { const uint8_t* q = Take(8); return q ? GetI64(q) : 0; }
-  double F64() { const uint8_t* q = Take(8); return q ? GetF64(q) : 0.0; }
-};
-
-void AppendHeader(std::vector<uint8_t>& out, RecordType type, uint8_t level,
-                  const std::vector<uint8_t>& payload) {
-  for (char c : kStoreMagic) out.push_back(static_cast<uint8_t>(c));
-  out.push_back(static_cast<uint8_t>(type));
-  out.push_back(level);
-  PutU16(out, kStoreVersion);
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32(payload.data(), payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-}
-
-/// Validates one record at `data` (avail bytes). On success fills
-/// type/level/payload span and returns the record's total length.
-Result<size_t> ValidateRecord(const uint8_t* data, size_t avail,
-                              RecordType* type, uint8_t* level,
-                              const uint8_t** payload, size_t* payload_len) {
-  if (avail < kStoreHeaderSize) {
-    return Status::InvalidArgument("store record truncated in header");
-  }
-  if (std::memcmp(data, kStoreMagic, 4) != 0) {
-    return Status::InvalidArgument("bad store record magic");
-  }
-  const uint8_t raw_type = data[4];
-  if (raw_type < 1 || raw_type > 3) {
-    return Status::InvalidArgument("unknown store record type");
-  }
-  if (GetU16(data + 6) != kStoreVersion) {
-    return Status::InvalidArgument("unknown store record version");
-  }
-  const uint32_t len = GetU32(data + 8);
-  if (len > kMaxStorePayload) {
-    return Status::InvalidArgument("store payload length insane");
-  }
-  if (avail < kStoreHeaderSize + len) {
-    return Status::InvalidArgument("store record truncated in payload");
-  }
-  const uint32_t crc = GetU32(data + 12);
-  if (Crc32(data + kStoreHeaderSize, len) != crc) {
-    return Status::IoError("store record payload CRC mismatch");
-  }
-  *type = static_cast<RecordType>(raw_type);
-  *level = data[5];
-  *payload = data + kStoreHeaderSize;
-  *payload_len = len;
-  return kStoreHeaderSize + len;
-}
-
-Result<int> OpenReadOnly(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::IoError(StringPrintf("open %s: %s", path.c_str(),
-                                        std::strerror(errno)));
-  }
-  return fd;
-}
-
-/// Reads all of `fd` with pread (the file offset stays untouched, so
-/// the fd may be shared with concurrent tile reads).
-Status ReadWholeFd(int fd, const std::string& path, std::vector<uint8_t>* out) {
-  out->clear();
-  uint8_t buf[1 << 16];
-  for (;;) {
-    const ssize_t n =
-        ::pread(fd, buf, sizeof(buf), static_cast<off_t>(out->size()));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(StringPrintf("read %s: %s", path.c_str(),
-                                          std::strerror(errno)));
-    }
-    if (n == 0) return Status::OK();
-    out->insert(out->end(), buf, buf + n);
-  }
-}
-
-Status ReadWholeFile(const std::string& path, std::vector<uint8_t>* out) {
-  GEOSTREAMS_ASSIGN_OR_RETURN(const int fd, OpenReadOnly(path));
-  Status st = ReadWholeFd(fd, path, out);
-  ::close(fd);
-  return st;
-}
-
-/// Same sanitization discipline as the journal: keep the common safe
-/// set, mangle the rest with an FNV-1a suffix so distinct sources
-/// stay distinct.
-std::string SourceDirName(const std::string& source) {
-  std::string safe;
-  bool mangled = false;
-  for (char c : source) {
-    const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '.' || c == '-' ||
-                      c == '_';
-    safe.push_back(keep ? c : '_');
-    mangled = mangled || !keep;
-  }
-  if (safe.empty() || mangled) {
-    uint64_t h = 1469598103934665603ull;
-    for (char c : source) {
-      h ^= static_cast<uint8_t>(c);
-      h *= 1099511628211ull;
-    }
-    safe += StringPrintf("-%08llx",
-                         static_cast<unsigned long long>(h & 0xffffffffull));
-  }
-  return safe;
+std::string PagePath(const std::string& dir, uint64_t page_no) {
+  return dir + "/" + kPagePrefix +
+         StringPrintf("%06llu", static_cast<unsigned long long>(page_no)) +
+         kPageSuffix;
 }
 
 /// One level of the in-memory pyramid under construction.
@@ -307,7 +135,11 @@ struct TileStore::Segment {
   Segment& operator=(const Segment&) = delete;
 
   static Result<std::shared_ptr<Segment>> Open(const std::string& path) {
-    GEOSTREAMS_ASSIGN_OR_RETURN(const int fd, OpenReadOnly(path));
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) {
+      return Status::IoError(StringPrintf("open %s: %s", path.c_str(),
+                                          std::strerror(errno)));
+    }
     return std::make_shared<Segment>(path, fd);
   }
 
@@ -463,19 +295,10 @@ uint64_t TileStore::NowMs() const {
 }
 
 Status TileStore::RecoverAll() {
-  std::error_code ec;
-  std::vector<std::string> source_dirs;
-  for (const auto& entry : fs::directory_iterator(options_.dir, ec)) {
-    if (entry.is_directory()) {
-      source_dirs.push_back(entry.path().filename().string());
-    }
-  }
-  if (ec) {
-    return Status::IoError("list " + options_.dir + ": " + ec.message());
-  }
-  std::sort(source_dirs.begin(), source_dirs.end());
-  for (const std::string& dir_name : source_dirs) {
-    GEOSTREAMS_RETURN_IF_ERROR(RecoverSource(dir_name));
+  GEOSTREAMS_ASSIGN_OR_RETURN(std::vector<SourceDir> source_dirs,
+                              ListSourceDirs(options_.dir));
+  for (const SourceDir& dir : source_dirs) {
+    GEOSTREAMS_RETURN_IF_ERROR(RecoverSource(dir));
   }
   if (m_frames_recovered_) {
     m_frames_recovered_->Increment(recovery_.frames_recovered);
@@ -496,48 +319,31 @@ Status TileStore::RecoverAll() {
   return Status::OK();
 }
 
-Status TileStore::RecoverSource(const std::string& source_dir_name) {
-  const std::string dir = options_.dir + "/" + source_dir_name;
-  std::string source = source_dir_name;
-  {
-    std::vector<uint8_t> bytes;
-    if (ReadWholeFile(dir + "/" + kNameFile, &bytes).ok() && !bytes.empty()) {
-      source.assign(bytes.begin(), bytes.end());
-      source = std::string(StripWhitespace(source));
-    }
-  }
-
+Status TileStore::RecoverSource(const SourceDir& dir) {
+  const std::string& source = dir.source;
   auto src = std::make_unique<SourceStore>();
   src->name = source;
-  src->dir = dir;
+  src->dir = dir.path;
 
-  std::error_code ec;
-  std::vector<std::string> pages;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string fname = entry.path().filename().string();
-    if (fname.rfind(kPagePrefix, 0) == 0 &&
-        fname.size() > std::strlen(kPageSuffix) &&
-        fname.compare(fname.size() - std::strlen(kPageSuffix),
-                      std::strlen(kPageSuffix), kPageSuffix) == 0) {
-      pages.push_back(entry.path().string());
-    }
-  }
-  if (ec) {
-    return Status::IoError("list " + dir + ": " + ec.message());
-  }
-  std::sort(pages.begin(), pages.end());
-  for (const std::string& page : pages) {
-    const std::string fname = fs::path(page).filename().string();
-    const uint64_t no = std::strtoull(
-        fname.c_str() + std::strlen(kPagePrefix), nullptr, 10);
-    if (no + 1 > src->next_page_no) src->next_page_no = no + 1;
+  GEOSTREAMS_ASSIGN_OR_RETURN(
+      std::vector<SegmentFile> pages,
+      ListSegments(dir.path, kPagePrefix, kPageSuffix));
+  if (!pages.empty()) src->next_page_no = pages.back().number + 1;
+  for (const SegmentFile& page : pages) {
+    GEOSTREAMS_ASSIGN_OR_RETURN(std::shared_ptr<Segment> seg,
+                                Segment::Open(page.path));
+    src->segments.push_back(std::move(seg));
   }
 
-  // Pending (uncommitted) frame state while scanning one segment.
+  // The frame being rebuilt: its meta record has been seen, its
+  // commit not yet. A frame's run is contiguous in one segment, so a
+  // record that does not start where the run ends (damage, or a new
+  // segment) abandons it.
   std::shared_ptr<StoredFrame> pending;
   std::vector<uint32_t> pending_counts;  // tiles seen per level
-  uint64_t pending_run_start = 0;        // offset of pending's kFrameMeta
+  size_t pending_segment = 0;
+  uint64_t pending_run_start = 0;  // offset of pending's kFrameMeta
+  uint64_t pending_run_end = 0;    // where its next record must start
   auto drop_pending = [&] {
     if (pending != nullptr) ++recovery_.incomplete_frames;
     pending.reset();
@@ -545,178 +351,150 @@ Status TileStore::RecoverSource(const std::string& source_dir_name) {
   };
   const uint64_t recovered_now_ms = NowMs();
 
-  for (size_t si = 0; si < pages.size(); ++si) {
-    const bool last_segment = (si + 1 == pages.size());
-    GEOSTREAMS_ASSIGN_OR_RETURN(std::shared_ptr<Segment> seg,
-                                Segment::Open(pages[si]));
-    std::vector<uint8_t> data;
-    GEOSTREAMS_RETURN_IF_ERROR(ReadWholeFd(seg->fd, pages[si], &data));
-    src->segments.push_back(seg);
-    size_t off = 0;
-    uint64_t file_good_end = data.size();
-    bool truncated = false;
-    drop_pending();  // a frame never spans segments
-
-    while (off < data.size()) {
-      RecordType type;
-      uint8_t level;
-      const uint8_t* payload;
-      size_t payload_len;
-      Result<size_t> len = ValidateRecord(data.data() + off, data.size() - off,
-                                          &type, &level, &payload,
-                                          &payload_len);
-      if (!len.ok()) {
-        // Damage. Resync: the next offset where a record validates.
-        size_t resync = data.size();
-        for (size_t probe = off + 1; probe + kStoreHeaderSize <= data.size();
-             ++probe) {
-          if (std::memcmp(data.data() + probe, kStoreMagic, 4) != 0) continue;
-          RecordType t2;
-          uint8_t l2;
-          const uint8_t* p2;
-          size_t pl2;
-          if (ValidateRecord(data.data() + probe, data.size() - probe, &t2,
-                             &l2, &p2, &pl2)
-                  .ok()) {
-            resync = probe;
-            break;
-          }
-        }
+  auto on_record = [&](const ScannedRecord& scanned, bool probe) -> Status {
+    const RecordView& record = scanned.record;
+    if (record.type < static_cast<uint8_t>(RecordType::kFrameMeta) ||
+        record.type > static_cast<uint8_t>(RecordType::kFrameCommit)) {
+      return Status::InvalidArgument("unknown store record type");
+    }
+    if (probe) return Status::OK();
+    if (pending != nullptr && (scanned.segment != pending_segment ||
+                               scanned.offset != pending_run_end)) {
+      drop_pending();
+    }
+    const std::shared_ptr<Segment>& seg = src->segments[scanned.segment];
+    const uint64_t off = scanned.offset;
+    const uint8_t level = record.flags;
+    PayloadReader reader{record.payload, record.payload_len};
+    switch (static_cast<RecordType>(record.type)) {
+      case RecordType::kFrameMeta: {
         drop_pending();
-        if (resync == data.size() && last_segment) {
-          // Torn tail: the write a crash interrupted. Truncate.
-          ++recovery_.torn_tails;
-          recovery_.torn_bytes += data.size() - off;
-          file_good_end = off;
-          truncated = true;
+        const int64_t frame_id = reader.I64();
+        const uint16_t bands = reader.U16();
+        const uint8_t level_count = static_cast<uint8_t>(reader.U16() & 0xff);
+        const int64_t expected = reader.I64();
+        const uint16_t crs_len = reader.U16();
+        const uint8_t* crs_bytes = reader.Take(crs_len);
+        const double ox = reader.F64();
+        const double oy = reader.F64();
+        const double dx = reader.F64();
+        const double dy = reader.F64();
+        const int64_t w = reader.I64();
+        const int64_t h = reader.I64();
+        if (!reader.ok || bands < 1 || level_count < 1) break;
+        Result<CrsPtr> crs = ResolveCrs(
+            std::string(reinterpret_cast<const char*>(crs_bytes), crs_len));
+        if (!crs.ok()) {
+          GEOSTREAMS_LOG(kWarning)
+              << "tile store source '" << source
+              << "': frame " << frame_id << " has unresolvable CRS; skipped";
           break;
         }
-        ++recovery_.corrupt_regions;
-        GEOSTREAMS_LOG(kError)
-            << "tile store source '" << source << "': corrupt region of "
-            << (resync - off) << " bytes at offset " << off << " of "
-            << pages[si] << " (" << len.status().message() << ")";
-        off = resync;
-        continue;
+        pending = std::make_shared<StoredFrame>();
+        pending->frame_id = frame_id;
+        pending->band_count = bands;
+        pending->expected_points = expected;
+        pending->segment = seg;
+        pending_segment = scanned.segment;
+        pending_run_start = off;
+        pending->levels.resize(level_count);
+        const GridLattice base(*crs, ox, oy, dx, dy, w, h);
+        for (uint8_t l = 0; l < level_count; ++l) {
+          pending->levels[l].lattice = l == 0 ? base : base.Reduced(1 << l);
+        }
+        pending_counts.assign(level_count, 0);
+        break;
       }
-
-      PayloadReader reader{payload, payload_len};
-      switch (type) {
-        case RecordType::kFrameMeta: {
+      case RecordType::kTilePage: {
+        if (pending == nullptr || level >= pending->levels.size()) break;
+        const int64_t frame_id = reader.I64();
+        const uint32_t tc = reader.U32();
+        const uint32_t tr = reader.U32();
+        const uint16_t tw = reader.U16();
+        const uint16_t th = reader.U16();
+        reader.U16();  // band count (validated against meta on read)
+        reader.U16();  // pad
+        if (!reader.ok || frame_id != pending->frame_id) break;
+        TileRef ref;
+        ref.offset = off - pending_run_start;
+        ref.length = static_cast<uint32_t>(record.size());
+        ref.tile_col = tc;
+        ref.tile_row = tr;
+        ref.tile_w = tw;
+        ref.tile_h = th;
+        pending->levels[level].tiles.push_back(ref);
+        ++pending_counts[level];
+        break;
+      }
+      case RecordType::kFrameCommit: {
+        if (pending == nullptr) break;
+        const int64_t frame_id = reader.I64();
+        const uint16_t level_count = reader.U16();
+        bool counts_ok = reader.ok && frame_id == pending->frame_id &&
+                         level_count == pending->levels.size();
+        for (uint16_t l = 0; counts_ok && l < level_count; ++l) {
+          counts_ok = reader.U32() == pending_counts[l] && reader.ok;
+        }
+        if (!counts_ok) {
           drop_pending();
-          const int64_t frame_id = reader.I64();
-          const uint16_t bands = reader.U16();
-          const uint8_t level_count = static_cast<uint8_t>(reader.U16() & 0xff);
-          const int64_t expected = reader.I64();
-          const uint16_t crs_len = reader.U16();
-          const uint8_t* crs_bytes = reader.Take(crs_len);
-          const double ox = reader.F64();
-          const double oy = reader.F64();
-          const double dx = reader.F64();
-          const double dy = reader.F64();
-          const int64_t w = reader.I64();
-          const int64_t h = reader.I64();
-          if (!reader.ok || bands < 1 || level_count < 1) break;
-          Result<CrsPtr> crs = ResolveCrs(
-              std::string(reinterpret_cast<const char*>(crs_bytes), crs_len));
-          if (!crs.ok()) {
-            GEOSTREAMS_LOG(kWarning)
-                << "tile store source '" << source
-                << "': frame " << frame_id << " has unresolvable CRS; skipped";
-            break;
-          }
-          pending = std::make_shared<StoredFrame>();
-          pending->frame_id = frame_id;
-          pending->band_count = bands;
-          pending->expected_points = expected;
-          pending->segment = seg;
-          pending_run_start = off;
-          pending->levels.resize(level_count);
-          const GridLattice base(*crs, ox, oy, dx, dy, w, h);
-          for (uint8_t l = 0; l < level_count; ++l) {
-            pending->levels[l].lattice = l == 0 ? base : base.Reduced(1 << l);
-          }
-          pending_counts.assign(level_count, 0);
           break;
         }
-        case RecordType::kTilePage: {
-          if (pending == nullptr || level >= pending->levels.size()) break;
-          const int64_t frame_id = reader.I64();
-          const uint32_t tc = reader.U32();
-          const uint32_t tr = reader.U32();
-          const uint16_t tw = reader.U16();
-          const uint16_t th = reader.U16();
-          reader.U16();  // band count (validated against meta on read)
-          reader.U16();  // pad
-          if (!reader.ok || frame_id != pending->frame_id) break;
-          TileRef ref;
-          ref.offset = off - pending_run_start;
-          ref.length = static_cast<uint32_t>(*len);
-          ref.tile_col = tc;
-          ref.tile_row = tr;
-          ref.tile_w = tw;
-          ref.tile_h = th;
-          pending->levels[level].tiles.push_back(ref);
-          ++pending_counts[level];
-          break;
+        if (src->frames.count(pending->frame_id) > 0) {
+          // The duplicate's run bytes stay dead in this segment (a
+          // crash mid-GC-rewrite leaves one of these; GC reclaims the
+          // bytes once the segment's live fraction drops).
+          ++recovery_.duplicate_frames;
+        } else {
+          uint64_t tiles = 0;
+          for (const StoredLevel& lv : pending->levels) {
+            tiles += lv.tiles.size();
+          }
+          pending->run_offset = pending_run_start;
+          pending->run_bytes = off + record.size() - pending_run_start;
+          pending->stored_ms = recovered_now_ms;
+          seg->live_bytes += pending->run_bytes;
+          ++seg->live_frames;
+          recovery_.tile_pages_recovered += tiles;
+          ++recovery_.frames_recovered;
+          src->watermark = std::max(src->watermark, pending->frame_id);
+          src->frames.emplace(pending->frame_id, std::move(pending));
         }
-        case RecordType::kFrameCommit: {
-          if (pending == nullptr) break;
-          const int64_t frame_id = reader.I64();
-          const uint16_t level_count = reader.U16();
-          bool counts_ok = reader.ok && frame_id == pending->frame_id &&
-                           level_count == pending->levels.size();
-          for (uint16_t l = 0; counts_ok && l < level_count; ++l) {
-            counts_ok = reader.U32() == pending_counts[l] && reader.ok;
-          }
-          if (!counts_ok) {
-            drop_pending();
-            break;
-          }
-          if (src->frames.count(pending->frame_id) > 0) {
-            // The duplicate's run bytes stay dead in this segment (a
-            // crash mid-GC-rewrite leaves one of these; GC reclaims
-            // the bytes once the segment's live fraction drops).
-            ++recovery_.duplicate_frames;
-          } else {
-            uint64_t tiles = 0;
-            for (const StoredLevel& lv : pending->levels) {
-              tiles += lv.tiles.size();
-            }
-            pending->run_offset = pending_run_start;
-            pending->run_bytes = off + *len - pending_run_start;
-            pending->stored_ms = recovered_now_ms;
-            seg->live_bytes += pending->run_bytes;
-            ++seg->live_frames;
-            recovery_.tile_pages_recovered += tiles;
-            ++recovery_.frames_recovered;
-            src->watermark = std::max(src->watermark, pending->frame_id);
-            src->frames.emplace(pending->frame_id, std::move(pending));
-          }
-          pending.reset();
-          pending_counts.clear();
-          break;
-        }
+        pending.reset();
+        pending_counts.clear();
+        break;
       }
-      off += *len;
     }
-    drop_pending();
+    pending_run_end = off + record.size();
+    return Status::OK();
+  };
+  GEOSTREAMS_ASSIGN_OR_RETURN(const SegmentScan scan,
+                              ScanSegments(kStoreFormat, pages, on_record));
+  drop_pending();
 
-    if (truncated) {
-      std::error_code tec;
-      fs::resize_file(pages[si], file_good_end, tec);
-      if (tec) {
-        return Status::IoError("truncate " + pages[si] + ": " + tec.message());
-      }
-      GEOSTREAMS_LOG(kWarning)
-          << "tile store source '" << source << "': truncated torn tail at "
-          << file_good_end << " of " << pages[si];
-    }
-    seg->bytes = file_good_end;
-    if (last_segment) {
-      src->tail = seg;
-      src->resume_bytes = file_good_end;
-    }
+  // A corrupt region is skipped: every committed frame around it
+  // keeps serving. A torn tail is the write a crash interrupted, and
+  // its frame was never committed: cut it off.
+  for (const DamagedRegion& region : scan.corrupt) {
+    ++recovery_.corrupt_regions;
+    GEOSTREAMS_LOG(kError)
+        << "tile store source '" << source << "': corrupt region of "
+        << region.bytes << " bytes at offset " << region.offset << " of "
+        << region.path << " (" << region.reason << ")";
+  }
+  if (scan.torn_tail()) {
+    GEOSTREAMS_RETURN_IF_ERROR(CutTornTail(scan));
+    ++recovery_.torn_tails;
+    recovery_.torn_bytes += scan.torn.bytes;
+    GEOSTREAMS_LOG(kWarning)
+        << "tile store source '" << source << "': truncated torn tail at "
+        << scan.torn.offset << " of " << scan.torn.path;
+  }
+  for (size_t i = 0; i < src->segments.size(); ++i) {
+    src->segments[i]->bytes = scan.good_bytes[i];
+  }
+  if (!src->segments.empty()) {
+    src->tail = src->segments.back();
+    src->resume_bytes = scan.good_bytes.back();
   }
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -740,21 +518,10 @@ TileStore::SourceStore* TileStore::SourceFor(const std::string& source) {
   auto src = std::make_unique<SourceStore>();
   src->name = source;
   src->dir = options_.dir + "/" + SourceDirName(source);
-  std::error_code ec;
-  fs::create_directories(src->dir, ec);
-  if (!ec) {
-    const std::string name_path = src->dir + "/" + kNameFile;
-    if (!fs::exists(name_path, ec)) {
-      Result<std::unique_ptr<WritableFile>> f = OpenPosixWritable(name_path);
-      if (f.ok()) {
-        const std::string line = source + "\n";
-        Status ignored = (*f)->Append(
-            reinterpret_cast<const uint8_t*>(line.data()), line.size());
-        ignored = (*f)->Close();
-        (void)ignored;
-      }
-    }
-  }
+  // A directory that cannot be created fails the first page open, so
+  // the error surfaces as a PutFrame write error.
+  Status ignored = CreateSourceDir(options_.dir, source).status();
+  (void)ignored;
   SourceStore* out = src.get();
   sources_.emplace(source, std::move(src));
   return out;
@@ -795,11 +562,7 @@ Status TileStore::EnsureOpenLocked(SourceStore* src) {
     src->active_bytes = src->resume_bytes;
     return Status::OK();
   }
-  const std::string path =
-      src->dir + "/" + kPagePrefix +
-      StringPrintf("%06llu",
-                   static_cast<unsigned long long>(src->next_page_no++)) +
-      kPageSuffix;
+  const std::string path = PagePath(src->dir, src->next_page_no++);
   GEOSTREAMS_ASSIGN_OR_RETURN(src->active, OpenFile(path));
   Result<std::shared_ptr<Segment>> seg = Segment::Open(path);
   if (!seg.ok()) {
@@ -887,16 +650,14 @@ Status TileStore::PutFrame(const std::string& source, const FrameInfo& info,
     PutU16(payload, static_cast<uint16_t>(raster.bands()));
     PutU16(payload, static_cast<uint16_t>(levels.size() & 0xff));
     PutI64(payload, info.expected_points);
-    const std::string& crs_name = base.crs()->name();
-    PutU16(payload, static_cast<uint16_t>(crs_name.size()));
-    payload.insert(payload.end(), crs_name.begin(), crs_name.end());
+    PutString(payload, base.crs()->name());
     PutF64(payload, base.origin_x());
     PutF64(payload, base.origin_y());
     PutF64(payload, base.dx());
     PutF64(payload, base.dy());
     PutI64(payload, base.width());
     PutI64(payload, base.height());
-    AppendHeader(run, RecordType::kFrameMeta, 0, payload);
+    AppendStoreRecord(run, RecordType::kFrameMeta, 0, payload);
   }
 
   std::vector<uint32_t> level_counts(levels.size(), 0);
@@ -950,7 +711,7 @@ Status TileStore::PutFrame(const std::string& source, const FrameInfo& info,
         ref.tile_w = tw;
         ref.tile_h = th;
         const size_t before = run.size();
-        AppendHeader(run, RecordType::kTilePage, static_cast<uint8_t>(l),
+        AppendStoreRecord(run, RecordType::kTilePage, static_cast<uint8_t>(l),
                      payload);
         ref.length = static_cast<uint32_t>(run.size() - before);
         frame->levels[l].tiles.push_back(ref);
@@ -965,7 +726,7 @@ Status TileStore::PutFrame(const std::string& source, const FrameInfo& info,
     PutI64(payload, info.frame_id);
     PutU16(payload, static_cast<uint16_t>(levels.size()));
     for (uint32_t count : level_counts) PutU32(payload, count);
-    AppendHeader(run, RecordType::kFrameCommit, 0, payload);
+    AppendStoreRecord(run, RecordType::kFrameCommit, 0, payload);
   }
 
   Status st = EnsureOpenLocked(src);
@@ -1054,14 +815,11 @@ Status TileStore::ReadTileRecord(const StoredFrame& frame, const TileRef& ref,
     }
     got += static_cast<size_t>(n);
   }
-  RecordType type;
-  uint8_t level;
-  const uint8_t* payload;
-  size_t payload_len;
   GEOSTREAMS_ASSIGN_OR_RETURN(
-      size_t total, ValidateRecord(buf->data(), buf->size(), &type, &level,
-                                   &payload, &payload_len));
-  if (total != buf->size() || type != RecordType::kTilePage) {
+      const RecordView record,
+      ParseRecord(kStoreFormat, buf->data(), buf->size()));
+  if (record.size() != buf->size() ||
+      record.type != static_cast<uint8_t>(RecordType::kTilePage)) {
     return Status::IoError("tile ref does not address a tile page");
   }
   return Status::OK();
@@ -1156,8 +914,8 @@ Status TileStore::EmitFrame(SourceStore* src,
       continue;
     }
     ++tiles_read;
-    const uint8_t* payload = buf.data() + kStoreHeaderSize;
-    PayloadReader reader{payload, buf.size() - kStoreHeaderSize};
+    PayloadReader reader{buf.data() + kRecordHeaderSize,
+                         buf.size() - kRecordHeaderSize};
     reader.I64();  // frame id (validated by the index)
     reader.U32();  // tile col
     reader.U32();  // tile row
@@ -1513,7 +1271,7 @@ Status TileStore::RewriteSegmentLocked(SourceStore* src,
   }
 
   std::vector<uint8_t> data;
-  GEOSTREAMS_RETURN_IF_ERROR(ReadWholeFd(seg->fd, seg->path, &data));
+  GEOSTREAMS_RETURN_IF_ERROR(ReadWholeFile(seg->path, &data));
 
   // Pack the live runs into a fresh page, written through the
   // injectable factory so crash kill-points and injected ENOSPC gate
@@ -1532,11 +1290,7 @@ Status TileStore::RewriteSegmentLocked(SourceStore* src,
                   data.begin() + frame->run_offset + frame->run_bytes);
   }
 
-  const std::string path =
-      src->dir + "/" + kPagePrefix +
-      StringPrintf("%06llu",
-                   static_cast<unsigned long long>(src->next_page_no++)) +
-      kPageSuffix;
+  const std::string path = PagePath(src->dir, src->next_page_no++);
   Status st;
   {
     Result<std::unique_ptr<WritableFile>> out = OpenFile(path);

@@ -13,16 +13,15 @@
 //   * reduce/magnify at coarse zoom reads a small overview level
 //     instead of every full-resolution tile.
 //
-// Layout under TileStoreOptions::dir (one directory per source, same
-// sanitization discipline as the ingest journal):
+// Files, the record header, the per-source directory and the damage
+// scan are the storage substrate the ingest journal uses too
+// (storage/record_file.h). Layout under TileStoreOptions::dir:
 //
 //   <dir>/<source-dir>/name            original source name
 //   <dir>/<source-dir>/page-<n>.gst    append-only tile-page segments
 //
-// Record framing reuses the GSF1/journal discipline — a 16-byte
-// header with magic "GST1", record type, pyramid level, version, the
-// payload length, and a CRC-32 of the payload — so records are
-// self-delimiting and integrity-checked:
+// Records carry the shared 16-byte header with magic "GST1"; its
+// flags byte holds the pyramid level. Record types:
 //
 //   kFrameMeta    frame id, band count, level count, expected points,
 //                 and the base lattice (CRS name + geometry)
@@ -36,14 +35,14 @@
 //                 invisible after recovery)
 //
 // All records of one frame are contiguous in one segment (rotation
-// happens only between frames), so startup recovery classifies damage
-// exactly like the journal: a bad record with nothing valid after it
-// in the source's last segment is a torn tail (truncated — the frame
-// was never committed); a bad record with valid records after it is
-// mid-file corruption (the region is skipped and counted, every
-// committed frame around it keeps serving). Tile payload CRCs are
-// re-verified on every read, so bit rot in a cold page is detected
-// and skipped rather than served.
+// happens only between frames). Startup recovery runs the substrate's
+// damage scan with the meta/page/commit state machine as its record
+// callback: a torn tail is truncated (its frame was never committed),
+// a corrupt region is skipped and counted while every committed frame
+// around it keeps serving, and a frame whose run the damage
+// interrupts is dropped. Tile payload CRCs are re-verified on every
+// read, so bit rot in a cold page is detected and skipped rather than
+// served.
 //
 // Retention and garbage collection (disk-pressure resilience): when
 // byte/frame/age budgets are configured — directly or through a
@@ -91,7 +90,7 @@
 #include "obs/metrics_registry.h"
 #include "ops/time_set.h"
 #include "raster/frame_assembler.h"
-#include "storage/journal.h"
+#include "storage/record_file.h"
 #include "stream/operator.h"
 
 namespace geostreams {
@@ -293,7 +292,7 @@ class TileStore {
   explicit TileStore(TileStoreOptions options);
 
   Status RecoverAll();
-  Status RecoverSource(const std::string& source_dir_name);
+  Status RecoverSource(const SourceDir& dir);
   SourceStore* SourceFor(const std::string& source);
   SourceStore* FindSource(const std::string& source) const;
   Result<std::unique_ptr<WritableFile>> OpenFile(const std::string& path);

@@ -653,7 +653,6 @@ TEST(ObsE2eTest, SharedRestrictionCarriesTraceToPipelines) {
   DsmsOptions options;
   options.workers = 1;
   options.shared_restriction = true;
-  options.index_kind = DsmsOptions::IndexKind::kCascadeTree;
   options.trace_sample_every = 1;
   ObsFixture fixture(options);
 

@@ -158,22 +158,6 @@ TEST(DsmsServerTest, SharedVsDirectModesAgree) {
   }
 }
 
-TEST(DsmsServerTest, IndexKindsAgree) {
-  for (DsmsOptions::IndexKind kind :
-       {DsmsOptions::IndexKind::kCascadeTree, DsmsOptions::IndexKind::kGrid,
-        DsmsOptions::IndexKind::kFilterBank}) {
-    DsmsOptions options;
-    options.index_kind = kind;
-    ServerFixture fixture(options);
-    Capture capture;
-    auto id = fixture.server().RegisterQuery(
-        "region(goes.band1, bbox(-118, 30, -102, 44))", capture.Callback());
-    ASSERT_TRUE(id.ok());
-    GS_ASSERT_OK(fixture.Ingest(0, 1));
-    ASSERT_EQ(capture.frames.size(), 1u);
-  }
-}
-
 TEST(DsmsServerTest, UnregisterStopsDelivery) {
   ServerFixture fixture;
   Capture capture;
