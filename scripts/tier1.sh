@@ -58,7 +58,7 @@ cmake --build build-tsan -j "${JOBS}" \
                record_file_test journal_sync_test
 (cd build-tsan && \
  ctest --output-on-failure -j "${JOBS}" \
-       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|CatchUpTest|JournalCompactionTest|StorageFormatTest|RecordFileTest|BothStores/DamageClassificationTest|JournalSyncTest)')
+       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|CatchUpTest|WorkersAndPlans/CatchUpConcurrentIngestTest|JournalCompactionTest|StorageFormatTest|RecordFileTest|BothStores/DamageClassificationTest|JournalSyncTest)')
 
 echo "== tier-1: ASan+UBSan lane (same concurrency/supervision set) =="
 cmake -B build-asan -S . "-DGEOSTREAMS_SANITIZE=address,undefined" \
@@ -73,7 +73,7 @@ cmake --build build-asan -j "${JOBS}" \
                storage_format_test record_file_test journal_sync_test
 (cd build-asan && \
  ctest --output-on-failure -j "${JOBS}" \
-       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|JournalCompactionTest|DiskPressureE2eTest|CatchUpTest|StorageFormatTest|RecordFileTest|BothStores/DamageClassificationTest|JournalSyncTest)')
+       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|JournalCompactionTest|DiskPressureE2eTest|CatchUpTest|WorkersAndPlans/CatchUpConcurrentIngestTest|StorageFormatTest|RecordFileTest|BothStores/DamageClassificationTest|JournalSyncTest)')
 
 echo "== tier-1: caller-runs stress lane (workers=0 scheduler, TSan) =="
 # Four producers run one caller-runs scheduler on their own threads;
@@ -89,6 +89,14 @@ echo "== tier-1: unlocked-fsync stress lane (journal appends vs group commit, TS
 # handle; a lifetime or publication race shows up only in some
 # interleavings, so repeat it under TSan.
 ./build-tsan/tests/journal_sync_test --gtest_repeat=200 --gtest_brief=1
+
+echo "== tier-1: catch-up seam stress lane (SINCE replay vs concurrent ingest, TSan) =="
+# A producer pushes live frames and a StreamEnd while a SINCE
+# registration replays the store and arms its gates; a lost,
+# duplicated or racy frame shows up only in some interleavings, so
+# repeat it under TSan.
+./build-tsan/tests/catchup_test --gtest_repeat=200 --gtest_brief=1 \
+    --gtest_filter='WorkersAndPlans/CatchUpConcurrentIngestTest.*'
 
 echo "== tier-1: churn stress lane (tile-store readers vs retention GC) =="
 # One churn run races a writer, a retention storm and three readers;

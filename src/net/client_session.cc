@@ -172,23 +172,6 @@ std::string ClientSession::StatsLine() const {
       s.queue_depth);
 }
 
-MetricHistogram* ClientSession::WriteStageHistogram(const std::string& query) {
-  // Writer-thread-only cache: one registry mutex + map walk per
-  // (session, query), not per written frame. Null results (family
-  // kind conflict) are cached too, so a misregistered family costs
-  // one lookup, not one per frame.
-  auto it = write_stage_hists_.find(query);
-  if (it != write_stage_hists_.end()) return it->second;
-  MetricHistogram* hist = options_.metrics->GetHistogram(
-      "geostreams_e2e_latency_us",
-      "Frame lifecycle stage latency (wall-clock microseconds between "
-      "consecutive stage anchors; stage=total is capture to delivery)",
-      {{"stage", "write"}, {"query", query}},
-      MetricHistogram::LatencyBucketsUs());
-  write_stage_hists_.emplace(query, hist);
-  return hist;
-}
-
 void ClientSession::WriterLoop() {
   for (;;) {
     Outbound item;
@@ -205,20 +188,12 @@ void ClientSession::WriterLoop() {
     if (item.frame) {
       st = WriteAll(fd_, item.frame->data(), item.frame->size());
       written = item.frame->size();
-      if (st.ok() && item.stamp.delivered_wall_us != 0 &&
-          options_.metrics != nullptr) {
+      if (st.ok() && item.stamp.write_stage != nullptr) {
         const uint64_t now = TraceWallNowUs();
         if (now > item.stamp.delivered_wall_us) {
-          MetricHistogram* write_stage = WriteStageHistogram(item.stamp.pipeline);
-          const uint64_t latency = now - item.stamp.delivered_wall_us;
-          if (write_stage == nullptr) {
-            // Family kind conflict: metrics off for this stage.
-          } else if (item.stamp.trace_ordinal != ~0ull) {
-            write_stage->ObserveWithExemplar(latency, item.stamp.trace_ordinal,
-                                             item.stamp.pipeline);
-          } else {
-            write_stage->Observe(latency);
-          }
+          ObserveE2eStage(item.stamp.write_stage.get(),
+                          now - item.stamp.delivered_wall_us,
+                          item.stamp.trace_ordinal, item.stamp.pipeline);
         }
       }
     } else {

@@ -28,7 +28,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -68,16 +67,17 @@ struct ClientSessionOptions {
   EventLog* event_log = nullptr;
 };
 
-/// Latency-plane stamp riding one outbound frame: when
-/// `delivered_wall_us` is nonzero the writer thread observes the
-/// `write` stage (fan-out to socket-written) of
-/// `geostreams_e2e_latency_us{stage="write",query=<query>}` after
-/// WriteAll, exemplar-linked when `trace_ordinal` carries a reserved
-/// trace-ring slot.
+/// Latency-plane stamp riding one outbound frame: when `write_stage`
+/// is set the writer thread observes the `write` stage (fan-out to
+/// socket-written) into it after WriteAll — the query's
+/// `geostreams_e2e_latency_us{stage="write",query=<query>}` handle
+/// (see QueryStageHistograms), exemplar-linked when `trace_ordinal`
+/// carries a reserved trace-ring slot.
 struct FrameStamp {
-  uint64_t delivered_wall_us = 0;   // 0 = no write-stage observation
-  uint64_t trace_ordinal = ~0ull;   // ~0 = no exemplar
-  std::string pipeline;             // exemplar and `query` stage label
+  std::shared_ptr<MetricHistogram> write_stage;  // null = no observation
+  uint64_t delivered_wall_us = 0;
+  uint64_t trace_ordinal = MetricHistogram::kNoExemplar;
+  std::string pipeline;             // exemplar pipeline
 };
 
 class ClientSession {
@@ -139,9 +139,6 @@ class ClientSession {
 
   void WriterLoop();
   void CloseLocked();
-  /// Cached (and null-checked) write-stage histogram for one query
-  /// label. Writer-thread-only.
-  MetricHistogram* WriteStageHistogram(const std::string& query);
 
   const uint64_t id_;
   const ClientSessionOptions options_;
@@ -164,9 +161,6 @@ class ClientSession {
   Counter* m_frames_enqueued_ = nullptr;
   Counter* m_frames_shed_ = nullptr;
   Counter* m_bytes_written_ = nullptr;
-  /// Per-query write-stage histograms, resolved once each (may cache
-  /// nullptr on a family kind conflict). Writer-thread-only.
-  std::map<std::string, MetricHistogram*> write_stage_hists_;
 
   std::thread writer_;
 };

@@ -55,9 +55,7 @@ IngestSession::IngestSession(std::string source, EventSink* target,
         "geostreams_ingest_shed_bytes_total",
         "Approximate bytes inside kShed-dropped batches", labels);
     m_e2e_total_ = reg.GetHistogram(
-        "geostreams_e2e_latency_us",
-        "Frame lifecycle stage latency (wall-clock microseconds between "
-        "consecutive stage anchors; stage=total is capture to delivery)",
+        kE2eLatencyFamily, kE2eLatencyHelp,
         {{"stage", "total"}, {"source", source_}},
         MetricHistogram::LatencyBucketsUs());
   }

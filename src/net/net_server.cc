@@ -425,24 +425,29 @@ void NetServer::FanOutFrame(DsmsServer* dsms, Subscription* sub,
   // The delivery callback runs inside the operator chain, so the
   // frame's trace (when sampled) is active on this thread. Entry here
   // closes the `operators` stage (scheduler claim to chain exit);
-  // encode + enqueue is the `deliver` stage. Both carry the same
-  // `query` label as the scheduler's `queue` stage: the pipeline name. `total` spans capture (else admission) to
+  // encode + enqueue is the `deliver` stage. Both land in the
+  // pipeline's stage series the scheduler attached to the trace, next
+  // to its `queue` stage. `total` spans capture (else admission) to
   // fan-out done, into the per-source series the ingest session's
   // ISTATS p95 reads — observed once per frame (ClaimTotalStage), not
   // once per subscribed query.
   TraceContext* trace = ActiveTrace();
-  const bool staged = trace != nullptr && trace->last_anchor_wall_us() != 0;
-  if (staged) {
-    ObserveE2eStage(dsms->metrics_registry(), "operators", "query",
-                    trace->pipeline(), trace->AdvanceStage(TraceWallNowUs()),
-                    trace);
+  const QueryStageHistograms* stages =
+      trace != nullptr && trace->last_anchor_wall_us() != 0
+          ? trace->stages().get()
+          : nullptr;
+  if (stages != nullptr) {
+    ObserveE2eStage(stages->operators.get(),
+                    trace->AdvanceStage(TraceWallNowUs()),
+                    trace->ring_ordinal(), trace->pipeline());
   }
   auto buffer = std::make_shared<const std::vector<uint8_t>>(
       EncodeResultFrame(sub->query_id.load(), frame_id, raster, png));
   FrameStamp stamp;
-  if (staged) {
+  if (stages != nullptr) {
     // The `write` stage rides the frame into each session's writer
     // thread; its anchor is the moment the shared buffer is ready.
+    stamp.write_stage = stages->write;
     stamp.delivered_wall_us = TraceWallNowUs();
     stamp.trace_ordinal = trace->ring_ordinal();
     stamp.pipeline = trace->pipeline();
@@ -454,10 +459,10 @@ void NetServer::FanOutFrame(DsmsServer* dsms, Subscription* sub,
       (void)ignored;
     }
   }
-  if (staged) {
+  if (stages != nullptr) {
     const uint64_t now = TraceWallNowUs();
-    ObserveE2eStage(dsms->metrics_registry(), "deliver", "query",
-                    trace->pipeline(), trace->AdvanceStage(now), trace);
+    ObserveE2eStage(stages->deliver.get(), trace->AdvanceStage(now),
+                    trace->ring_ordinal(), trace->pipeline());
     const uint64_t birth = trace->capture_wall_us() != 0
                                ? trace->capture_wall_us()
                                : trace->admit_wall_us();

@@ -291,6 +291,7 @@ Status ProducerClient::PumpAcks(int timeout_ms) {
   if (!connected()) return Status::Unavailable("not connected");
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(std::max(timeout_ms, 0));
+  const uint64_t acked_at_entry = acked_;
   uint8_t buf[4096];
   for (;;) {
     for (;;) {
@@ -301,6 +302,9 @@ Status ProducerClient::PumpAcks(int timeout_ms) {
         GEOSTREAMS_RETURN_IF_ERROR(ApplyLine(*(*unit)->line));
       }
     }
+    // Ack progress is what every waiter waits for; the deadline only
+    // bounds a wait that sees none.
+    if (acked_ > acked_at_entry) return Status::OK();
     const int remaining = timeout_ms <= 0 ? 0 : RemainingMs(deadline);
     GEOSTREAMS_ASSIGN_OR_RETURN(bool readable,
                                 socket_->PollReadable(remaining));
@@ -398,13 +402,18 @@ Status ProducerClient::Publish(const StreamEvent& event) {
         pending.bytes.size(), options_.replay_max_bytes));
   }
   if (replay_bytes_ + pending.bytes.size() > options_.replay_max_bytes) {
-    // Backpressure: wait once for acks to free room, then push the
-    // problem to the caller rather than grow without bound.
-    Status pumped = PumpAcks(options_.resend_timeout_ms);
-    if (!pumped.ok()) {
+    // Backpressure: wait up to one resend timeout for acks to free
+    // room, then push the problem to the caller rather than grow
+    // without bound.
+    const auto deadline =
+        Clock::now() + std::chrono::milliseconds(options_.resend_timeout_ms);
+    bool reconnected = false;
+    while (replay_bytes_ + pending.bytes.size() > options_.replay_max_bytes &&
+           RemainingMs(deadline) > 0) {
+      if (PumpAcks(RemainingMs(deadline)).ok()) continue;
+      if (reconnected) break;
       GEOSTREAMS_RETURN_IF_ERROR(Reconnect());
-      Status retried = PumpAcks(options_.resend_timeout_ms);
-      (void)retried;
+      reconnected = true;
     }
     if (replay_bytes_ + pending.bytes.size() > options_.replay_max_bytes) {
       return Status::ResourceExhausted(StringPrintf(

@@ -125,6 +125,7 @@ void MetricHistogram::ObserveWithExemplar(uint64_t value,
                                           uint64_t trace_ordinal,
                                           const std::string& pipeline) {
   Observe(value);
+  if (trace_ordinal == kNoExemplar) return;
   const size_t idx = BucketIndex(value);
   std::lock_guard<std::mutex> lock(exemplar_mu_);
   if (!exemplars_) {
@@ -248,14 +249,34 @@ MetricHistogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          const std::string& help,
                                          MetricLabels labels,
                                          std::vector<uint64_t> bounds) {
+  return GetSharedHistogram(name, help, std::move(labels), std::move(bounds))
+      .get();
+}
+
+std::shared_ptr<MetricHistogram> MetricsRegistry::GetSharedHistogram(
+    const std::string& name, const std::string& help, MetricLabels labels,
+    std::vector<uint64_t> bounds) {
   Series* s = GetSeries(name, help, Kind::kHistogram, std::move(labels));
   if (s == nullptr) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   if (!s->histogram) {
     if (bounds.empty()) bounds = MetricHistogram::LatencyBucketsUs();
-    s->histogram = std::make_unique<MetricHistogram>(std::move(bounds));
+    s->histogram = std::make_shared<MetricHistogram>(std::move(bounds));
   }
-  return s->histogram.get();
+  return s->histogram;
+}
+
+size_t MetricsRegistry::RemoveSeries(const std::string& name,
+                                     const std::string& key,
+                                     const std::string& value) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto fit = families_.find(name);
+  if (fit == families_.end()) return 0;
+  const std::pair<std::string, std::string> label(key, value);
+  return std::erase_if(fit->second.series, [&](const auto& entry) {
+    const MetricLabels& labels = entry.second.labels;
+    return std::find(labels.begin(), labels.end(), label) != labels.end();
+  });
 }
 
 void MetricsRegistry::AddCollector(std::function<void()> collect) {

@@ -13,6 +13,8 @@
 //  2. Series are stable. GetCounter/GetGauge/GetHistogram return the
 //     same instance for the same (name, labels) forever; handles
 //     never dangle even after the registering component is gone.
+//     RemoveSeries drops a gone query's series; their users hold
+//     shared handles (GetSharedHistogram), so nothing dangles.
 //  3. Mirrored sources stay authoritative. Components that already
 //     keep counters under their own locks (scheduler stats, memory
 //     tracker) register a collector callback that refreshes registry
@@ -96,7 +98,9 @@ class MetricHistogram {
   void Observe(uint64_t value);
 
   /// Observe() plus an exemplar: the owning bucket remembers this
-  /// observation's trace ring ordinal and pipeline (latest wins).
+  /// observation's trace ring ordinal and pipeline (latest wins). An
+  /// ordinal of kNoExemplar (no ring slot) records no exemplar.
+  static constexpr uint64_t kNoExemplar = ~0ull;
   void ObserveWithExemplar(uint64_t value, uint64_t trace_ordinal,
                            const std::string& pipeline);
 
@@ -171,6 +175,17 @@ class MetricsRegistry {
   MetricHistogram* GetHistogram(const std::string& name, const std::string& help,
                           MetricLabels labels = {},
                           std::vector<uint64_t> bounds = {});
+  /// GetHistogram() sharing ownership, so the handle stays safe to
+  /// observe into after RemoveSeries() drops (unexports) the series.
+  std::shared_ptr<MetricHistogram> GetSharedHistogram(
+      const std::string& name, const std::string& help,
+      MetricLabels labels = {}, std::vector<uint64_t> bounds = {});
+
+  /// Drops every series of family `name` labeled `key`="value" (a
+  /// gone query's series) and returns how many. Only shared handles
+  /// into a dropped series stay valid.
+  size_t RemoveSeries(const std::string& name, const std::string& key,
+                      const std::string& value);
 
   /// Scrape hook: runs (outside the registry lock, in registration
   /// order) at the start of RenderPrometheus. Components whose
@@ -204,7 +219,7 @@ class MetricsRegistry {
     MetricLabels labels;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<MetricHistogram> histogram;
+    std::shared_ptr<MetricHistogram> histogram;
   };
 
   struct Family {

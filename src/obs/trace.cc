@@ -154,12 +154,8 @@ SpanTimer::~SpanTimer() {
   span.inclusive_us = inclusive;
   trace_->spans_.push_back(std::move(span));
   if (histogram_ != nullptr) {
-    if (trace_->ring_ordinal_ != TraceContext::kNoRingOrdinal) {
-      histogram_->ObserveWithExemplar(exclusive, trace_->ring_ordinal_,
-                                      trace_->pipeline_);
-    } else {
-      histogram_->Observe(exclusive);
-    }
+    histogram_->ObserveWithExemplar(exclusive, trace_->ring_ordinal_,
+                                    trace_->pipeline_);
   }
 }
 
@@ -203,25 +199,44 @@ uint64_t TraceRing::total() const {
   return total_;
 }
 
+static_assert(TraceContext::kNoRingOrdinal == MetricHistogram::kNoExemplar);
+
+const char kE2eLatencyFamily[] = "geostreams_e2e_latency_us";
+const char kE2eLatencyHelp[] =
+    "Frame lifecycle stage latency (wall-clock microseconds between "
+    "consecutive stage anchors; stage=total is capture to delivery)";
+
+std::shared_ptr<const QueryStageHistograms> QueryStageHistograms::Resolve(
+    MetricsRegistry* metrics, const std::string& pipeline) {
+  auto stage = [&](const char* name) {
+    return metrics->GetSharedHistogram(kE2eLatencyFamily, kE2eLatencyHelp,
+                                       {{"stage", name}, {"query", pipeline}},
+                                       MetricHistogram::LatencyBucketsUs());
+  };
+  return std::make_shared<const QueryStageHistograms>(QueryStageHistograms{
+      stage("queue"), stage("operators"), stage("deliver"), stage("write")});
+}
+
+void ObserveE2eStage(MetricHistogram* histogram, uint64_t latency_us,
+                     uint64_t trace_ordinal, const std::string& pipeline) {
+  if (histogram != nullptr) {
+    histogram->ObserveWithExemplar(latency_us, trace_ordinal, pipeline);
+  }
+}
+
 void ObserveE2eStage(MetricsRegistry* metrics, const std::string& stage,
                      const std::string& label_key,
                      const std::string& label_value, uint64_t latency_us,
                      const TraceContext* trace) {
   if (metrics == nullptr) return;
   MetricHistogram* hist = metrics->GetHistogram(
-      "geostreams_e2e_latency_us",
-      "Frame lifecycle stage latency (wall-clock microseconds between "
-      "consecutive stage anchors; stage=total is capture to delivery)",
+      kE2eLatencyFamily, kE2eLatencyHelp,
       {{"stage", stage}, {label_key, label_value}},
       MetricHistogram::LatencyBucketsUs());
-  if (hist == nullptr) return;
-  if (trace != nullptr &&
-      trace->ring_ordinal() != TraceContext::kNoRingOrdinal) {
-    hist->ObserveWithExemplar(latency_us, trace->ring_ordinal(),
-                              trace->pipeline());
-  } else {
-    hist->Observe(latency_us);
+  if (trace == nullptr) {
+    return ObserveE2eStage(hist, latency_us, TraceContext::kNoRingOrdinal, "");
   }
+  ObserveE2eStage(hist, latency_us, trace->ring_ordinal(), trace->pipeline());
 }
 
 }  // namespace geostreams

@@ -31,6 +31,28 @@ namespace geostreams {
 class MetricHistogram;
 class MetricsRegistry;
 
+/// The frame-lifecycle stage family and its help text.
+extern const char kE2eLatencyFamily[];  // "geostreams_e2e_latency_us"
+extern const char kE2eLatencyHelp[];
+
+/// The delivery-side stage series of one query pipeline,
+/// `geostreams_e2e_latency_us{stage=queue|operators|deliver|write,
+/// query=<pipeline>}`, resolved once per pipeline and carried by each
+/// staged trace fork and FrameStamp. The handles share ownership, so
+/// after the query's series are removed a frame still queued in a
+/// client writer observes into a live, unexported histogram.
+struct QueryStageHistograms {
+  std::shared_ptr<MetricHistogram> queue;
+  std::shared_ptr<MetricHistogram> operators;
+  std::shared_ptr<MetricHistogram> deliver;
+  std::shared_ptr<MetricHistogram> write;
+
+  /// Gets or creates the four series of `pipeline`. Removed by
+  /// MetricsRegistry::RemoveSeries(kE2eLatencyFamily, "query", ...).
+  static std::shared_ptr<const QueryStageHistograms> Resolve(
+      MetricsRegistry* metrics, const std::string& pipeline);
+};
+
 /// Monotonic (steady-clock) microseconds. The zero point is arbitrary;
 /// only differences are meaningful.
 uint64_t TraceNowUs();
@@ -134,6 +156,15 @@ class TraceContext {
   /// exactly once, and only on the owning context.
   bool ClaimTotalStage();
 
+  /// The pipeline's stage series; attached by the scheduler when it
+  /// claims a staged (anchored FrameEnd) event, null otherwise.
+  void set_stages(std::shared_ptr<const QueryStageHistograms> stages) {
+    stages_ = std::move(stages);
+  }
+  const std::shared_ptr<const QueryStageHistograms>& stages() const {
+    return stages_;
+  }
+
   /// TraceRing slot reserved for this trace (exemplar linkage), or
   /// kNoRingOrdinal.
   void set_ring_ordinal(uint64_t ordinal) { ring_ordinal_ = ordinal; }
@@ -157,6 +188,7 @@ class TraceContext {
   uint64_t durable_wall_us_ = 0;
   uint64_t last_anchor_wall_us_ = 0;
   uint64_t ring_ordinal_ = kNoRingOrdinal;
+  std::shared_ptr<const QueryStageHistograms> stages_;
   /// Per-source stage ownership: root holds it until the first Fork
   /// takes it; ClaimTotalStage burns it for the `total` observation.
   bool source_stage_owner_ = true;
@@ -246,14 +278,20 @@ class TraceRing {
 /// Records one frame-lifecycle stage segment into the shared
 /// `geostreams_e2e_latency_us{stage=...}` family — the end-to-end
 /// latency plane. `label_key`/`label_value` scope the series (source
-/// name for ingest-side stages, query/pipeline for delivery-side).
-/// When `trace` carries a reserved ring ordinal the observation is
-/// exemplar-linked, closing the metrics -> TRACE loop. Null registry
-/// is a no-op.
+/// name for the per-source stages; the per-query stages go through
+/// QueryStageHistograms instead). When `trace` carries a reserved
+/// ring ordinal the observation is exemplar-linked, closing the
+/// metrics -> TRACE loop. Null registry is a no-op.
 void ObserveE2eStage(MetricsRegistry* metrics, const std::string& stage,
                      const std::string& label_key,
                      const std::string& label_value, uint64_t latency_us,
                      const TraceContext* trace);
+
+/// Records one stage segment into an already resolved stage
+/// histogram, exemplar-linked to `trace_ordinal` in `pipeline` unless
+/// it is TraceContext::kNoRingOrdinal. Null histogram is a no-op.
+void ObserveE2eStage(MetricHistogram* histogram, uint64_t latency_us,
+                     uint64_t trace_ordinal, const std::string& pipeline);
 
 }  // namespace geostreams
 

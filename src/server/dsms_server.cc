@@ -281,28 +281,13 @@ struct DsmsServer::QueryState {
   /// Direct wirings (source name -> plan input) for unregistration.
   std::vector<std::pair<std::string, EventSink*>> direct;
 
-  /// Catch-up state (RegisterQuery's hybrid stream/stored path).
-  /// Pending wirings recorded by RegisterInternal(defer_wiring=true):
-  /// the plan input entries exist but are not attached to any source
-  /// yet; the catch-up path replays history into them first and then
-  /// attaches them behind CatchUpGates.
-  struct PendingWire {
-    std::string source;      // catalog stream feeding this input
-    std::string input_name;  // the plan's input (synthetic if peeled)
-    EventSink* entry = nullptr;
-    RegionPtr region;        // peeled spatial restriction (may be null)
-    std::vector<TimeSet> times;  // pushed-down temporal IO-pruning hints
-    bool is_peeled = false;
-    size_t peeled_index = 0;
-  };
-  std::vector<PendingWire> pending_wires;
-  /// Cut-over gates, one per input (catch-up queries only). Own the
-  /// seam logic; destroyed with the query.
+  /// Cut-over gates, one per input in plan input order (catch-up
+  /// queries only), wired between the sources and the entries.
   std::vector<std::unique_ptr<CatchUpGate>> gates;
-  /// True from registration until the gates are wired; blocks
-  /// UnregisterQuery racing the replay (the replay thread holds raw
-  /// entry pointers with no lock).
-  bool catching_up = false;
+  /// True until the replay has armed every gate; blocks
+  /// UnregisterQuery racing the replay, which holds raw pointers into
+  /// this query and clears the flag without the state lock.
+  std::atomic<bool> catching_up{false};
 };
 
 DsmsServer::DsmsServer(DsmsOptions options) : options_(options) {
@@ -400,10 +385,13 @@ DsmsServer::DsmsServer(DsmsOptions options) : options_(options) {
           "geostreams_store_catchup_truncated_total",
           "Catch-up registrations whose SINCE bound reached below "
           "retained history");
-      m_catchup_lag_ = metrics_registry_.GetGauge(
+      Gauge* lag = metrics_registry_.GetGauge(
           "geostreams_catchup_lag_frames",
           "Stored frames still to replay before in-flight SINCE queries "
           "cut over to the live stream (summed over registrations)");
+      metrics_registry_.AddCollector([this, lag] {
+        lag->Set(catchup_backlog_.load(std::memory_order_relaxed));
+      });
     }
   }
   SchedulerOptions sched;
@@ -434,9 +422,7 @@ void DsmsServer::RegisterSourceObservables(SourceState* source) {
       "capture — or, unstamped, delivery — wall clock)",
       {{"source", name}});
   source->e2e_total = metrics_registry_.GetHistogram(
-      "geostreams_e2e_latency_us",
-      "Frame lifecycle stage latency (wall-clock microseconds between "
-      "consecutive stage anchors; stage=total is capture to delivery)",
+      kE2eLatencyFamily, kE2eLatencyHelp,
       {{"stage", "total"}, {"source", name}},
       MetricHistogram::LatencyBucketsUs());
 }
@@ -611,222 +597,115 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
 Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
                                           FrameCallback callback,
                                           const CatchUpOptions& catch_up) {
-  if (store_ == nullptr) {
-    // No history to replay; degrade to plain stream registration.
-    QueryId id = 0;
-    GEOSTREAMS_ASSIGN_OR_RETURN(id,
-                                RegisterQuery(query_text, std::move(callback)));
-    if (catch_up.on_registered) catch_up.on_registered(id);
-    return id;
-  }
-
-  // Phase 0 — build the plan under the exclusive lock, but leave its
-  // inputs detached from every source: no live event can reach the
-  // query yet, and `catching_up` blocks a racing UnregisterQuery from
-  // destroying the entries the replay below holds raw pointers to.
+  // Register the query with every input wired behind an unarmed
+  // CatchUpGate: live events reach the gates but are dropped until
+  // this thread has replayed the store and armed them. `catching_up`
+  // blocks a racing UnregisterQuery from destroying what the replay
+  // holds raw pointers to, so `query` stays valid until it is cleared.
   QueryId id = 0;
-  std::vector<QueryState::PendingWire> wires;
+  QueryState* query = nullptr;
   {
     std::unique_lock<std::shared_mutex> lock(state_mu_);
     GEOSTREAMS_ASSIGN_OR_RETURN(
         id, RegisterInternal(query_text, std::move(callback), "",
-                             /*defer_wiring=*/true));
-    wires = queries_.at(id)->pending_wires;
+                             /*catch_up=*/store_ != nullptr));
+    query = queries_.at(id).get();
   }
   if (catch_up.on_registered) catch_up.on_registered(id);
+  if (store_ == nullptr) return id;  // no history to replay
+  const std::vector<std::unique_ptr<CatchUpGate>>& gates = query->gates;
 
-  // Phases 1 and 2 run in a closure so an error below can tear the
-  // half-registered query back down instead of leaving it stuck
-  // behind the catching_up guard forever. `catchup_pending` counts
-  // this registration's outstanding contribution to the shared
-  // backlog gauge; it lives outside the closure so an error exit
-  // can retire it instead of freezing the gauge nonzero.
-  uint64_t catchup_pending = 0;
-  Status replayed = [&]() -> Status {
-  // Phase 1 — bulk history replay with no lock held: ingest keeps
-  // flowing (the query is invisible to it) while recorded frames run
-  // through the plan on this thread, merged ascending by frame id
-  // across inputs so multi-stream plans see their operands in live
-  // order. With zero workers each frame runs as it is replayed; with a
-  // pool, Flush periodically so a deep history cannot overflow the
-  // scheduler queues (shed batches would be gaps).
-  struct ReplayItem {
-    int64_t frame_id;
-    size_t wire;
-  };
-  auto wire_scan = [](const QueryState::PendingWire& wire) {
-    StoreScan scan;
-    scan.region = wire.region;
-    scan.times = wire.times;
-    return scan;
-  };
-  std::vector<int64_t> replayed_to(wires.size(),
-                                   std::numeric_limits<int64_t>::min());
-  std::vector<ReplayItem> items;
-  for (size_t w = 0; w < wires.size(); ++w) {
-    const int64_t hi = store_->Watermark(wires[w].source);
-    // Retention may have pruned history the SINCE bound asks for. The
-    // replay below clamps to the oldest retained frame automatically
-    // (FrameIds only returns what exists); what must not happen is the
-    // truncation passing silently.
-    const StoreHorizon horizon = store_->Horizon(wires[w].source);
-    if (horizon.frames_pruned > 0 && catch_up.since <= horizon.pruned_upto) {
-      if (m_catchup_truncated_) m_catchup_truncated_->Increment();
-      GEOSTREAMS_LOG(kWarning)
-          << "catch-up on '" << wires[w].source << "' truncated: SINCE "
-          << catch_up.since << " reaches below retained history (oldest "
-          << "retained frame "
-          << (horizon.oldest_frame_id == std::numeric_limits<int64_t>::max()
-                  ? horizon.pruned_upto + 1
-                  : horizon.oldest_frame_id)
-          << ", " << horizon.frames_pruned << " frames pruned)";
-    }
-    for (int64_t fid : store_->FrameIds(wires[w].source, catch_up.since, hi)) {
-      items.push_back({fid, w});
-    }
-  }
-  std::stable_sort(items.begin(), items.end(),
-                   [](const ReplayItem& a, const ReplayItem& b) {
-                     return a.frame_id < b.frame_id;
-                   });
-  // Catch-up lag gauge: stored frames still to replay before
-  // in-flight SINCE queries go live, one unlabeled series summed over
-  // registrations (a per-query-id label would grow the registry
-  // without bound, one frozen series per finished query). Scraped
-  // mid-replay it shows the backlog draining; back to this
-  // registration's starting value at cut-over.
-  catchup_pending = items.size();
-  catchup_backlog_.fetch_add(catchup_pending, std::memory_order_relaxed);
-  if (m_catchup_lag_) {
-    m_catchup_lag_->Set(catchup_backlog_.load(std::memory_order_relaxed));
-  }
-  size_t since_flush = 0;
-  for (const ReplayItem& item : items) {
-    const QueryState::PendingWire& wire = wires[item.wire];
-    Status st = store_->ScanFrame(wire.source, item.frame_id,
-                                  wire_scan(wire), wire.entry);
+  // The replay runs with no lock held, so ingest keeps flowing. With
+  // zero workers each frame runs as it is replayed; with a pool, Flush
+  // periodically so a deep history cannot overflow the scheduler
+  // queues (shed batches would be gaps).
+  size_t replayed = 0;
+  auto replay_frame = [&](const CatchUpGate& gate, int64_t frame_id) {
+    Status st = store_->ScanFrame(gate.source(), frame_id, gate.scan(),
+                                  gate.downstream());
     if (!st.ok() && st.code() != StatusCode::kNotFound) return st;
     scheduler_->RunPending();
-    replayed_to[item.wire] = item.frame_id;
     if (m_catchup_frames_) m_catchup_frames_->Increment();
-    --catchup_pending;
-    catchup_backlog_.fetch_sub(1, std::memory_order_relaxed);
-    if (m_catchup_lag_) {
-      m_catchup_lag_->Set(catchup_backlog_.load(std::memory_order_relaxed));
-    }
-    if (++since_flush >= 64) {
-      since_flush = 0;
-      GEOSTREAMS_RETURN_IF_ERROR(Flush());
-    }
-  }
-
-  // Phase 2 — go live under the exclusive lock. Ingest is paused, so
-  // each source's watermark W0 is frozen: replay the small delta that
-  // committed during phase 1, then attach each input behind a
-  // CatchUpGate with threshold W0. After the lock drops, the gate
-  // discards live frames at or below W0 (they were just replayed) and
-  // cuts over on the first frame above it, seam-replaying anything
-  // that commits in between — exactly once, no gap, no duplicate.
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  auto it = queries_.find(id);
-  if (it == queries_.end()) {
-    return Status::Internal("catch-up query vanished during replay");
-  }
-  QueryState* query = it->second.get();
-  for (size_t w = 0; w < wires.size(); ++w) {
-    const QueryState::PendingWire& wire = wires[w];
-    const int64_t w0 = store_->Watermark(wire.source);
-    const int64_t lo =
-        replayed_to[w] == std::numeric_limits<int64_t>::min()
-            ? catch_up.since
-            : replayed_to[w] + 1;
-    if (lo <= w0) {
-      for (int64_t fid : store_->FrameIds(wire.source, lo, w0)) {
-        // No Flush: the delta is bounded by one phase-1 flush window,
-        // and nothing may run under the exclusive lock (plans feeding
-        // derived streams take the shared lock). With zero workers
-        // the delta runs after the lock drops (RunPending below).
-        Status st = store_->ScanFrame(wire.source, fid, wire_scan(wire),
-                                      wire.entry);
-        if (!st.ok() && st.code() != StatusCode::kNotFound) return st;
-        if (m_catchup_frames_) m_catchup_frames_->Increment();
+    return ++replayed % 64 == 0 ? Flush() : Status::OK();
+  };
+  // This registration's share of the lag gauge still to retire.
+  uint64_t backlog = 0;
+  const Status replay = [&]() -> Status {
+    // History up to each input's watermark, merged ascending by frame
+    // id across inputs so multi-stream plans see their operands in
+    // live order.
+    std::vector<int64_t> marks(gates.size());
+    std::vector<std::pair<int64_t, size_t>> items;  // (frame id, gate)
+    for (size_t g = 0; g < gates.size(); ++g) {
+      const std::string& source = gates[g]->source();
+      marks[g] = store_->Watermark(source);
+      // Retention may have pruned history the SINCE bound asks for.
+      // FrameIds clamps to what exists; the truncation must not pass
+      // silently.
+      const StoreHorizon horizon = store_->Horizon(source);
+      if (horizon.frames_pruned > 0 && catch_up.since <= horizon.pruned_upto) {
+        if (m_catchup_truncated_) m_catchup_truncated_->Increment();
+        GEOSTREAMS_LOG(kWarning)
+            << "catch-up on '" << source << "' truncated: SINCE "
+            << catch_up.since << " reaches below retained history (oldest "
+            << "retained frame "
+            << (horizon.oldest_frame_id ==
+                        std::numeric_limits<int64_t>::max()
+                    ? horizon.pruned_upto + 1
+                    : horizon.oldest_frame_id)
+            << ", " << horizon.frames_pruned << " frames pruned)";
+      }
+      for (int64_t fid : store_->FrameIds(source, catch_up.since, marks[g])) {
+        items.emplace_back(fid, g);
       }
     }
-    TileStore* store = store_.get();
-    Counter* seam_counter = m_seam_frames_;
-    const std::string source_name = wire.source;
-    StoreScan seam_scan = wire_scan(wire);
-    auto replay = [store, seam_counter, source_name, seam_scan](
-                      int64_t after, int64_t before, EventSink* sink) {
-      StoreScan scan = seam_scan;
-      scan.min_frame_id = after == std::numeric_limits<int64_t>::min()
-                              ? after
-                              : after + 1;
-      scan.max_frame_id = before == std::numeric_limits<int64_t>::max()
-                              ? before
-                              : before - 1;
-      if (seam_counter) {
-        seam_counter->Increment(
-            store->FrameIds(source_name, scan.min_frame_id, scan.max_frame_id)
-                .size());
+    std::stable_sort(items.begin(), items.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    backlog = items.size();
+    catchup_backlog_.fetch_add(backlog, std::memory_order_relaxed);
+    for (const auto& [frame_id, g] : items) {
+      GEOSTREAMS_RETURN_IF_ERROR(replay_frame(*gates[g], frame_id));
+      --backlog;
+      catchup_backlog_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    // Arm each gate at the watermark its input was replayed up to. A
+    // frame that committed meanwhile moved the watermark and Arm
+    // refuses: replay the new frames and try again. Neither the state
+    // lock nor the gate mutex is held while the store is read.
+    for (size_t g = 0; g < gates.size(); ++g) {
+      while (!gates[g]->Arm(marks[g])) {
+        const int64_t lo = marks[g] == std::numeric_limits<int64_t>::min()
+                               ? catch_up.since
+                               : std::max(catch_up.since, marks[g] + 1);
+        marks[g] = store_->Watermark(gates[g]->source());
+        for (int64_t fid : store_->FrameIds(gates[g]->source(), lo, marks[g])) {
+          GEOSTREAMS_RETURN_IF_ERROR(replay_frame(*gates[g], fid));
+        }
       }
-      return store->Scan(source_name, scan, sink);
-    };
-    query->gates.push_back(
-        std::make_unique<CatchUpGate>(wire.entry, w0, std::move(replay)));
-    CatchUpGate* gate = query->gates.back().get();
-
-    auto source_it = sources_.find(wire.source);
-    if (source_it == sources_.end()) {
-      return Status::Internal("catch-up source vanished: " + wire.source);
     }
-    if (wire.is_peeled) {
-      QueryState::Peeled& peeled = query->peeled[wire.peeled_index];
-      peeled.shared_id =
-          id * 1000 + static_cast<QueryId>(wire.peeled_index);
-      GEOSTREAMS_RETURN_IF_ERROR(source_it->second->shared->RegisterQuery(
-          peeled.shared_id, peeled.region, gate));
-    } else {
-      source_it->second->direct_targets.push_back(gate);
-      query->direct.emplace_back(wire.source, gate);
-    }
+    return Status::OK();
+  }();
+  catchup_backlog_.fetch_sub(backlog, std::memory_order_relaxed);
+  scheduler_->RunPending();
+  // From here on another thread may unregister the query.
+  query->catching_up.store(false, std::memory_order_release);
+  if (!replay.ok()) {
+    Status ignored = UnregisterQuery(id);
+    (void)ignored;
+    return replay;
   }
-  query->pending_wires.clear();
-  query->catching_up = false;
-  GEOSTREAMS_LOG(kInfo) << "query " << id << " caught up: " << items.size()
+  GEOSTREAMS_LOG(kInfo) << "query " << id << " caught up: " << replayed
                         << " stored frames replayed, live at the watermark";
-  // Cut-over wall anchor: the moment the gates went live. Later live
+  // Cut-over wall anchor: the moment every gate was armed. Later live
   // frames' e2e latencies are comparable against external logs from
   // this instant on.
   event_log_->Append(
       EventSeverity::kInfo, "server", "catchup-cutover",
       StringPrintf("query=%lld replayed=%zu wall_us=%llu",
-                   static_cast<long long>(id), items.size(),
+                   static_cast<long long>(id), replayed,
                    static_cast<unsigned long long>(TraceWallNowUs())));
-  return Status::OK();
-  }();
-  if (catchup_pending != 0) {
-    // Error exit mid-replay: retire this registration's remaining
-    // backlog so the gauge drains instead of freezing nonzero.
-    catchup_backlog_.fetch_sub(catchup_pending, std::memory_order_relaxed);
-    if (m_catchup_lag_) {
-      m_catchup_lag_->Set(catchup_backlog_.load(std::memory_order_relaxed));
-    }
-    catchup_pending = 0;
-  }
-  scheduler_->RunPending();
-  if (!replayed.ok()) {
-    // Clear the replay guard, then reuse the normal teardown (it
-    // skips inputs that never got wired).
-    {
-      std::unique_lock<std::shared_mutex> lock(state_mu_);
-      auto it = queries_.find(id);
-      if (it != queries_.end()) it->second->catching_up = false;
-    }
-    Status ignored = UnregisterQuery(id);
-    (void)ignored;
-    return replayed;
-  }
   return id;
 }
 
@@ -844,7 +723,7 @@ Result<QueryId> DsmsServer::RegisterDerivedStream(
 
 Result<QueryId> DsmsServer::RegisterInternal(
     const std::string& query_text, FrameCallback callback,
-    const std::string& derived_name, bool defer_wiring) {
+    const std::string& derived_name, bool catch_up) {
   GEOSTREAMS_ASSIGN_OR_RETURN(ExprPtr parsed, ParseQuery(query_text));
   GEOSTREAMS_RETURN_IF_ERROR(AnalyzeQuery(catalog_, parsed));
   GEOSTREAMS_ASSIGN_OR_RETURN(
@@ -907,7 +786,7 @@ Result<QueryId> DsmsServer::RegisterInternal(
   // Temporal IO-pruning hints for the catch-up replay, keyed by the
   // plan's leaf names (synthetic for peeled inputs).
   std::map<std::string, std::vector<TimeSet>> time_hints;
-  if (defer_wiring) {
+  if (catch_up) {
     std::map<std::string, int> leaf_count;
     CollectTimeHints(plan_expr, {}, &time_hints, &leaf_count);
     for (const auto& [leaf, count] : leaf_count) {
@@ -934,7 +813,8 @@ Result<QueryId> DsmsServer::RegisterInternal(
   // restriction index, the rest directly). Every plan input is wrapped
   // in a scheduler entry for the query's single pipeline: sources
   // enqueue cheaply, and the plan itself runs on whichever thread
-  // claims the pipeline.
+  // claims the pipeline. A catch-up query's inputs sit behind unarmed
+  // CatchUpGates until its replay arms them.
   query->pipeline = scheduler_->AddPipelineGroup(
       StringPrintf("q%lld", static_cast<long long>(id)));
   // The delivery operator sits downstream of the plan (it is the
@@ -957,44 +837,33 @@ Result<QueryId> DsmsServer::RegisterInternal(
         [&](const QueryState::Peeled& p) {
           return p.input_name == input_name;
         });
-    if (peeled_it != query->peeled.end()) {
-      if (defer_wiring) {
-        QueryState::PendingWire wire;
-        wire.source = peeled_it->source;
-        wire.input_name = input_name;
-        wire.entry = entry;
-        wire.region = peeled_it->region;
-        wire.times = time_hints[input_name];
-        wire.is_peeled = true;
-        wire.peeled_index =
-            static_cast<size_t>(peeled_it - query->peeled.begin());
-        query->pending_wires.push_back(std::move(wire));
-        continue;
-      }
-      SourceState* source = sources_.at(peeled_it->source).get();
-      peeled_it->shared_id = id * 1000 +
-          static_cast<QueryId>(peeled_it - query->peeled.begin());
-      GEOSTREAMS_RETURN_IF_ERROR(source->shared->RegisterQuery(
-          peeled_it->shared_id, peeled_it->region, entry));
-      continue;
-    }
-    auto source_it = sources_.find(input_name);
+    const bool peeled = peeled_it != query->peeled.end();
+    const std::string& source_name =
+        peeled ? peeled_it->source : input_name;
+    auto source_it = sources_.find(source_name);
     if (source_it == sources_.end()) {
       return Status::NotFound("query reads unknown stream: " + input_name);
     }
-    if (defer_wiring) {
-      QueryState::PendingWire wire;
-      wire.source = input_name;
-      wire.input_name = input_name;
-      wire.entry = entry;
-      wire.times = time_hints[input_name];
-      query->pending_wires.push_back(std::move(wire));
-      continue;
+    if (catch_up) {
+      StoreScan scan;
+      if (peeled) scan.region = peeled_it->region;
+      scan.times = time_hints[input_name];
+      query->gates.push_back(std::make_unique<CatchUpGate>(
+          entry, store_.get(), source_name, std::move(scan),
+          m_seam_frames_));
+      entry = query->gates.back().get();
     }
-    source_it->second->direct_targets.push_back(entry);
-    query->direct.emplace_back(input_name, entry);
+    if (peeled) {
+      peeled_it->shared_id = id * 1000 +
+          static_cast<QueryId>(peeled_it - query->peeled.begin());
+      GEOSTREAMS_RETURN_IF_ERROR(source_it->second->shared->RegisterQuery(
+          peeled_it->shared_id, peeled_it->region, entry));
+    } else {
+      source_it->second->direct_targets.push_back(entry);
+      query->direct.emplace_back(input_name, entry);
+    }
   }
-  query->catching_up = defer_wiring;
+  query->catching_up.store(catch_up, std::memory_order_relaxed);
 
   GEOSTREAMS_LOG(kInfo) << "registered "
                         << (query->is_derived ? "derived stream " : "query ")
@@ -1023,7 +892,7 @@ Status DsmsServer::UnregisterQuery(QueryId id) {
           "query %lld is already being unregistered",
           static_cast<long long>(id)));
     }
-    if (query.catching_up) {
+    if (query.catching_up.load(std::memory_order_acquire)) {
       // The catch-up replay holds raw pointers to this query's entry
       // sinks without any lock; tearing them down now would be a
       // use-after-free. Retryable — the replay window is short.
@@ -1033,9 +902,6 @@ Status DsmsServer::UnregisterQuery(QueryId id) {
     }
     query.unregistering = true;
     for (const auto& peeled : query.peeled) {
-      // shared_id 0 = never wired (a catch-up registration that
-      // failed before phase 2); nothing to detach.
-      if (peeled.shared_id == 0) continue;
       auto source_it = sources_.find(peeled.source);
       if (source_it != sources_.end() && source_it->second->shared) {
         Status st = source_it->second->shared->UnregisterQuery(
@@ -1061,6 +927,12 @@ Status DsmsServer::UnregisterQuery(QueryId id) {
   // to new producers (`unregistering` + detached sources), so nothing
   // re-wires it while we wait.
   GEOSTREAMS_RETURN_IF_ERROR(scheduler_->RemovePipeline(pipeline));
+  // No event can reach the pipeline any more, so nothing re-creates
+  // its stage series; frames still queued in client writers observe
+  // into their own shared handles.
+  metrics_registry_.RemoveSeries(
+      kE2eLatencyFamily, "query",
+      StringPrintf("q%lld", static_cast<long long>(id)));
   std::unique_lock<std::shared_mutex> lock(state_mu_);
   queries_.erase(id);
   return Status::OK();

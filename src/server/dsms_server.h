@@ -154,15 +154,16 @@ class DsmsServer {
   Result<QueryId> RegisterQuery(const std::string& query_text,
                                 FrameCallback callback);
 
-  /// Registers a continuous query with historical catch-up: replays
-  /// every committed store frame with id >= catch_up.since through
-  /// the query's plan, then cuts over to the live stream exactly once
-  /// at a frame-id watermark — no gap, no duplicate (see
-  /// CatchUpGate). Requires DsmsOptions::store_dir; without a store
-  /// this degrades to plain registration (there is no history to
-  /// replay). The callback starts firing during this call — it must
-  /// be ready before registration returns. With zero workers, all of
-  /// the replayed history has been delivered when this returns.
+  /// Registers a continuous query with historical catch-up: like any
+  /// query, but each input sits behind an unarmed CatchUpGate that
+  /// drops live events while this thread replays every committed store
+  /// frame with id >= catch_up.since through the plan, lock-free. Each
+  /// gate is then armed at the watermark replayed up to and cuts over
+  /// to the live stream exactly once — no gap, no duplicate (a
+  /// StreamEnd that beats the arming is dropped). Without a store
+  /// (DsmsOptions::store_dir) this is plain registration. The callback
+  /// fires during this call; with zero workers all replayed history
+  /// has been delivered when it returns.
   Result<QueryId> RegisterQuery(const std::string& query_text,
                                 FrameCallback callback,
                                 const CatchUpOptions& catch_up);
@@ -309,14 +310,15 @@ class DsmsServer {
   class IsolatedEntrySink;
   class GuardedIngestSink;
 
-  /// When `defer_wiring` is set (the catch-up path), plan inputs are
-  /// built and recorded as pending wirings but NOT attached to their
-  /// sources — the caller attaches them later, behind CatchUpGates,
-  /// after replaying history (see RegisterQuery's catch-up overload).
+  /// Builds the plan and wires its inputs to their sources. With
+  /// `catch_up` (RegisterQuery's catch-up overload) each input is
+  /// wired behind an unarmed CatchUpGate and the query is marked
+  /// catching up; the caller replays history and arms the gates.
+  /// Requires the exclusive state lock.
   Result<QueryId> RegisterInternal(const std::string& query_text,
                                    FrameCallback callback,
                                    const std::string& derived_name,
-                                   bool defer_wiring = false);
+                                   bool catch_up = false);
 
   /// Peels optimizer-pushed leaf restrictions region(stream) out of
   /// the tree, recording (stream, region) pairs; the peeled leaves get
@@ -361,11 +363,10 @@ class DsmsServer {
   Counter* m_seam_frames_ = nullptr;
   Counter* m_catchup_truncated_ = nullptr;
   /// Catch-up lag: stored frames still to replay, summed over all
-  /// in-flight SINCE registrations. One unlabeled series — a
+  /// in-flight SINCE registrations, mirrored into the unlabeled
+  /// `geostreams_catchup_lag_frames` gauge at scrape time (a
   /// per-query-id label would grow without bound over the server's
-  /// lifetime. The atomic is the source of truth (replays run
-  /// concurrently); the gauge mirrors it after every change.
-  Gauge* m_catchup_lag_ = nullptr;
+  /// lifetime).
   std::atomic<uint64_t> catchup_backlog_{0};
   std::atomic<uint64_t> next_trace_id_{1};
   /// Control plane vs data plane: every ingest event's fan-out takes

@@ -4,6 +4,29 @@
 
 namespace geostreams {
 
+bool CatchUpGate::Arm(int64_t watermark) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (store_->Watermark(source_) != watermark) return false;
+  watermark_ = watermark;
+  armed_ = true;
+  return true;
+}
+
+Status CatchUpGate::ReplaySeam(int64_t before) {
+  StoreScan scan = scan_;
+  scan.min_frame_id = watermark_ == std::numeric_limits<int64_t>::min()
+                          ? watermark_
+                          : watermark_ + 1;
+  scan.max_frame_id =
+      before == std::numeric_limits<int64_t>::max() ? before : before - 1;
+  if (seam_frames_ != nullptr) {
+    seam_frames_->Increment(
+        store_->FrameIds(source_, scan.min_frame_id, scan.max_frame_id)
+            .size());
+  }
+  return store_->Scan(source_, scan, downstream_);
+}
+
 Status CatchUpGate::Consume(const StreamEvent& event) {
   if (live_.load(std::memory_order_acquire)) {
     return downstream_->Consume(event);
@@ -12,34 +35,31 @@ Status CatchUpGate::Consume(const StreamEvent& event) {
   if (live_.load(std::memory_order_relaxed)) {
     return downstream_->Consume(event);
   }
+  // Unarmed: the registering thread is still replaying, and every
+  // frame this drops is in the store for it (or the seam) to read.
+  if (!armed_) return Status::OK();
   switch (event.kind) {
     case EventKind::kFrameBegin:
       if (event.frame.frame_id > watermark_) {
-        // Cut-over: any frame committed after the wiring snapshot but
-        // before this one comes from the store, exactly once.
-        if (replay_) {
-          GEOSTREAMS_RETURN_IF_ERROR(
-              replay_(watermark_, event.frame.frame_id, downstream_));
-        }
+        // Cut-over: any frame committed after the watermark but before
+        // this one comes from the store, exactly once.
+        GEOSTREAMS_RETURN_IF_ERROR(ReplaySeam(event.frame.frame_id));
         live_.store(true, std::memory_order_release);
         return downstream_->Consume(event);
       }
-      dropped_frames_.fetch_add(1, std::memory_order_relaxed);
       return Status::OK();
     case EventKind::kStreamEnd:
       // The stream ends before another live frame: drain the seam to
       // the end of recorded history, then let the end through.
-      if (replay_) {
-        GEOSTREAMS_RETURN_IF_ERROR(replay_(
-            watermark_, std::numeric_limits<int64_t>::max(), downstream_));
-      }
+      GEOSTREAMS_RETURN_IF_ERROR(
+          ReplaySeam(std::numeric_limits<int64_t>::max()));
       live_.store(true, std::memory_order_release);
       return downstream_->Consume(event);
     case EventKind::kPointBatch:
     case EventKind::kFrameEnd:
       // Interior of a frame at or below the watermark (it is already
-      // in the store) — or of the in-flight frame whose Begin
-      // preceded wiring, which the seam replay will deliver whole.
+      // in the store) — or of the in-flight frame whose Begin the gate
+      // dropped, which the seam replay will deliver whole.
       return Status::OK();
   }
   return Status::OK();

@@ -1,73 +1,85 @@
 // Exactly-once seam between stored history and the live stream.
 //
-// A catch-up query replays committed frames up to a watermark W0 from
-// the TileStore, then its live wiring must deliver every frame after
-// W0 and nothing at or below it. The gate sits where the live fan-out
-// would normally feed the query's entry sink and enforces that
-// contract:
+// A catch-up query's inputs are wired to their sources at
+// registration, each behind a CatchUpGate. The registering thread
+// replays the TileStore into the inputs with no lock held, then arms
+// each gate at the watermark W it replayed up to. The live side must
+// then deliver every frame after W and nothing at or below it:
 //
-//   * While gated, every live event is dropped EXCEPT the first
-//     FrameBegin whose id exceeds the watermark. Frames at or below
-//     the watermark were (or will be, via the seam replay) served
-//     from the store — forwarding them live would duplicate.
-//   * On that first post-watermark FrameBegin the gate invokes the
-//     seam replay — the store scan of the open interval
-//     (watermark, frame_id) — to deliver any frame that committed
-//     between the wiring snapshot and this moment, then forwards the
-//     FrameBegin and goes transparent forever (a single relaxed
-//     atomic load on the hot path).
-//   * StreamEnd while still gated replays (watermark, +inf) first so
-//     a stream that ends before producing another frame still yields
-//     its full history, then forwards the StreamEnd.
+//   * Unarmed, the gate drops every event. Nothing is lost: the server
+//     commits each frame to the store before it fans the frame out,
+//     so the replay (or the seam below) reads back whatever was
+//     dropped. A dropped StreamEnd is not replayed.
+//   * Arm(W) succeeds only if the store's watermark is still W under
+//     the gate's mutex, so no frame above W finished its fan-out
+//     before arming; otherwise the caller replays the new frames and
+//     retries.
+//   * Armed, frames at or below W are dropped. The first FrameBegin
+//     above W replays the open interval (W, frame_id) from the store —
+//     frames that committed while the gate was dropping — forwards the
+//     FrameBegin and goes transparent for good (one acquire load on
+//     the hot path). A StreamEnd drains (W, +inf) first, so a stream
+//     that ends without another frame still yields its full history.
 //
-// The gate is driven by the single ingest thread of its source (the
-// fan-out contract), so the mutex is uncontended; it exists to make
-// the live_ flip safe against concurrent readers of the flag.
+// One ingest thread drives the gate (the fan-out contract); the mutex
+// orders it against the arming thread.
 
 #ifndef GEOSTREAMS_STORE_CATCH_UP_GATE_H_
 #define GEOSTREAMS_STORE_CATCH_UP_GATE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
+#include <string>
 
 #include "common/status.h"
 #include "core/stream_event.h"
+#include "obs/metrics_registry.h"
+#include "store/tile_store.h"
 #include "stream/operator.h"
 
 namespace geostreams {
 
-/// Replays committed store frames with ids in the OPEN interval
-/// (after, before) into the sink, ascending.
-using SeamReplayFn =
-    std::function<Status(int64_t after, int64_t before, EventSink* sink)>;
-
 class CatchUpGate : public EventSink {
  public:
-  CatchUpGate(EventSink* downstream, int64_t watermark, SeamReplayFn replay)
+  /// `scan` carries the input's region and time hints; its frame-id
+  /// bounds are ignored. `seam_frames` (may be null) counts the frames
+  /// the seam replay delivers.
+  CatchUpGate(EventSink* downstream, TileStore* store, std::string source,
+              StoreScan scan, Counter* seam_frames)
       : downstream_(downstream),
-        watermark_(watermark),
-        replay_(std::move(replay)) {}
+        store_(store),
+        source_(std::move(source)),
+        scan_(std::move(scan)),
+        seam_frames_(seam_frames) {}
 
   Status Consume(const StreamEvent& event) override;
 
-  /// True once the gate has cut over to the live stream.
-  bool live() const { return live_.load(std::memory_order_acquire); }
+  /// Arms the gate at `watermark` if the store's watermark for the
+  /// source still equals it; false (the gate stays unarmed) when it
+  /// moved. Never scans the store.
+  bool Arm(int64_t watermark);
 
-  /// Frames dropped while gated (duplicates avoided); diagnostics.
-  uint64_t dropped_frames() const {
-    return dropped_frames_.load(std::memory_order_relaxed);
-  }
+  /// The plan input behind the gate (the replay feeds it directly).
+  EventSink* downstream() const { return downstream_; }
+  const std::string& source() const { return source_; }
+  const StoreScan& scan() const { return scan_; }
 
  private:
-  EventSink* downstream_;
-  const int64_t watermark_;
-  SeamReplayFn replay_;
+  /// Replays committed frames with ids in the OPEN interval
+  /// (watermark_, before) into the downstream sink, ascending.
+  Status ReplaySeam(int64_t before);
+
+  EventSink* const downstream_;
+  TileStore* const store_;
+  const std::string source_;
+  const StoreScan scan_;
+  Counter* const seam_frames_;
 
   std::mutex mu_;
+  bool armed_ = false;      // guarded by mu_
+  int64_t watermark_ = 0;   // guarded by mu_; valid once armed_
   std::atomic<bool> live_{false};
-  std::atomic<uint64_t> dropped_frames_{0};
 };
 
 }  // namespace geostreams

@@ -56,6 +56,9 @@ struct QueryScheduler::Queue {
   /// Finished traces for sampled events delivered through this
   /// pipeline (bounded ring; see SchedulerOptions::trace_ring_capacity).
   std::unique_ptr<TraceRing> traces;
+  /// The pipeline's e2e stage series, resolved on its first staged
+  /// event (null until then, and without a registry).
+  std::shared_ptr<const QueryStageHistograms> stages;
 };
 
 QueryScheduler::QueryScheduler(SchedulerOptions options)
@@ -421,12 +424,27 @@ bool QueryScheduler::DeliverNextLocked(std::unique_lock<std::mutex>& lock) {
   Item item = std::move(queue.events.front());
   queue.events.pop_front();
   --queued_;
+  // Only anchored FrameEnd events are staged, so per-stage sums
+  // partition the frame's end-to-end latency. A staged event carries
+  // the pipeline's stage series down the chain and on to the client
+  // writers.
+  TraceContext* trace = item.event.trace.get();
+  const bool staged = trace != nullptr &&
+                      item.event.kind == EventKind::kFrameEnd &&
+                      trace->last_anchor_wall_us() != 0 &&
+                      options_.metrics != nullptr;
+  if (staged) {
+    if (!queue.stages) {
+      queue.stages = QueryStageHistograms::Resolve(options_.metrics,
+                                                   queue.name);
+    }
+    trace->set_stages(queue.stages);
+  }
   lock.unlock();
   // The claim invariant makes this call single-threaded per
   // pipeline; the mutex acquire/release around claim and release
   // orders operator state (incl. OperatorMetrics) across threads.
   Status st;
-  TraceContext* trace = item.event.trace.get();
   if (trace == nullptr) {
     st = item.downstream->Consume(item.event);
   } else {
@@ -446,10 +464,8 @@ bool QueryScheduler::DeliverNextLocked(std::unique_lock<std::mutex>& lock) {
     // first of a fan-out) reports them, and only while its chain
     // still sits at the seeded anchor (a retried event has advanced
     // past it). `queue` closes at the claim itself and is
-    // per-pipeline. Only FrameEnd events are staged so per-stage
-    // sums partition the frame's end-to-end latency.
-    if (item.event.kind == EventKind::kFrameEnd &&
-        trace->last_anchor_wall_us() != 0 && options_.metrics != nullptr) {
+    // per-pipeline.
+    if (staged) {
       const uint64_t capture = trace->capture_wall_us();
       const uint64_t admit = trace->admit_wall_us();
       const uint64_t durable = trace->durable_wall_us();
@@ -465,8 +481,9 @@ bool QueryScheduler::DeliverNextLocked(std::unique_lock<std::mutex>& lock) {
                           trace->origin(), durable - admit, trace);
         }
       }
-      ObserveE2eStage(options_.metrics, "queue", "query", queue.name,
-                      trace->AdvanceStage(TraceWallNowUs()), trace);
+      ObserveE2eStage(trace->stages()->queue.get(),
+                      trace->AdvanceStage(TraceWallNowUs()),
+                      trace->ring_ordinal(), trace->pipeline());
     }
     // Activate for the chain: operators emit fresh events, so they
     // read the trace from the thread-local, not the event.

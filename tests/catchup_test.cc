@@ -10,15 +10,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/string_util.h"
 #include "server/dsms_server.h"
 #include "tests/test_util.h"
 
@@ -355,6 +359,81 @@ TEST(CatchUpTest, StoreSurvivesServerRestartAndServesNewSubscribers) {
   audit.ExpectSampleValues();
   GS_ASSERT_OK(server.UnregisterQuery(*id));
 }
+
+/// Seam audit under concurrent ingest: a producer thread pushes live
+/// frames, then a StreamEnd, while a SINCE registration replays the
+/// store and arms its gates. Depending on the interleaving, a live
+/// frame is replayed by the registering thread (it committed before
+/// the gate armed, which moves the watermark and makes the arming
+/// retry), by the seam or the StreamEnd drain (it committed after),
+/// or flows live; a StreamEnd that beats the arming is dropped. Every
+/// interleaving must deliver each frame exactly once, in order.
+/// Parameterized on the worker count and on the plan: one source, or
+/// a two-source ndvi(a, b) whose two gates arm independently.
+class CatchUpConcurrentIngestTest
+    : public ::testing::TestWithParam<std::tuple<size_t, bool>> {};
+
+TEST_P(CatchUpConcurrentIngestTest, LiveFramesRacingTheReplayArriveOnce) {
+  const size_t workers = std::get<0>(GetParam());
+  const bool ndvi = std::get<1>(GetParam());
+  DsmsOptions options;
+  options.workers = workers;
+  options.store_dir = FreshDir("store");
+  DsmsServer server(options);
+  GS_ASSERT_OK(server.RegisterStream(TestDescriptor("a")));
+  GS_ASSERT_OK(server.RegisterStream(TestDescriptor("b")));
+  const std::vector<std::string> sources =
+      ndvi ? std::vector<std::string>{"a", "b"}
+           : std::vector<std::string>{"a"};
+  const GridLattice lattice = LatLonLattice(16, 12);
+  auto push = [&](int64_t frame) -> Status {
+    for (const std::string& source : sources) {
+      GEOSTREAMS_RETURN_IF_ERROR(
+          PushFrame(server.ingest(source), lattice, frame));
+    }
+    return Status::OK();
+  };
+  // A history long enough that the producer usually finishes — its
+  // StreamEnd included — while the replay is still running.
+  constexpr int64_t kHistory = 48;
+  constexpr int64_t kLive = 8;
+  for (int64_t f = 0; f < kHistory; ++f) GS_ASSERT_OK(push(f));
+  GS_ASSERT_OK(server.Flush());
+
+  Audit audit;
+  std::atomic<bool> go{false};
+  Status produced = Status::OK();
+  std::thread producer([&] {
+    while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+    for (int64_t f = kHistory; f < kHistory + kLive && produced.ok(); ++f) {
+      produced = push(f);
+    }
+    for (const std::string& source : sources) {
+      if (!produced.ok()) break;
+      produced = server.ingest(source)->Consume(StreamEvent::StreamEnd());
+    }
+  });
+  CatchUpOptions catch_up;
+  catch_up.since = INT64_MIN;
+  go.store(true, std::memory_order_release);
+  auto id = server.RegisterQuery(ndvi ? "ndvi(a, b)" : "a", audit.Callback(),
+                                 catch_up);
+  producer.join();
+  GS_ASSERT_OK(produced);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  GS_ASSERT_OK(server.Flush());
+  audit.ExpectContiguous(0, kHistory + kLive - 1);
+  GS_ASSERT_OK(server.UnregisterQuery(*id));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WorkersAndPlans, CatchUpConcurrentIngestTest,
+    ::testing::Combine(::testing::Values(size_t{0}, size_t{2}),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, bool>>& info) {
+      return StringPrintf("Workers%zu%s", std::get<0>(info.param),
+                          std::get<1>(info.param) ? "Ndvi" : "OneSource");
+    });
 
 }  // namespace
 }  // namespace geostreams

@@ -1319,6 +1319,41 @@ TEST(ProducerE2eTest, SlidingWindowKeepsExactlyOnceUnderStalls) {
   EXPECT_GT(producer.stats().window_stalls, 0u);
 }
 
+TEST(ProducerE2eTest, FullWindowWaitsForTheNextAckNotTheResendTimeout) {
+  // A full window blocks Publish until an ack makes room. With a
+  // prompt server that is the next ack's round trip, so even the
+  // stalled publishes stay far below the resend timeout — which only
+  // bounds a wait that sees no ack at all.
+  constexpr int kBatches = 12;
+  AuditSink audit;
+  NetServerOptions net_options;
+  net_options.ingest_resolver = [&audit](const std::string&) -> EventSink* {
+    return &audit;
+  };
+  IngestFixture fixture(std::move(net_options));
+
+  ProducerClientOptions options = fixture.ProducerOptions("window.src");
+  options.window_messages = 2;
+  options.resend_timeout_ms = 1000;
+  ProducerClient producer(options);
+  GS_ASSERT_OK(producer.Connect());
+  std::vector<double> publish_ms;
+  for (int i = 0; i < kBatches; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    GS_ASSERT_OK(producer.Publish(BatchEvent(i)));
+    publish_ms.push_back(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+  }
+  GS_ASSERT_OK(producer.Flush(10000));
+  EXPECT_GT(producer.stats().window_stalls, 0u);
+  ExpectExactlyOnceInOrder(audit, kBatches);
+  std::sort(publish_ms.begin(), publish_ms.end());
+  // p99 of 12 samples is the slowest publish.
+  EXPECT_LT(publish_ms.back(), options.resend_timeout_ms / 4.0)
+      << "a full window waited out the resend timeout";
+}
+
 TEST(ProducerE2eTest, FullWindowWithDeadServerIsResourceExhausted) {
   // A fake server that answers ATTACH and then never acks: the window
   // fills, AwaitWindow burns its stall budget (resending each round),

@@ -1267,6 +1267,72 @@ TEST(NetServerE2eTest, MetricsExpositionLintPasses) {
   ASSERT_GE(om_exemplars, 1u) << "the lint probe exemplar did not render";
 }
 
+/// Stamps admission anchors on FrameEnd events, as the ingest session
+/// does, so every frame is traced through the latency plane's stages.
+class AdmitStampingSink : public EventSink {
+ public:
+  explicit AdmitStampingSink(EventSink* downstream)
+      : downstream_(downstream) {}
+  Status Consume(const StreamEvent& event) override {
+    if (event.kind != EventKind::kFrameEnd) return downstream_->Consume(event);
+    StreamEvent stamped = event;
+    stamped.anchors.admit_wall_us = TraceWallNowUs();
+    return downstream_->Consume(stamped);
+  }
+
+ private:
+  EventSink* downstream_;
+};
+
+TEST(NetServerE2eTest, QueryChurnLeavesTheExpositionFlat) {
+  // Each traced query owns four `geostreams_e2e_latency_us{stage=queue|
+  // operators|deliver|write,query=q<id>}` series; unregistering the
+  // query must take them out of /metrics again, or the exposition
+  // grows by one query's worth of lines per subscriber forever.
+  DsmsOptions options;
+  options.trace_sample_every = 1;
+  NetFixture fixture(options);
+  GeoStreamsClient client;
+  GS_ASSERT_OK(client.Connect("127.0.0.1", fixture.net().port()));
+  AdmitStampingSink band1(fixture.server().ingest("goes.band1"));
+  AdmitStampingSink band2(fixture.server().ingest("goes.band2"));
+  int64_t scan = 0;
+  auto cycle = [&](bool expect_series) {
+    auto response = client.Command("QUERY goes.band1");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(StartsWith(*response, "OK QUERY ")) << *response;
+    const int64_t id = ParseIdFromOk(*response);
+    GS_ASSERT_OK(
+        fixture.generator().GenerateScans(scan++, 1, {&band2, &band1}));
+    auto frame = client.ReadFrame();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    if (expect_series) {
+      // While the query lives its stage series are exported.
+      const std::string metrics = fixture.server().RenderMetrics();
+      EXPECT_NE(metrics.find(StringPrintf(
+                    "geostreams_e2e_latency_us_count{stage=\"queue\","
+                    "query=\"q%lld\"} 1\n",
+                    static_cast<long long>(id))),
+                std::string::npos)
+          << metrics;
+    }
+    auto unregister = client.Command(
+        StringPrintf("UNREGISTER %lld", static_cast<long long>(id)));
+    ASSERT_TRUE(unregister.ok()) << unregister.status().ToString();
+    ASSERT_TRUE(StartsWith(*unregister, "OK UNREGISTER")) << *unregister;
+  };
+  auto exposition_lines = [&] {
+    const std::string body =
+        ScrapeHttpBody(fixture.net().port(), "/metrics", "", nullptr);
+    return std::count(body.begin(), body.end(), '\n');
+  };
+  // Warm up: every per-source and per-operator-kind series exists.
+  for (int i = 0; i < 10; ++i) ASSERT_NO_FATAL_FAILURE(cycle(i == 0));
+  const auto before = exposition_lines();
+  for (int i = 0; i < 1000; ++i) ASSERT_NO_FATAL_FAILURE(cycle(false));
+  EXPECT_EQ(exposition_lines(), before);
+}
+
 TEST(NetServerE2eTest, ControlTokenGatesMutatingVerbs) {
   NetServerOptions net_options;
   net_options.control_auth_token = "hunter2";
