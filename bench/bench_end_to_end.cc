@@ -31,6 +31,7 @@ namespace geostreams {
 namespace {
 
 using bench_util::CheckOk;
+using bench_util::RecordedScans;
 using bench_util::ValueOrDie;
 
 constexpr int64_t kCells = 64 << 10;
@@ -43,53 +44,6 @@ InstrumentConfig MakeConfig() {
   config.name_prefix = "goes";
   return config;
 }
-
-/// One schedule cycle of generator scans (12 scans: full disk, northern
-/// hemisphere and CONUS sectors), recorded with the bands interleaved
-/// as the generator emits them. Replay feeds the same events by const
-/// reference (operators never mutate input batches). Frame ids repeat
-/// once per cycle; `frames_per_scan` shows every query still delivers
-/// every scan.
-class RecordedScans {
- public:
-  static constexpr int64_t kCycle = 12;
-
-  explicit RecordedScans(StreamGenerator* gen) {
-    Recorder band0(this, 0);
-    Recorder band1(this, 1);
-    const std::vector<EventSink*> sinks = {&band0, &band1};
-    for (int64_t scan = 0; scan < kCycle; ++scan) {
-      scans_.emplace_back();
-      CheckOk(gen->GenerateScans(scan, 1, sinks), "record scan");
-    }
-  }
-
-  /// Replays scan `scan % kCycle`; returns the points it carried.
-  int64_t Replay(int64_t scan, const std::vector<EventSink*>& sinks) const {
-    int64_t points = 0;
-    for (const auto& [band, event] : scans_[scan % kCycle]) {
-      CheckOk(sinks[band]->Consume(event), "replay scan");
-      if (event.batch) points += static_cast<int64_t>(event.batch->size());
-    }
-    return points;
-  }
-
- private:
-  class Recorder : public EventSink {
-   public:
-    Recorder(RecordedScans* owner, size_t band) : owner_(owner), band_(band) {}
-    Status Consume(const StreamEvent& event) override {
-      owner_->scans_.back().emplace_back(band_, event);
-      return Status::OK();
-    }
-
-   private:
-    RecordedScans* owner_;
-    size_t band_;
-  };
-
-  std::vector<std::vector<std::pair<size_t, StreamEvent>>> scans_;
-};
 
 /// Queries clients would register: regional raw-band subscriptions,
 /// NDVI products, and a re-projected product.

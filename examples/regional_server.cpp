@@ -221,11 +221,11 @@ int main(int argc, char** argv) {
     }
   }
   options.store_dir = store_dir;
-  // Disk budgets: retention enforces them (settled journal records
+  // Disk caps: retention enforces them (settled journal records
   // retire, old store frames prune); real disk pressure beyond them
   // degrades the storage plane instead of crashing the server.
-  options.journal_budget.max_bytes = journal_max_bytes;
-  options.store_budget.max_bytes = store_max_bytes;
+  options.journal.retention_max_bytes = journal_max_bytes;
+  options.store.retention_max_bytes = store_max_bytes;
   options.store.retention_max_frames = store_max_frames;
   DsmsServer server(options);
   if (server.store() != nullptr) {

@@ -55,10 +55,10 @@ cmake --build build-tsan -j "${JOBS}" \
                journal_compaction_test tile_store_test \
                tile_store_retention_test tile_store_churn_test \
                storage_governor_test catchup_test storage_format_test \
-               record_file_test journal_sync_test
+               record_file_test journal_sync_test metrics_mirror_test
 (cd build-tsan && \
  ctest --output-on-failure -j "${JOBS}" \
-       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|CatchUpTest|WorkersAndPlans/CatchUpConcurrentIngestTest|JournalCompactionTest|StorageFormatTest|RecordFileTest|BothStores/DamageClassificationTest|JournalSyncTest)')
+       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|CatchUpTest|WorkersAndPlans/CatchUpConcurrentIngestTest|JournalCompactionTest|StorageFormatTest|RecordFileTest|BothStores/DamageClassificationTest|JournalSyncTest|MetricsMirrorTest)')
 
 echo "== tier-1: ASan+UBSan lane (same concurrency/supervision set) =="
 cmake -B build-asan -S . "-DGEOSTREAMS_SANITIZE=address,undefined" \
@@ -70,10 +70,11 @@ cmake --build build-asan -j "${JOBS}" \
                journal_compaction_test tile_store_test \
                tile_store_retention_test tile_store_churn_test \
                storage_governor_test disk_pressure_e2e_test catchup_test \
-               storage_format_test record_file_test journal_sync_test
+               storage_format_test record_file_test journal_sync_test \
+               metrics_mirror_test
 (cd build-asan && \
  ctest --output-on-failure -j "${JOBS}" \
-       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|JournalCompactionTest|DiskPressureE2eTest|CatchUpTest|WorkersAndPlans/CatchUpConcurrentIngestTest|StorageFormatTest|RecordFileTest|BothStores/DamageClassificationTest|JournalSyncTest)')
+       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|JournalCompactionTest|DiskPressureE2eTest|CatchUpTest|WorkersAndPlans/CatchUpConcurrentIngestTest|StorageFormatTest|RecordFileTest|BothStores/DamageClassificationTest|JournalSyncTest|MetricsMirrorTest)')
 
 echo "== tier-1: caller-runs stress lane (workers=0 scheduler, TSan) =="
 # Four producers run one caller-runs scheduler on their own threads;
@@ -97,6 +98,14 @@ echo "== tier-1: catch-up seam stress lane (SINCE replay vs concurrent ingest, T
 # repeat it under TSan.
 ./build-tsan/tests/catchup_test --gtest_repeat=200 --gtest_brief=1 \
     --gtest_filter='WorkersAndPlans/CatchUpConcurrentIngestTest.*'
+
+echo "== tier-1: metrics-mirror teardown stress lane (scrapes vs subsystem teardown, TSan) =="
+# A scrape loop keeps running while a governor, journal, store and
+# NetServer that registered collectors are built and torn down; a
+# collector outliving its subsystem shows up only in some
+# interleavings, so repeat it under TSan.
+./build-tsan/tests/metrics_mirror_test --gtest_repeat=200 --gtest_brief=1 \
+    --gtest_filter='MetricsMirrorTest.ScrapesRaceSubsystemTeardown'
 
 echo "== tier-1: churn stress lane (tile-store readers vs retention GC) =="
 # One churn run races a writer, a retention storm and three readers;

@@ -28,37 +28,42 @@ IngestSession::IngestSession(std::string source, EventSink* target,
                        ? options_.source_burst_bytes
                        : options_.source_rate_bytes_per_sec;
   budget_refilled_ms_ = NowMsLocked();
-  if (options_.metrics != nullptr) {
-    MetricsRegistry& reg = *options_.metrics;
-    const MetricLabels labels{{"source", source_}};
-    m_acks_ = reg.GetCounter("geostreams_ingest_acks_total",
-                             "Ingest messages acknowledged", labels);
-    m_nacks_ = reg.GetCounter("geostreams_ingest_nacks_total",
-                              "Ingest messages refused", labels);
-    m_replays_ = reg.GetCounter(
-        "geostreams_ingest_replays_total",
-        "Duplicate sequence numbers re-acked after producer replay",
-        labels);
-    m_gaps_ = reg.GetCounter("geostreams_ingest_gaps_total",
-                             "Sequence gaps NACKed with a rewind point",
-                             labels);
-    m_delivered_ = reg.GetCounter("geostreams_ingest_delivered_total",
-                                  "Events delivered into the query chain",
-                                  labels);
-    m_shed_events_ = reg.GetCounter(
-        "geostreams_ingest_shed_events_total",
-        "Batches acked-but-dropped by kShed admission control", labels);
-    m_shed_points_ = reg.GetCounter("geostreams_ingest_shed_points_total",
-                                    "Points inside kShed-dropped batches",
-                                    labels);
-    m_shed_bytes_ = reg.GetCounter(
-        "geostreams_ingest_shed_bytes_total",
-        "Approximate bytes inside kShed-dropped batches", labels);
-    m_e2e_total_ = reg.GetHistogram(
-        kE2eLatencyFamily, kE2eLatencyHelp,
-        {{"stage", "total"}, {"source", source_}},
-        MetricHistogram::LatencyBucketsUs());
-  }
+  if (options_.metrics == nullptr) return;
+  MetricsRegistry& reg = *options_.metrics;
+  const MetricLabels labels{{"source", source_}};
+  auto counter = [&](const char* name, const char* help) {
+    return reg.GetCounter(name, help, labels);
+  };
+  Counter* acks = counter("geostreams_ingest_acks_total",
+                          "Ingest messages acknowledged");
+  Counter* nacks =
+      counter("geostreams_ingest_nacks_total", "Ingest messages refused");
+  Counter* replays =
+      counter("geostreams_ingest_replays_total",
+              "Duplicate sequence numbers re-acked after producer replay");
+  Counter* gaps = counter("geostreams_ingest_gaps_total",
+                          "Sequence gaps NACKed with a rewind point");
+  Counter* delivered = counter("geostreams_ingest_delivered_total",
+                               "Events delivered into the query chain");
+  Counter* shed_events =
+      counter("geostreams_ingest_shed_events_total",
+              "Batches acked-but-dropped by kShed admission control");
+  Counter* shed_points = counter("geostreams_ingest_shed_points_total",
+                                 "Points inside kShed-dropped batches");
+  Counter* shed_bytes =
+      counter("geostreams_ingest_shed_bytes_total",
+              "Approximate bytes inside kShed-dropped batches");
+  collector_ = reg.AddCollector([=, this] {
+    const IngestSessionStats s = Stats();
+    acks->Set(s.acks);
+    nacks->Set(s.nacks);
+    replays->Set(s.duplicates);
+    gaps->Set(s.gaps);
+    delivered->Set(s.delivered);
+    shed_events->Set(s.overload_shed + s.budget_shed);
+    shed_points->Set(s.overload_shed_points);
+    shed_bytes->Set(s.overload_shed_bytes);
+  });
 }
 
 uint64_t IngestSession::Attach() {
@@ -68,20 +73,18 @@ uint64_t IngestSession::Attach() {
   return expected_;
 }
 
-std::string IngestSession::Ack(uint64_t upto) const {
+std::string IngestSession::AckLocked(uint64_t seq) {
+  ++stats_.acks;
+  consecutive_nacks_ = 0;
+  expected_ = seq + 1;
+  if (options_.journal != nullptr) options_.journal->SetRetainFloor(expected_);
   return StringPrintf("ACK %s %llu", source_.c_str(),
-                      static_cast<unsigned long long>(upto));
-}
-
-std::string IngestSession::Nack(uint64_t seq, const Status& status) const {
-  return StringPrintf("NACK %s %llu %s %s", source_.c_str(),
-                      static_cast<unsigned long long>(seq),
-                      StatusCodeName(status.code()),
-                      status.message().c_str());
+                      static_cast<unsigned long long>(seq));
 }
 
 std::string IngestSession::NackTrackedLocked(uint64_t seq,
                                              const Status& status) {
+  ++stats_.nacks;
   ++consecutive_nacks_;
   if (options_.event_log != nullptr && options_.nack_burst_events > 0 &&
       consecutive_nacks_ == options_.nack_burst_events) {
@@ -94,7 +97,10 @@ std::string IngestSession::NackTrackedLocked(uint64_t seq,
                      StatusCodeName(status.code()),
                      status.message().c_str()));
   }
-  return Nack(seq, status);
+  return StringPrintf("NACK %s %llu %s %s", source_.c_str(),
+                      static_cast<unsigned long long>(seq),
+                      StatusCodeName(status.code()),
+                      status.message().c_str());
 }
 
 uint64_t IngestSession::NowMsLocked() const {
@@ -157,24 +163,18 @@ std::string IngestSession::Handle(const IngestMessage& message) {
     // Re-ack cumulatively, do not re-deliver: this is where
     // at-least-once transport becomes exactly-once delivery.
     ++stats_.duplicates;
-    consecutive_nacks_ = 0;
-    if (m_replays_) m_replays_->Increment();
-    if (m_acks_) m_acks_->Increment();
-    return Ack(expected_ - 1);
+    return AckLocked(expected_ - 1);
   }
   if (message.seq > expected_) {
     // A gap: something between was lost (or the producer restarted
     // with fresh state). Tell it where to rewind to.
     ++stats_.gaps;
-    if (m_gaps_) m_gaps_->Increment();
-    if (m_nacks_) m_nacks_->Increment();
     return NackTrackedLocked(
         message.seq, Status::OutOfRange(StringPrintf(
                          "sequence gap: expected=%llu",
                          static_cast<unsigned long long>(expected_))));
   }
   if (quarantined_) {
-    if (m_nacks_) m_nacks_->Increment();
     return NackTrackedLocked(
         message.seq, Status::FailedPrecondition(StringPrintf(
                          "source quarantined: %s",
@@ -192,7 +192,6 @@ std::string IngestSession::Handle(const IngestMessage& message) {
     if (options_.overload_policy ==
         IngestSessionOptions::OverloadPolicy::kNack) {
       ++stats_.budget_nacks;
-      if (m_nacks_) m_nacks_->Increment();
       return NackTrackedLocked(
           message.seq,
           Status::ResourceExhausted(StringPrintf(
@@ -205,23 +204,11 @@ std::string IngestSession::Handle(const IngestMessage& message) {
     // the sequence number is settled forever, so a crash after it
     // must not regress the recovered high-water mark.
     const Status journaled = JournalLocked(message);
-    if (!journaled.ok()) {
-      if (m_nacks_) m_nacks_->Increment();
-      return NackTrackedLocked(message.seq, journaled);
-    }
+    if (!journaled.ok()) return NackTrackedLocked(message.seq, journaled);
     ++stats_.budget_shed;
     stats_.overload_shed_points += batch_points;
     stats_.overload_shed_bytes += batch_bytes;
-    if (m_shed_events_) m_shed_events_->Increment();
-    if (m_shed_points_) m_shed_points_->Increment(batch_points);
-    if (m_shed_bytes_) m_shed_bytes_->Increment(batch_bytes);
-    if (m_acks_) m_acks_->Increment();
-    consecutive_nacks_ = 0;
-    expected_ = message.seq + 1;
-    if (options_.journal != nullptr) {
-      options_.journal->SetRetainFloor(expected_);
-    }
-    return Ack(message.seq);
+    return AckLocked(message.seq);
   }
   if (is_batch && options_.memory != nullptr &&
       options_.admission_max_bytes > 0) {
@@ -230,7 +217,6 @@ std::string IngestSession::Handle(const IngestMessage& message) {
       if (options_.overload_policy ==
           IngestSessionOptions::OverloadPolicy::kNack) {
         ++stats_.overload_nacks;
-        if (m_nacks_) m_nacks_->Increment();
         return NackTrackedLocked(
             message.seq,
             Status::ResourceExhausted(StringPrintf(
@@ -246,20 +232,11 @@ std::string IngestSession::Handle(const IngestMessage& message) {
       // amplifying the overload. Journaled first: the ack is a
       // durable promise even for a shed batch.
       const Status journaled = JournalLocked(message);
-      if (!journaled.ok()) {
-        if (m_nacks_) m_nacks_->Increment();
-        return NackTrackedLocked(message.seq, journaled);
-      }
+      if (!journaled.ok()) return NackTrackedLocked(message.seq, journaled);
       ++stats_.overload_shed;
       stats_.overload_shed_points += batch_points;
       stats_.overload_shed_bytes += batch_bytes;
-      if (m_shed_events_) m_shed_events_->Increment();
-      if (m_shed_points_) m_shed_points_->Increment(batch_points);
-      if (m_shed_bytes_) m_shed_bytes_->Increment(batch_bytes);
-      if (m_acks_) m_acks_->Increment();
-      consecutive_nacks_ = 0;
-      expected_ = message.seq + 1;
-      return Ack(message.seq);
+      return AckLocked(message.seq);
     }
   }
 
@@ -276,10 +253,7 @@ std::string IngestSession::Handle(const IngestMessage& message) {
   event.anchors.capture_wall_us = message.capture_wall_us;
   event.anchors.admit_wall_us = TraceWallNowUs();
   const Status journaled = JournalLocked(message);
-  if (!journaled.ok()) {
-    if (m_nacks_) m_nacks_->Increment();
-    return NackTrackedLocked(message.seq, journaled);
-  }
+  if (!journaled.ok()) return NackTrackedLocked(message.seq, journaled);
   if (options_.journal != nullptr) {
     event.anchors.durable_wall_us = TraceWallNowUs();
   }
@@ -289,7 +263,6 @@ std::string IngestSession::Handle(const IngestMessage& message) {
     // sequence number once the chain recovers (transient errors) or
     // after an admin RESTART (quarantine/poison).
     ++stats_.delivery_errors;
-    if (m_nacks_) m_nacks_->Increment();
     return NackTrackedLocked(message.seq, delivered);
   }
   ++stats_.delivered;
@@ -298,15 +271,8 @@ std::string IngestSession::Handle(const IngestMessage& message) {
                               ? event.anchors.capture_wall_us
                               : event.anchors.admit_wall_us;
   }
-  if (m_delivered_) m_delivered_->Increment();
-  if (m_acks_) m_acks_->Increment();
-  consecutive_nacks_ = 0;
-  expected_ = message.seq + 1;
-  if (options_.journal != nullptr) {
-    options_.journal->SetRetainFloor(expected_);
-  }
   if (message.event.kind == EventKind::kStreamEnd) ended_ = true;
-  return Ack(message.seq);
+  return AckLocked(message.seq);
 }
 
 void IngestSession::Touch() {
@@ -364,14 +330,12 @@ IngestSessionStats IngestSession::Stats() const {
                            ? now - last_frame_wall_us_
                            : 0;
   }
-  if (m_e2e_total_ != nullptr) {
-    out.e2e_p95_us = static_cast<uint64_t>(m_e2e_total_->Percentile(95));
-  }
   return out;
 }
 
-std::string IngestSession::StatsLine() const {
-  const IngestSessionStats s = Stats();
+std::string IngestSession::StatsLine(uint64_t e2e_p95_us) const {
+  IngestSessionStats s = Stats();
+  s.e2e_p95_us = e2e_p95_us;
   return StringPrintf(
       "source=%s next=%llu received=%llu delivered=%llu duplicates=%llu "
       "gaps=%llu overload_nacks=%llu overload_shed=%llu "

@@ -78,10 +78,11 @@ struct IngestSessionOptions {
   /// query output.
   enum class OverloadPolicy : uint8_t { kNack, kShed };
   OverloadPolicy overload_policy = OverloadPolicy::kNack;
-  /// Optional registry: the session keeps per-source
-  /// `geostreams_ingest_*_total{source=...}` counters (acks, nacks,
-  /// replays, gaps, delivered events, shed events/points/bytes) in
-  /// sync with its internal stats. Not owned; may be null.
+  /// Optional registry: a scrape-time collector mirrors Stats() into
+  /// the per-source `geostreams_ingest_*_total{source=...}` counters
+  /// (acks, nacks, replays, gaps, delivered events, shed
+  /// events/points/bytes). Not owned; may be null; must outlive the
+  /// session.
   MetricsRegistry* metrics = nullptr;
   /// Durable write-ahead journal for this source (not owned; null =
   /// no durability). When set, every event that advances the expected
@@ -120,6 +121,8 @@ struct IngestSessionOptions {
 
 struct IngestSessionStats {
   uint64_t received = 0;         // ingest messages handled
+  uint64_t acks = 0;             // ACK lines sent (re-acks included)
+  uint64_t nacks = 0;            // NACK lines sent
   uint64_t delivered = 0;        // events delivered into the chain
   uint64_t duplicates = 0;       // seq already acked; re-acked
   uint64_t gaps = 0;             // seq ahead of expectation; NACKed
@@ -137,8 +140,9 @@ struct IngestSessionStats {
   /// unstamped, admission — wall clock); 0 until a frame completes.
   uint64_t freshness_us = 0;
   /// p95 of the per-source end-to-end latency histogram
-  /// (`geostreams_e2e_latency_us{stage="total",source=...}`); 0
-  /// without a registry or observations.
+  /// (`geostreams_e2e_latency_us{stage="total",source=...}`), which
+  /// the server's delivery plane owns: NetServer fills it in;
+  /// IngestSession::Stats() leaves it 0.
   uint64_t e2e_p95_us = 0;
   bool durable = false;          // a journal gates the acks
   bool quarantined = false;
@@ -179,16 +183,21 @@ class IngestSession {
   void Unquarantine();
 
   IngestSessionStats Stats() const;
-  /// The ISTATS command's value part.
-  std::string StatsLine() const;
+  /// The ISTATS command's value part, reporting `e2e_p95_us` as the
+  /// source's end-to-end p95.
+  std::string StatsLine(uint64_t e2e_p95_us = 0) const;
 
  private:
   using Clock = std::chrono::steady_clock;
 
-  std::string Ack(uint64_t upto) const;
-  std::string Nack(uint64_t seq, const Status& status) const;
-  /// Nack() plus burst accounting: a run of `nack_burst_events`
-  /// consecutive refusals records one flight-recorder event.
+  /// The one ack path: settles every sequence number <= `seq`
+  /// (advances the expectation and the journal's retain floor),
+  /// re-arms NACK-burst tracking, counts the ack, and returns the
+  /// `ACK <source> <seq>` line. A re-ack passes expected_ - 1.
+  std::string AckLocked(uint64_t seq);
+  /// The one nack path: counts the nack, tracks bursts (a run of
+  /// `nack_burst_events` consecutive refusals records one
+  /// flight-recorder event), and returns the `NACK` line.
   std::string NackTrackedLocked(uint64_t seq, const Status& status);
 
   /// Appends `message` to the journal (no-op without one). Must
@@ -217,20 +226,8 @@ class IngestSession {
   uint64_t last_frame_wall_us_ = 0;
   uint64_t consecutive_nacks_ = 0;
 
-  /// Registry counters labeled {source=...}; null when no registry
-  /// was supplied. Incremented on the Handle path (relaxed atomics).
-  Counter* m_acks_ = nullptr;
-  Counter* m_nacks_ = nullptr;
-  Counter* m_replays_ = nullptr;
-  Counter* m_gaps_ = nullptr;
-  Counter* m_delivered_ = nullptr;
-  Counter* m_shed_events_ = nullptr;
-  Counter* m_shed_points_ = nullptr;
-  Counter* m_shed_bytes_ = nullptr;
-  /// End-to-end total-latency histogram whose p95 ISTATS reports
-  /// (observed by the delivery plane; the scrape-time freshness gauge
-  /// lives in the server's collector).
-  MetricHistogram* m_e2e_total_ = nullptr;
+  /// Last member: unregistered first on destruction.
+  MetricsRegistry::CollectorHandle collector_;
 };
 
 }  // namespace geostreams

@@ -47,15 +47,15 @@ class NetServer::Connection : public SessionHooks {
     // session from its very first frame.
     auto sub = std::make_shared<Subscription>();
     sub->sessions.push_back(session_);
-    DsmsServer* dsms = server_->dsms_;
-    auto callback = [sub, dsms](int64_t frame_id, const Raster& raster,
-                                const std::vector<uint8_t>& png) {
+    auto callback = [sub](int64_t frame_id, const Raster& raster,
+                          const std::vector<uint8_t>& png) {
       // Encode once; every subscriber shares the buffer. Enqueue is
       // non-blocking by construction — a slow or closed session sheds
       // and its status is ignored here (visible in its STATS).
-      FanOutFrame(dsms, sub.get(), frame_id, raster, png);
+      FanOutFrame(sub.get(), frame_id, raster, png);
     };
-    Result<QueryId> id = dsms->RegisterQuery(text, std::move(callback));
+    Result<QueryId> id =
+        server_->dsms_->RegisterQuery(text, std::move(callback));
     if (!id.ok()) return id;
     sub->query_id.store(*id);
     {
@@ -70,10 +70,9 @@ class NetServer::Connection : public SessionHooks {
                                            int64_t since) override {
     auto sub = std::make_shared<Subscription>();
     sub->sessions.push_back(session_);
-    DsmsServer* dsms = server_->dsms_;
-    auto callback = [sub, dsms](int64_t frame_id, const Raster& raster,
-                                const std::vector<uint8_t>& png) {
-      FanOutFrame(dsms, sub.get(), frame_id, raster, png);
+    auto callback = [sub](int64_t frame_id, const Raster& raster,
+                          const std::vector<uint8_t>& png) {
+      FanOutFrame(sub.get(), frame_id, raster, png);
     };
     CatchUpOptions catch_up;
     catch_up.since = since;
@@ -89,7 +88,7 @@ class NetServer::Connection : public SessionHooks {
       server->subscriptions_.emplace(id, sub);
     };
     Result<QueryId> id =
-        dsms->RegisterQuery(text, std::move(callback), catch_up);
+        server_->dsms_->RegisterQuery(text, std::move(callback), catch_up);
     if (!id.ok()) {
       // The engine already tore the query down; drop the fan-out it
       // announced mid-flight, if any.
@@ -164,10 +163,11 @@ class NetServer::Connection : public SessionHooks {
 
   Result<std::string> IngestStatsLine(const std::string& source) override {
     auto it = attached_.find(source);
-    if (it != attached_.end()) return it->second->StatsLine();
+    const uint64_t e2e_p95_us = server_->dsms_->SourceE2eP95Us(source);
+    if (it != attached_.end()) return it->second->StatsLine(e2e_p95_us);
     GEOSTREAMS_ASSIGN_OR_RETURN(std::shared_ptr<IngestSession> session,
                                 server_->IngestSessionFor(source));
-    return session->StatsLine();
+    return session->StatsLine(e2e_p95_us);
   }
 
   std::string SessionStatsLine() override { return session_->StatsLine(); }
@@ -397,12 +397,18 @@ size_t NetServer::num_sessions() const {
 
 Result<IngestSessionStats> NetServer::IngestStats(
     const std::string& source) const {
-  std::lock_guard<std::mutex> lock(net_mu_);
-  auto it = ingest_sessions_.find(source);
-  if (it == ingest_sessions_.end()) {
-    return Status::NotFound("no producer has attached to " + source);
+  std::shared_ptr<IngestSession> session;
+  {
+    std::lock_guard<std::mutex> lock(net_mu_);
+    auto it = ingest_sessions_.find(source);
+    if (it == ingest_sessions_.end()) {
+      return Status::NotFound("no producer has attached to " + source);
+    }
+    session = it->second;
   }
-  return it->second->Stats();
+  IngestSessionStats stats = session->Stats();
+  stats.e2e_p95_us = dsms_->SourceE2eP95Us(source);
+  return stats;
 }
 
 Status NetServer::AttachQuery(QueryId id,
@@ -419,8 +425,8 @@ Status NetServer::AttachQuery(QueryId id,
   return Status::OK();
 }
 
-void NetServer::FanOutFrame(DsmsServer* dsms, Subscription* sub,
-                            int64_t frame_id, const Raster& raster,
+void NetServer::FanOutFrame(Subscription* sub, int64_t frame_id,
+                            const Raster& raster,
                             const std::vector<uint8_t>& png) {
   // The delivery callback runs inside the operator chain, so the
   // frame's trace (when sampled) is active on this thread. Entry here
@@ -428,8 +434,8 @@ void NetServer::FanOutFrame(DsmsServer* dsms, Subscription* sub,
   // encode + enqueue is the `deliver` stage. Both land in the
   // pipeline's stage series the scheduler attached to the trace, next
   // to its `queue` stage. `total` spans capture (else admission) to
-  // fan-out done, into the per-source series the ingest session's
-  // ISTATS p95 reads — observed once per frame (ClaimTotalStage), not
+  // fan-out done, into the per-source series the trace carries (ISTATS
+  // reports its p95) — observed once per frame (ClaimTotalStage), not
   // once per subscribed query.
   TraceContext* trace = ActiveTrace();
   const QueryStageHistograms* stages =
@@ -466,9 +472,11 @@ void NetServer::FanOutFrame(DsmsServer* dsms, Subscription* sub,
     const uint64_t birth = trace->capture_wall_us() != 0
                                ? trace->capture_wall_us()
                                : trace->admit_wall_us();
-    if (birth != 0 && now > birth && trace->ClaimTotalStage()) {
-      ObserveE2eStage(dsms->metrics_registry(), "total", "source",
-                      trace->origin(), now - birth, trace);
+    const SourceStageHistograms* source = trace->source_stages().get();
+    if (source != nullptr && birth != 0 && now > birth &&
+        trace->ClaimTotalStage()) {
+      ObserveE2eStage(source->total.get(), now - birth,
+                      trace->ring_ordinal(), trace->pipeline());
     }
   }
 }

@@ -138,8 +138,8 @@ class NetServer {
   /// traced — observe the `operators`, `deliver` and `total` stages of
   /// the end-to-end latency plane (the `write` stage rides the frame
   /// into each session's writer thread via a FrameStamp).
-  static void FanOutFrame(DsmsServer* dsms, Subscription* sub,
-                          int64_t frame_id, const Raster& raster,
+  static void FanOutFrame(Subscription* sub, int64_t frame_id,
+                          const Raster& raster,
                           const std::vector<uint8_t>& png);
 
   void AcceptLoop();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace geostreams {
 
@@ -279,9 +280,36 @@ size_t MetricsRegistry::RemoveSeries(const std::string& name,
   });
 }
 
-void MetricsRegistry::AddCollector(std::function<void()> collect) {
-  std::lock_guard<std::mutex> lock(mu_);
-  collectors_.push_back(std::move(collect));
+MetricsRegistry::CollectorHandle::CollectorHandle(
+    CollectorHandle&& other) noexcept
+    : registry_(std::exchange(other.registry_, nullptr)), id_(other.id_) {}
+
+MetricsRegistry::CollectorHandle& MetricsRegistry::CollectorHandle::operator=(
+    CollectorHandle&& other) noexcept {
+  if (this != &other) {
+    Reset();
+    registry_ = std::exchange(other.registry_, nullptr);
+    id_ = other.id_;
+  }
+  return *this;
+}
+
+void MetricsRegistry::CollectorHandle::Reset() {
+  MetricsRegistry* registry = std::exchange(registry_, nullptr);
+  if (registry != nullptr) registry->RemoveCollector(id_);
+}
+
+MetricsRegistry::CollectorHandle MetricsRegistry::AddCollector(
+    std::function<void()> collect) {
+  std::lock_guard<std::mutex> lock(collect_mu_);
+  const uint64_t id = next_collector_id_++;
+  collectors_.emplace(id, std::move(collect));
+  return CollectorHandle(this, id);
+}
+
+void MetricsRegistry::RemoveCollector(uint64_t id) {
+  std::lock_guard<std::mutex> lock(collect_mu_);
+  collectors_.erase(id);
 }
 
 std::string MetricsRegistry::RenderPrometheus() {
@@ -293,14 +321,12 @@ std::string MetricsRegistry::RenderOpenMetrics() {
 }
 
 std::string MetricsRegistry::RenderExposition(bool openmetrics) {
-  // Collectors call back into Get* and refresh mirror metrics, so run
-  // them on a copy of the list without holding the registry lock.
-  std::vector<std::function<void()>> collectors;
+  // Collectors call back into Get* and refresh mirror metrics, so they
+  // run under collect_mu_ (which RemoveCollector waits on), not mu_.
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    collectors = collectors_;
+    std::lock_guard<std::mutex> lock(collect_mu_);
+    for (const auto& [id, collect] : collectors_) collect();
   }
-  for (const auto& collect : collectors) collect();
 
   char line[160];
   std::string out;

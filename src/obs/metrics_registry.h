@@ -15,10 +15,20 @@
 //     never dangle even after the registering component is gone.
 //     RemoveSeries drops a gone query's series; their users hold
 //     shared handles (GetSharedHistogram), so nothing dangles.
-//  3. Mirrored sources stay authoritative. Components that already
-//     keep counters under their own locks (scheduler stats, memory
-//     tracker) register a collector callback that refreshes registry
-//     values at scrape time instead of double-counting on hot paths.
+//  3. Mirrored sources stay authoritative: one count per fact. Every
+//     component that counts under its own lock — scheduler stats,
+//     memory tracker, ingest journal, tile store, storage governor,
+//     ingest sessions — counts once, into its own stats, and
+//     registers a collector that copies those stats into its
+//     counter/gauge families at scrape time. The hot path never
+//     double-counts, and the exported series cannot drift from what
+//     STATS/ISTATS report. The component drops its collector handle
+//     in its destructor, so a registry that outlives it never calls
+//     into freed memory. Only distributions stay live handles
+//     (histograms are observed in place). The one exception is the
+//     client-session aggregates: they sum over sessions that have
+//     since disconnected, so they keep direct increments — a
+//     collector summing the live sessions would run them backwards.
 //
 // Naming scheme (see DESIGN.md §11): every family is
 // `geostreams_<component>_<what>[_unit][_total]`, latencies are
@@ -187,11 +197,33 @@ class MetricsRegistry {
   size_t RemoveSeries(const std::string& name, const std::string& key,
                       const std::string& value);
 
+  /// Owns one registered collector. Destroying (or Reset()ting) the
+  /// handle unregisters it, first waiting out a scrape that may be
+  /// running it; after that the collector is never called again. The
+  /// registry must outlive the handle. Must not be reset from inside
+  /// a collector, nor while holding a lock a collector takes.
+  class CollectorHandle {
+   public:
+    CollectorHandle() = default;
+    CollectorHandle(CollectorHandle&& other) noexcept;
+    CollectorHandle& operator=(CollectorHandle&& other) noexcept;
+    ~CollectorHandle() { Reset(); }
+    void Reset();
+
+   private:
+    friend class MetricsRegistry;
+    CollectorHandle(MetricsRegistry* registry, uint64_t id)
+        : registry_(registry), id_(id) {}
+    MetricsRegistry* registry_ = nullptr;
+    uint64_t id_ = 0;
+  };
+
   /// Scrape hook: runs (outside the registry lock, in registration
-  /// order) at the start of RenderPrometheus. Components whose
-  /// counters live behind their own locks refresh mirror metrics
-  /// here, so the hot path never double-counts.
-  void AddCollector(std::function<void()> collect);
+  /// order) at the start of every render. Components whose counters
+  /// live behind their own locks copy them into their families here,
+  /// so the hot path never double-counts. Scrapes run collectors one
+  /// at a time.
+  [[nodiscard]] CollectorHandle AddCollector(std::function<void()> collect);
 
   /// Prometheus text exposition (version 0.0.4): families sorted by
   /// name with # HELP / # TYPE headers, histogram series expanded
@@ -237,9 +269,15 @@ class MetricsRegistry {
   /// Shared renderer behind RenderPrometheus/RenderOpenMetrics.
   std::string RenderExposition(bool openmetrics);
 
+  void RemoveCollector(uint64_t id);
+
   mutable std::mutex mu_;
   std::map<std::string, Family> families_;
-  std::vector<std::function<void()>> collectors_;
+  /// Held while collectors run and while one is added or removed, so
+  /// removal waits out a scrape in progress. Taken before mu_.
+  std::mutex collect_mu_;
+  std::map<uint64_t, std::function<void()>> collectors_;
+  uint64_t next_collector_id_ = 1;
 };
 
 }  // namespace geostreams

@@ -71,6 +71,7 @@ std::shared_ptr<TraceContext> TraceContext::Fork(std::string pipeline) {
   fork->admit_wall_us_ = admit_wall_us_;
   fork->durable_wall_us_ = durable_wall_us_;
   fork->last_anchor_wall_us_ = last_anchor_wall_us_;
+  fork->source_stages_ = source_stages_;
   // Exactly one fork per frame owns the per-source stages: the first
   // takes the root's ownership, later forks (and the root) lose it.
   fork->source_stage_owner_ = source_stage_owner_;
@@ -206,15 +207,35 @@ const char kE2eLatencyHelp[] =
     "Frame lifecycle stage latency (wall-clock microseconds between "
     "consecutive stage anchors; stage=total is capture to delivery)";
 
+namespace {
+
+std::shared_ptr<MetricHistogram> StageSeries(MetricsRegistry* metrics,
+                                             const char* stage,
+                                             const char* key,
+                                             const std::string& value) {
+  return metrics->GetSharedHistogram(kE2eLatencyFamily, kE2eLatencyHelp,
+                                     {{"stage", stage}, {key, value}},
+                                     MetricHistogram::LatencyBucketsUs());
+}
+
+}  // namespace
+
 std::shared_ptr<const QueryStageHistograms> QueryStageHistograms::Resolve(
     MetricsRegistry* metrics, const std::string& pipeline) {
   auto stage = [&](const char* name) {
-    return metrics->GetSharedHistogram(kE2eLatencyFamily, kE2eLatencyHelp,
-                                       {{"stage", name}, {"query", pipeline}},
-                                       MetricHistogram::LatencyBucketsUs());
+    return StageSeries(metrics, name, "query", pipeline);
   };
   return std::make_shared<const QueryStageHistograms>(QueryStageHistograms{
       stage("queue"), stage("operators"), stage("deliver"), stage("write")});
+}
+
+std::shared_ptr<const SourceStageHistograms> SourceStageHistograms::Resolve(
+    MetricsRegistry* metrics, const std::string& source) {
+  auto stage = [&](const char* name) {
+    return StageSeries(metrics, name, "source", source);
+  };
+  return std::make_shared<const SourceStageHistograms>(
+      SourceStageHistograms{stage("send"), stage("journal"), stage("total")});
 }
 
 void ObserveE2eStage(MetricHistogram* histogram, uint64_t latency_us,
@@ -222,21 +243,6 @@ void ObserveE2eStage(MetricHistogram* histogram, uint64_t latency_us,
   if (histogram != nullptr) {
     histogram->ObserveWithExemplar(latency_us, trace_ordinal, pipeline);
   }
-}
-
-void ObserveE2eStage(MetricsRegistry* metrics, const std::string& stage,
-                     const std::string& label_key,
-                     const std::string& label_value, uint64_t latency_us,
-                     const TraceContext* trace) {
-  if (metrics == nullptr) return;
-  MetricHistogram* hist = metrics->GetHistogram(
-      kE2eLatencyFamily, kE2eLatencyHelp,
-      {{"stage", stage}, {label_key, label_value}},
-      MetricHistogram::LatencyBucketsUs());
-  if (trace == nullptr) {
-    return ObserveE2eStage(hist, latency_us, TraceContext::kNoRingOrdinal, "");
-  }
-  ObserveE2eStage(hist, latency_us, trace->ring_ordinal(), trace->pipeline());
 }
 
 }  // namespace geostreams

@@ -53,6 +53,21 @@ struct QueryStageHistograms {
       MetricsRegistry* metrics, const std::string& pipeline);
 };
 
+/// The per-source stage series of one source stream,
+/// `geostreams_e2e_latency_us{stage=send|journal|total,source=<name>}`,
+/// resolved once when the stream registers. Every trace born at the
+/// source's ingest boundary carries them to its forks, so no
+/// observation looks a series up.
+struct SourceStageHistograms {
+  std::shared_ptr<MetricHistogram> send;
+  std::shared_ptr<MetricHistogram> journal;
+  std::shared_ptr<MetricHistogram> total;
+
+  /// Gets or creates the three series of `source`.
+  static std::shared_ptr<const SourceStageHistograms> Resolve(
+      MetricsRegistry* metrics, const std::string& source);
+};
+
 /// Monotonic (steady-clock) microseconds. The zero point is arbitrary;
 /// only differences are meaningful.
 uint64_t TraceNowUs();
@@ -114,12 +129,12 @@ class TraceContext {
   const std::string& pipeline() const { return pipeline_; }
 
   /// A fresh context for one fan-out pipeline: same id/origin/birth
-  /// stamp and ingest anchors, no spans and no ring ordinal (each
-  /// fork lands in its own pipeline's ring). Called by the scheduler
-  /// before enqueue so concurrent pipelines never share mutable trace
-  /// state. Per-source stage ownership (see observes_source_stages)
-  /// transfers to the FIRST fork; later forks of the same frame do
-  /// not re-observe the per-source stages.
+  /// stamp, ingest anchors and source stage series, no spans and no
+  /// ring ordinal (each fork lands in its own pipeline's ring).
+  /// Called by the scheduler before enqueue so concurrent pipelines
+  /// never share mutable trace state. Per-source stage ownership (see
+  /// observes_source_stages) transfers to the FIRST fork; later forks
+  /// of the same frame do not re-observe the per-source stages.
   std::shared_ptr<TraceContext> Fork(std::string pipeline);
 
   /// Queue boundary stamps. MarkDequeued returns the queue wait in
@@ -165,6 +180,15 @@ class TraceContext {
     return stages_;
   }
 
+  /// The origin's per-source stage series; attached at birth by the
+  /// ingest boundary and copied to every fork.
+  void set_source_stages(std::shared_ptr<const SourceStageHistograms> stages) {
+    source_stages_ = std::move(stages);
+  }
+  const std::shared_ptr<const SourceStageHistograms>& source_stages() const {
+    return source_stages_;
+  }
+
   /// TraceRing slot reserved for this trace (exemplar linkage), or
   /// kNoRingOrdinal.
   void set_ring_ordinal(uint64_t ordinal) { ring_ordinal_ = ordinal; }
@@ -189,6 +213,7 @@ class TraceContext {
   uint64_t last_anchor_wall_us_ = 0;
   uint64_t ring_ordinal_ = kNoRingOrdinal;
   std::shared_ptr<const QueryStageHistograms> stages_;
+  std::shared_ptr<const SourceStageHistograms> source_stages_;
   /// Per-source stage ownership: root holds it until the first Fork
   /// takes it; ClaimTotalStage burns it for the `total` observation.
   bool source_stage_owner_ = true;
@@ -275,21 +300,12 @@ class TraceRing {
   std::deque<TraceRecord> records_;
 };
 
-/// Records one frame-lifecycle stage segment into the shared
-/// `geostreams_e2e_latency_us{stage=...}` family — the end-to-end
-/// latency plane. `label_key`/`label_value` scope the series (source
-/// name for the per-source stages; the per-query stages go through
-/// QueryStageHistograms instead). When `trace` carries a reserved
-/// ring ordinal the observation is exemplar-linked, closing the
-/// metrics -> TRACE loop. Null registry is a no-op.
-void ObserveE2eStage(MetricsRegistry* metrics, const std::string& stage,
-                     const std::string& label_key,
-                     const std::string& label_value, uint64_t latency_us,
-                     const TraceContext* trace);
-
-/// Records one stage segment into an already resolved stage
-/// histogram, exemplar-linked to `trace_ordinal` in `pipeline` unless
-/// it is TraceContext::kNoRingOrdinal. Null histogram is a no-op.
+/// Records one frame-lifecycle stage segment — the end-to-end
+/// latency plane — into a stage series resolved once per source
+/// (SourceStageHistograms) or per query (QueryStageHistograms),
+/// exemplar-linked to `trace_ordinal` in `pipeline` unless it is
+/// TraceContext::kNoRingOrdinal, closing the metrics -> TRACE loop.
+/// Null histogram is a no-op.
 void ObserveE2eStage(MetricHistogram* histogram, uint64_t latency_us,
                      uint64_t trace_ordinal, const std::string& pipeline);
 

@@ -104,11 +104,11 @@ struct DsmsServer::SourceState : public EventSink {
   /// Atomic: read by the scrape-time freshness collector while
   /// producers keep ingesting.
   std::atomic<uint64_t> last_frame_fresh_wall_us{0};
-  /// Scrape-time freshness gauge and the per-source total-latency
-  /// histogram (shared with the ingest session and the delivery
-  /// plane), resolved once at stream registration.
+  /// Scrape-time freshness gauge and the per-source stage series
+  /// (send, journal, total), resolved once at stream registration;
+  /// every trace born here carries the stage series.
   Gauge* freshness_gauge = nullptr;
-  MetricHistogram* e2e_total = nullptr;
+  std::shared_ptr<const SourceStageHistograms> stages;
 
   Status Consume(const StreamEvent& event) override {
     if (store_sink) {
@@ -245,6 +245,7 @@ class DsmsServer::GuardedIngestSink : public EventSink {
     traced.trace->SetIngestAnchors(event.anchors.capture_wall_us,
                                    event.anchors.admit_wall_us,
                                    event.anchors.durable_wall_us);
+    traced.trace->set_source_stages(source_->stages);
     return source_->Consume(traced);
   }
 
@@ -310,14 +311,6 @@ DsmsServer::DsmsServer(DsmsOptions options) : options_(options) {
     gopts.metrics = &metrics_registry_;
     gopts.event_log = event_log_.get();
     governor_ = std::make_unique<StorageGovernor>(std::move(gopts));
-    if (options_.journal_budget.max_bytes > 0 ||
-        options_.journal_budget.max_age_ms > 0) {
-      governor_->SetBudget("journal", options_.journal_budget);
-    }
-    if (options_.store_budget.max_bytes > 0 ||
-        options_.store_budget.max_age_ms > 0) {
-      governor_->SetBudget("store", options_.store_budget);
-    }
   }
   if (!options_.journal_dir.empty()) {
     JournalOptions jopts = options_.journal;
@@ -352,9 +345,7 @@ DsmsServer::DsmsServer(DsmsOptions options) : options_(options) {
     sopts.event_log = event_log_.get();
     const bool retention_configured =
         sopts.retention_max_bytes > 0 || sopts.retention_max_frames > 0 ||
-        sopts.retention_max_age_ms > 0 ||
-        options_.store_budget.max_bytes > 0 ||
-        options_.store_budget.max_age_ms > 0;
+        sopts.retention_max_age_ms > 0;
     if (sopts.gc_interval_ms == 0 && retention_configured) {
       sopts.gc_interval_ms = 1000;  // keep pruning off the ingest path
     }
@@ -389,9 +380,9 @@ DsmsServer::DsmsServer(DsmsOptions options) : options_(options) {
           "geostreams_catchup_lag_frames",
           "Stored frames still to replay before in-flight SINCE queries "
           "cut over to the live stream (summed over registrations)");
-      metrics_registry_.AddCollector([this, lag] {
+      collectors_.push_back(metrics_registry_.AddCollector([this, lag] {
         lag->Set(catchup_backlog_.load(std::memory_order_relaxed));
-      });
+      }));
     }
   }
   SchedulerOptions sched;
@@ -421,10 +412,7 @@ void DsmsServer::RegisterSourceObservables(SourceState* source) {
       "Age of the newest delivered frame per source (now minus its "
       "capture — or, unstamped, delivery — wall clock)",
       {{"source", name}});
-  source->e2e_total = metrics_registry_.GetHistogram(
-      kE2eLatencyFamily, kE2eLatencyHelp,
-      {{"stage", "total"}, {"source", name}},
-      MetricHistogram::LatencyBucketsUs());
+  source->stages = SourceStageHistograms::Resolve(&metrics_registry_, name);
 }
 
 void DsmsServer::RegisterCollectors() {
@@ -470,7 +458,7 @@ void DsmsServer::RegisterCollectors() {
   Counter* checksum_failures =
       reg.GetCounter("geostreams_ingest_checksum_failures_total",
                      "Corrupt batches rejected at the ingest boundary");
-  reg.AddCollector([=, this] {
+  collectors_.push_back(reg.AddCollector([=, this] {
     const ScheduledQueueStats total = scheduler_->AggregateStats();
     enqueued->Set(total.enqueued);
     processed->Set(total.processed);
@@ -507,7 +495,7 @@ void DsmsServer::RegisterCollectors() {
     mem_bytes->Set(memory_.TotalBytes());
     mem_peak->Set(memory_.HighWaterBytes());
     checksum_failures->Set(IngestChecksumFailures());
-  });
+  }));
 }
 
 DsmsServer::~DsmsServer() {
@@ -1150,11 +1138,8 @@ std::string DsmsServer::SummaryLine() const {
       if (stamp != 0 && now > stamp) {
         worst_freshness_us = std::max(worst_freshness_us, now - stamp);
       }
-      if (source->e2e_total != nullptr && source->e2e_total->Count() > 0) {
-        worst_e2e_p95_us =
-            std::max(worst_e2e_p95_us,
-                     static_cast<uint64_t>(source->e2e_total->Percentile(95)));
-      }
+      worst_e2e_p95_us =
+          std::max(worst_e2e_p95_us, E2eP95Us(*source->stages));
     }
   }
   std::string line = StringPrintf(
@@ -1180,6 +1165,16 @@ std::string DsmsServer::SummaryLine() const {
                          governor_->degraded() ? "DEGRADED" : "OK");
   }
   return line;
+}
+
+uint64_t DsmsServer::E2eP95Us(const SourceStageHistograms& stages) {
+  return static_cast<uint64_t>(stages.total->Percentile(95));
+}
+
+uint64_t DsmsServer::SourceE2eP95Us(const std::string& source) const {
+  std::shared_lock<std::shared_mutex> lock(state_mu_);
+  auto it = sources_.find(source);
+  return it == sources_.end() ? 0 : E2eP95Us(*it->second->stages);
 }
 
 Result<uint64_t> DsmsServer::FramesDelivered(QueryId id) const {

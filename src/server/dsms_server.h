@@ -112,17 +112,12 @@ struct DsmsOptions {
   /// retention budgets). The `dir` and `metrics` fields are
   /// overwritten from `store_dir` and the server's own registry.
   TileStoreOptions store;
-  /// Disk-pressure governor tuning (free-space floor, probe cadence,
-  /// subsystem budgets). The governor itself is constructed whenever
+  /// Disk-pressure governor tuning (free-space floor, probe
+  /// cadence). The governor itself is constructed whenever
   /// journal_dir or store_dir is set; `probe_dir`, `file_factory`, and
   /// `metrics` are filled from the journal/store configuration and the
   /// server's own registry when left empty.
   StorageGovernorOptions storage_governor;
-  /// Byte/age budgets handed to the governor for its "journal" and
-  /// "store" subsystems (0 = unlimited). Retention in each subsystem
-  /// enforces them; Admit() keeps refusing only on real disk pressure.
-  SubsystemBudget journal_budget;
-  SubsystemBudget store_budget;
   /// Flight-recorder ring capacity: the most recent structured
   /// operational events (degradations, quarantines, restarts, NACK
   /// bursts, retention prunes, slow-consumer disconnects) kept for
@@ -258,6 +253,9 @@ class DsmsServer {
   Result<std::string> ExplainAnalyze(QueryId id) const;
   /// Points delivered to a query's callback so far.
   Result<uint64_t> FramesDelivered(QueryId id) const;
+  /// p95 of the source's end-to-end (`stage="total"`) latency series;
+  /// 0 for unknown sources or before any observation.
+  uint64_t SourceE2eP95Us(const std::string& source) const;
 
   /// Supervision health of a query's pipeline. NotFound for unknown
   /// ids.
@@ -331,10 +329,11 @@ class DsmsServer {
   /// once from the constructor.
   void RegisterCollectors();
 
-  /// Resolves a source's freshness gauge and total-latency histogram
-  /// from the registry. Called at stream registration (both real and
-  /// derived streams).
+  /// Resolves a source's freshness gauge and stage series from the
+  /// registry. Called at stream registration (both real and derived
+  /// streams).
   void RegisterSourceObservables(SourceState* source);
+  static uint64_t E2eP95Us(const SourceStageHistograms& stages);
 
   DsmsOptions options_;
   StreamCatalog catalog_;
@@ -386,6 +385,9 @@ class DsmsServer {
   std::map<std::string, std::unique_ptr<SourceState>> sources_;
   std::map<QueryId, std::unique_ptr<QueryState>> queries_;
   QueryId next_query_id_ = 1;
+  /// The server's own scrape-time collectors. Last member: they are
+  /// unregistered before anything they read is destroyed.
+  std::vector<MetricsRegistry::CollectorHandle> collectors_;
 };
 
 }  // namespace geostreams

@@ -49,86 +49,65 @@ bool IsDiskPressure(const Status& status) {
 
 StorageGovernor::StorageGovernor(StorageGovernorOptions options)
     : options_(std::move(options)) {
-  if (MetricsRegistry* reg = options_.metrics) {
-    m_degraded_ = reg->GetGauge(
-        "geostreams_storage_degraded",
-        "1 while the storage plane is refusing writes (disk pressure)");
-    m_free_bytes_ = reg->GetGauge(
-        "geostreams_storage_free_bytes",
-        "free bytes on the filesystem holding the storage directories");
-    m_degraded_entries_ = reg->GetCounter(
-        "geostreams_storage_degraded_entries_total",
-        "healthy->degraded transitions of the storage plane");
-    m_healed_ = reg->GetCounter(
-        "geostreams_storage_healed_total",
-        "degraded->healthy transitions (write probe succeeded)");
-    m_probes_ = reg->GetCounter("geostreams_storage_probes_total",
-                                "write probes run by the governor");
-    m_probe_failures_ = reg->GetCounter(
-        "geostreams_storage_probe_failures_total",
-        "write probes that failed (plane stays degraded)");
-    m_refused_ = reg->GetCounter(
-        "geostreams_storage_admissions_refused_total",
-        "writes refused at admission while degraded");
-  }
-}
-
-void StorageGovernor::SetBudget(const std::string& subsystem,
-                                SubsystemBudget budget) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Subsystem& sub = subsystems_[subsystem];
-  sub.budget = budget;
-  if (sub.m_bytes == nullptr && options_.metrics != nullptr) {
-    sub.m_bytes = options_.metrics->GetGauge(
-        "geostreams_storage_bytes",
-        "on-disk bytes accounted per storage subsystem",
-        {{"subsystem", subsystem}});
-  }
-}
-
-SubsystemBudget StorageGovernor::Budget(const std::string& subsystem) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = subsystems_.find(subsystem);
-  return it == subsystems_.end() ? SubsystemBudget{} : it->second.budget;
+  MetricsRegistry* reg = options_.metrics;
+  if (reg == nullptr) return;
+  Gauge* degraded = reg->GetGauge(
+      "geostreams_storage_degraded",
+      "1 while the storage plane is refusing writes (disk pressure)");
+  Gauge* free_bytes = reg->GetGauge(
+      "geostreams_storage_free_bytes",
+      "free bytes on the filesystem holding the storage directories");
+  Counter* degraded_entries = reg->GetCounter(
+      "geostreams_storage_degraded_entries_total",
+      "healthy->degraded transitions of the storage plane");
+  Counter* healed = reg->GetCounter(
+      "geostreams_storage_healed_total",
+      "degraded->healthy transitions (write probe succeeded)");
+  Counter* probes = reg->GetCounter("geostreams_storage_probes_total",
+                                    "write probes run by the governor");
+  Counter* probe_failures = reg->GetCounter(
+      "geostreams_storage_probe_failures_total",
+      "write probes that failed (plane stays degraded)");
+  Counter* refused = reg->GetCounter(
+      "geostreams_storage_admissions_refused_total",
+      "writes refused at admission while degraded");
+  collector_ = reg->AddCollector([=, this] {
+    const StorageGovernorStats s = stats();
+    degraded->Set(s.degraded ? 1 : 0);
+    free_bytes->Set(s.free_bytes);
+    degraded_entries->Set(s.degraded_entries);
+    healed->Set(s.healed);
+    probes->Set(s.probes);
+    probe_failures->Set(s.probe_failures);
+    refused->Set(s.admissions_refused);
+    for (const auto& [subsystem, bytes] : s.bytes) {
+      reg->GetGauge("geostreams_storage_bytes",
+                    "on-disk bytes accounted per storage subsystem",
+                    {{"subsystem", subsystem}})
+          ->Set(bytes);
+    }
+  });
 }
 
 void StorageGovernor::SetUsage(const std::string& subsystem, uint64_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  Subsystem& sub = subsystems_[subsystem];
-  if (sub.m_bytes == nullptr && options_.metrics != nullptr) {
-    sub.m_bytes = options_.metrics->GetGauge(
-        "geostreams_storage_bytes",
-        "on-disk bytes accounted per storage subsystem",
-        {{"subsystem", subsystem}});
-  }
-  sub.bytes = bytes;
-  if (sub.m_bytes != nullptr) sub.m_bytes->Set(sub.bytes);
+  stats_.bytes[subsystem] = bytes;
 }
 
 void StorageGovernor::AddUsage(const std::string& subsystem, int64_t delta) {
   std::lock_guard<std::mutex> lock(mu_);
-  Subsystem& sub = subsystems_[subsystem];
-  if (delta < 0 && sub.bytes < static_cast<uint64_t>(-delta)) {
-    sub.bytes = 0;  // accounting drift clamps at zero, never wraps
+  uint64_t& bytes = stats_.bytes[subsystem];
+  if (delta < 0 && bytes < static_cast<uint64_t>(-delta)) {
+    bytes = 0;  // accounting drift clamps at zero, never wraps
   } else {
-    sub.bytes += delta;
+    bytes += delta;
   }
-  if (sub.m_bytes != nullptr) sub.m_bytes->Set(sub.bytes);
 }
 
 uint64_t StorageGovernor::Usage(const std::string& subsystem) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = subsystems_.find(subsystem);
-  return it == subsystems_.end() ? 0 : it->second.bytes;
-}
-
-uint64_t StorageGovernor::BytesOverBudget(const std::string& subsystem) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = subsystems_.find(subsystem);
-  if (it == subsystems_.end()) return 0;
-  const Subsystem& sub = it->second;
-  if (sub.budget.max_bytes == 0 || sub.bytes <= sub.budget.max_bytes) return 0;
-  return sub.bytes - sub.budget.max_bytes;
+  auto it = stats_.bytes.find(subsystem);
+  return it == stats_.bytes.end() ? 0 : it->second;
 }
 
 uint64_t StorageGovernor::NowMs() const {
@@ -143,21 +122,23 @@ Result<uint64_t> StorageGovernor::FreeBytes() const {
                                 : StatvfsFreeBytes(options_.probe_dir);
 }
 
+Result<uint64_t> StorageGovernor::MeasureFreeBytes() {
+  Result<uint64_t> free = FreeBytes();
+  if (free.ok()) free_bytes_.store(*free, std::memory_order_relaxed);
+  return free;
+}
+
 Status StorageGovernor::RunProbe() {
   // Free-space floor first: a filesystem about to fill should degrade
   // before the first hard ENOSPC tears a record.
-  if (options_.min_free_bytes > 0 || m_free_bytes_ != nullptr) {
-    Result<uint64_t> free = FreeBytes();
-    if (free.ok()) {
-      if (m_free_bytes_ != nullptr) m_free_bytes_->Set(*free);
-      if (options_.min_free_bytes > 0 && *free < options_.min_free_bytes) {
-        return Status::ResourceExhausted(StringPrintf(
-            "free space %llu below floor %llu",
-            static_cast<unsigned long long>(*free),
-            static_cast<unsigned long long>(options_.min_free_bytes)));
-      }
-    }
-    // A failed statvfs is not itself pressure; the write probe decides.
+  // A failed statvfs is not itself pressure; the write probe decides.
+  Result<uint64_t> free = MeasureFreeBytes();
+  if (free.ok() && options_.min_free_bytes > 0 &&
+      *free < options_.min_free_bytes) {
+    return Status::ResourceExhausted(StringPrintf(
+        "free space %llu below floor %llu",
+        static_cast<unsigned long long>(*free),
+        static_cast<unsigned long long>(options_.min_free_bytes)));
   }
   if (options_.probe_dir.empty()) return Status::OK();
   const std::string path =
@@ -180,8 +161,6 @@ void StorageGovernor::EnterDegradedLocked(const std::string& why) {
   if (!degraded_.load(std::memory_order_relaxed)) {
     degraded_.store(true, std::memory_order_relaxed);
     ++stats_.degraded_entries;
-    if (m_degraded_ != nullptr) m_degraded_->Set(1);
-    if (m_degraded_entries_ != nullptr) m_degraded_entries_->Increment();
     GEOSTREAMS_LOG(kError) << "storage plane DEGRADED: " << why
                            << " (writes refused; reads keep serving; "
                               "write probe will self-heal)";
@@ -197,8 +176,6 @@ void StorageGovernor::ExitDegradedLocked() {
   if (degraded_.load(std::memory_order_relaxed)) {
     degraded_.store(false, std::memory_order_relaxed);
     ++stats_.healed;
-    if (m_degraded_ != nullptr) m_degraded_->Set(0);
-    if (m_healed_ != nullptr) m_healed_->Increment();
     GEOSTREAMS_LOG(kInfo)
         << "storage plane healthy again (write probe succeeded)";
     if (options_.event_log != nullptr) {
@@ -211,12 +188,10 @@ void StorageGovernor::ExitDegradedLocked() {
 void StorageGovernor::FinishProbe(const Status& probe,
                                   std::unique_lock<std::mutex>* lock) {
   ++stats_.probes;
-  if (m_probes_ != nullptr) m_probes_->Increment();
   if (probe.ok()) {
     ExitDegradedLocked();
   } else {
     ++stats_.probe_failures;
-    if (m_probe_failures_ != nullptr) m_probe_failures_->Increment();
     EnterDegradedLocked("probe: " + probe.message());
   }
   probe_inflight_ = false;
@@ -247,16 +222,13 @@ Status StorageGovernor::Admit(const std::string& subsystem) {
         probe_inflight_ = true;
         last_probe_ms_ = now;
         lock.unlock();
-        Result<uint64_t> free = FreeBytes();
+        Result<uint64_t> free = MeasureFreeBytes();
         Status floor = Status::OK();
-        if (free.ok()) {
-          if (m_free_bytes_ != nullptr) m_free_bytes_->Set(*free);
-          if (*free < options_.min_free_bytes) {
-            floor = Status::ResourceExhausted(StringPrintf(
-                "free space %llu below floor %llu",
-                static_cast<unsigned long long>(*free),
-                static_cast<unsigned long long>(options_.min_free_bytes)));
-          }
+        if (free.ok() && *free < options_.min_free_bytes) {
+          floor = Status::ResourceExhausted(StringPrintf(
+              "free space %llu below floor %llu",
+              static_cast<unsigned long long>(*free),
+              static_cast<unsigned long long>(options_.min_free_bytes)));
         }
         lock.lock();
         probe_inflight_ = false;
@@ -291,7 +263,6 @@ Status StorageGovernor::Admit(const std::string& subsystem) {
     if (!degraded_.load(std::memory_order_relaxed)) return Status::OK();
     ++stats_.admissions_refused;
   }
-  if (m_refused_ != nullptr) m_refused_->Increment();
   return Status::Unavailable(StringPrintf(
       "storage degraded (disk pressure), %s write refused",
       subsystem.c_str()));
@@ -315,6 +286,7 @@ StorageGovernorStats StorageGovernor::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   StorageGovernorStats out = stats_;
   out.degraded = degraded_.load(std::memory_order_relaxed);
+  out.free_bytes = free_bytes_.load(std::memory_order_relaxed);
   return out;
 }
 

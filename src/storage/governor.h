@@ -5,12 +5,12 @@
 // unbounded stream must be finite; PR 7/8 gave the server two on-disk
 // subsystems that grow without limit and treat ENOSPC as a silent
 // per-record error counter. The governor is the single place that
-// (a) accounts on-disk bytes per subsystem ("journal", "store"),
-// (b) holds the byte/age budgets retention and compaction enforce,
-// and (c) runs the degraded-mode state machine for the whole storage
-// plane:
+// (a) accounts on-disk bytes per subsystem ("journal", "store") and
+// (b) runs the degraded-mode state machine for the whole storage
+// plane. Byte and age caps are the subsystems' own retention options
+// (JournalOptions / TileStoreOptions::retention_max_*):
 //
-//   healthy   — writes admitted; retention keeps usage under budget.
+//   healthy   — writes admitted; retention keeps usage under its caps.
 //   degraded  — entered when a subsystem reports an I/O failure
 //     (ENOSPC/EIO classified as IoError/ResourceExhausted/Unavailable)
 //     or the filesystem's free space drops under `min_free_bytes`.
@@ -71,18 +71,13 @@ struct StorageGovernorOptions {
   std::function<Result<uint64_t>(const std::string& dir)> free_bytes_fn;
   /// Millisecond clock for probe rate limiting; null = steady_clock.
   std::function<uint64_t()> now_ms;
-  /// Optional registry for geostreams_storage_* series. Not owned.
+  /// Optional registry: a scrape-time collector mirrors stats() into
+  /// the geostreams_storage_* series. Not owned; must outlive the
+  /// governor.
   MetricsRegistry* metrics = nullptr;
   /// Optional flight recorder (not owned): degraded/heal transitions
   /// are recorded as structured events.
   EventLog* event_log = nullptr;
-};
-
-/// Byte/age budget for one subsystem; retention in the owning
-/// subsystem enforces it (the governor only does the arithmetic).
-struct SubsystemBudget {
-  uint64_t max_bytes = 0;   // 0 = unlimited
-  uint64_t max_age_ms = 0;  // 0 = no age cap
 };
 
 struct StorageGovernorStats {
@@ -93,6 +88,8 @@ struct StorageGovernorStats {
   uint64_t probe_failures = 0;
   uint64_t admissions_refused = 0; // Admit() calls refused while degraded
   uint64_t write_errors = 0;       // failures fed to RecordWriteResult
+  uint64_t free_bytes = 0;         // last measured; 0 until measured
+  std::map<std::string, uint64_t> bytes;  // on-disk bytes per subsystem
   std::string last_error;          // what pushed us degraded last
 };
 
@@ -102,18 +99,12 @@ class StorageGovernor {
   StorageGovernor(const StorageGovernor&) = delete;
   StorageGovernor& operator=(const StorageGovernor&) = delete;
 
-  /// Budgets are keyed by subsystem name ("journal", "store").
-  void SetBudget(const std::string& subsystem, SubsystemBudget budget);
-  SubsystemBudget Budget(const std::string& subsystem) const;
-
-  /// On-disk byte accounting, maintained by the subsystems (set at
-  /// recovery, adjusted on append / retention / GC).
+  /// On-disk byte accounting keyed by subsystem name ("journal",
+  /// "store"), maintained by the subsystems (set at recovery,
+  /// adjusted on append / retention / GC).
   void SetUsage(const std::string& subsystem, uint64_t bytes);
   void AddUsage(const std::string& subsystem, int64_t delta);
   uint64_t Usage(const std::string& subsystem) const;
-  /// How many bytes the subsystem must reclaim to meet its byte
-  /// budget (0 = within budget or no budget set).
-  uint64_t BytesOverBudget(const std::string& subsystem) const;
 
   /// True while the storage plane is refusing writes.
   bool degraded() const {
@@ -141,13 +132,9 @@ class StorageGovernor {
   StorageGovernorStats stats() const;
 
  private:
-  struct Subsystem {
-    SubsystemBudget budget;
-    uint64_t bytes = 0;
-    Gauge* m_bytes = nullptr;  // geostreams_storage_bytes{subsystem=...}
-  };
-
   uint64_t NowMs() const;
+  /// FreeBytes(), remembered for stats() when it succeeds.
+  Result<uint64_t> MeasureFreeBytes();
   /// One create/append/fsync/unlink cycle in probe_dir plus the
   /// free-space floor check. Returns OK when the disk takes writes.
   Status RunProbe();
@@ -160,19 +147,14 @@ class StorageGovernor {
 
   mutable std::mutex mu_;
   std::atomic<bool> degraded_{false};
-  std::map<std::string, Subsystem> subsystems_;
+  /// Measured outside mu_ (probes do file I/O unlocked).
+  std::atomic<uint64_t> free_bytes_{0};
   uint64_t last_probe_ms_ = 0;
   bool probe_inflight_ = false;  // collapse concurrent probes to one
-  StorageGovernorStats stats_;
+  StorageGovernorStats stats_;  // stats_.bytes is the usage accounting
 
-  // geostreams_storage_* series; null without a registry.
-  Gauge* m_degraded_ = nullptr;
-  Gauge* m_free_bytes_ = nullptr;
-  Counter* m_degraded_entries_ = nullptr;
-  Counter* m_healed_ = nullptr;
-  Counter* m_probes_ = nullptr;
-  Counter* m_probe_failures_ = nullptr;
-  Counter* m_refused_ = nullptr;
+  /// Last member: unregistered first on destruction.
+  MetricsRegistry::CollectorHandle collector_;
 };
 
 }  // namespace geostreams

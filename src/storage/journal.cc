@@ -186,8 +186,7 @@ Status SourceJournal::EnsureOpenLocked() {
 
 void SourceJournal::CountFsyncLocked(uint64_t us) {
   ++stats_.fsyncs;
-  if (owner_->m_fsyncs_) owner_->m_fsyncs_->Increment();
-  if (owner_->m_fsync_latency_us_) owner_->m_fsync_latency_us_->Observe(us);
+  if (owner_->fsync_latency_us_) owner_->fsync_latency_us_->Observe(us);
 }
 
 Status SourceJournal::SyncLocked() {
@@ -207,7 +206,6 @@ Status SourceJournal::RotateLocked() {
   active_.reset();
   active_bytes_ = 0;
   ++stats_.rotations;
-  if (owner_->m_rotations_) owner_->m_rotations_->Increment();
   ApplyRetentionLocked();
   return EnsureOpenLocked();
 }
@@ -254,7 +252,6 @@ uint64_t SourceJournal::RetireSegmentLocked(const std::string& path,
     // Everything settled: the PR 7 fast path — drop the whole file.
     if (!fs::remove(path, ec) || ec) return 0;
     ++stats_.segments_retired;
-    if (owner_->m_retired_) owner_->m_retired_->Increment();
     return file_bytes;
   }
   if (live.size() >= file_bytes) {
@@ -292,33 +289,12 @@ uint64_t SourceJournal::RetireSegmentLocked(const std::string& path,
   ++stats_.segments_compacted;
   stats_.records_compacted += live_records;
   stats_.compacted_bytes += live.size();
-  if (owner_->m_retired_) owner_->m_retired_->Increment();
-  if (owner_->m_compacted_segments_) owner_->m_compacted_segments_->Increment();
-  if (owner_->m_compacted_records_) {
-    owner_->m_compacted_records_->Increment(live_records);
-  }
   return file_bytes - live.size();
 }
 
 void SourceJournal::ApplyRetentionLocked() {
-  uint64_t max_bytes = owner_->options_.retention_max_bytes;
-  uint64_t max_age_ms = owner_->options_.retention_max_age_ms;
-  StorageGovernor* gov = owner_->options_.governor;
-  if (gov != nullptr) {
-    // The governor's "journal" budget applies too; with several
-    // sources this is conservative (each source individually capped
-    // at the global budget), which errs toward keeping the volume
-    // alive.
-    const SubsystemBudget budget = gov->Budget("journal");
-    if (budget.max_bytes > 0 &&
-        (max_bytes == 0 || budget.max_bytes < max_bytes)) {
-      max_bytes = budget.max_bytes;
-    }
-    if (budget.max_age_ms > 0 &&
-        (max_age_ms == 0 || budget.max_age_ms < max_age_ms)) {
-      max_age_ms = budget.max_age_ms;
-    }
-  }
+  const uint64_t max_bytes = owner_->options_.retention_max_bytes;
+  const uint64_t max_age_ms = owner_->options_.retention_max_age_ms;
   if (max_bytes == 0 && max_age_ms == 0) return;
   {
     std::error_code ec;
@@ -353,9 +329,7 @@ void SourceJournal::ApplyRetentionLocked() {
     reclaimed_total += reclaimed;
   }
   stats_.reclaimed_bytes += reclaimed_total;
-  if (owner_->m_reclaimed_bytes_ && reclaimed_total > 0) {
-    owner_->m_reclaimed_bytes_->Increment(reclaimed_total);
-  }
+  StorageGovernor* gov = owner_->options_.governor;
   if (gov != nullptr && reclaimed_total > 0) {
     gov->AddUsage("journal", -static_cast<int64_t>(reclaimed_total));
   }
@@ -372,7 +346,6 @@ Status SourceJournal::Append(const IngestMessage& message) {
     Status admit = gov->Admit("journal");
     if (!admit.ok()) {
       ++stats_.append_errors;
-      if (owner_->m_append_errors_) owner_->m_append_errors_->Increment();
       return admit;
     }
   }
@@ -390,10 +363,6 @@ Status SourceJournal::Append(const IngestMessage& message) {
       stats_.append_bytes += record.size();
       if (gov != nullptr) {
         gov->AddUsage("journal", static_cast<int64_t>(record.size()));
-      }
-      if (owner_->m_appends_) owner_->m_appends_->Increment();
-      if (owner_->m_append_bytes_) {
-        owner_->m_append_bytes_->Increment(record.size());
       }
       switch (owner_->options_.fsync) {
         case FsyncPolicy::kPerRecord:
@@ -415,7 +384,6 @@ Status SourceJournal::Append(const IngestMessage& message) {
   if (gov != nullptr) gov->RecordWriteResult("journal", st);
   if (!st.ok()) {
     ++stats_.append_errors;
-    if (owner_->m_append_errors_) owner_->m_append_errors_->Increment();
     // The write may have landed partially. Drop the handle and mark
     // the tail suspect: the next append truncates back to the last
     // known-good byte before resuming (EnsureOpenLocked), and the
@@ -461,50 +429,72 @@ Status SourceJournal::Sync() {
 IngestJournal::IngestJournal(JournalOptions options)
     : options_(std::move(options)) {
   if (options_.metrics != nullptr) {
-    MetricsRegistry& reg = *options_.metrics;
-    m_appends_ = reg.GetCounter("geostreams_journal_appends_total",
-                                "Records appended to the ingest journal");
-    m_append_bytes_ =
-        reg.GetCounter("geostreams_journal_append_bytes_total",
-                       "Bytes appended to the ingest journal");
-    m_append_errors_ = reg.GetCounter(
-        "geostreams_journal_append_errors_total",
-        "Journal appends that failed (the batch was NACKed, not acked)");
-    m_fsyncs_ = reg.GetCounter("geostreams_journal_fsyncs_total",
-                               "fsync calls issued by the journal");
-    m_rotations_ = reg.GetCounter("geostreams_journal_rotations_total",
-                                  "Segment rotations");
-    m_retired_ = reg.GetCounter(
-        "geostreams_journal_segments_retired_total",
-        "Closed segments deleted by byte/age retention");
-    m_compacted_segments_ = reg.GetCounter(
-        "geostreams_journal_segments_compacted_total",
-        "Retired segments whose live records were rewritten forward");
-    m_compacted_records_ = reg.GetCounter(
-        "geostreams_journal_records_compacted_total",
-        "Still-unacked records carried across segment retirement");
-    m_reclaimed_bytes_ = reg.GetCounter(
-        "geostreams_journal_reclaimed_bytes_total",
-        "On-disk bytes freed by retention/compaction");
-    m_recovered_records_ = reg.GetCounter(
-        "geostreams_journal_recovered_records_total",
-        "Committed records replayed by startup recovery");
-    m_recovered_duplicates_ = reg.GetCounter(
-        "geostreams_journal_recovered_duplicates_total",
-        "Duplicate sequence numbers skipped by startup recovery");
-    m_torn_tails_ = reg.GetCounter(
-        "geostreams_journal_torn_tails_total",
-        "Half-written tail records truncated by startup recovery");
-    m_torn_bytes_ = reg.GetCounter(
-        "geostreams_journal_torn_bytes_total",
-        "Bytes truncated off torn journal tails");
-    m_corrupt_regions_ = reg.GetCounter(
-        "geostreams_journal_corrupt_regions_total",
-        "Mid-file corrupt regions quarantined into dead-letter stores");
-    m_fsync_latency_us_ = reg.GetHistogram(
+    fsync_latency_us_ = options_.metrics->GetHistogram(
         "geostreams_journal_fsync_latency_us",
         "Latency of journal fsync calls (gates acks under kPerRecord)");
   }
+}
+
+void IngestJournal::RegisterCollector() {
+  if (options_.metrics == nullptr) return;
+  MetricsRegistry& reg = *options_.metrics;
+  auto counter = [&reg](const char* name, const char* help) {
+    return reg.GetCounter(name, help);
+  };
+  Counter* appends = counter("geostreams_journal_appends_total",
+                             "Records appended to the ingest journal");
+  Counter* append_bytes = counter("geostreams_journal_append_bytes_total",
+                                  "Bytes appended to the ingest journal");
+  Counter* append_errors = counter(
+      "geostreams_journal_append_errors_total",
+      "Journal appends that failed (the batch was NACKed, not acked)");
+  Counter* fsyncs = counter("geostreams_journal_fsyncs_total",
+                            "fsync calls issued by the journal");
+  Counter* rotations =
+      counter("geostreams_journal_rotations_total", "Segment rotations");
+  Counter* retired = counter("geostreams_journal_segments_retired_total",
+                             "Closed segments deleted by byte/age retention");
+  Counter* compacted_segments = counter(
+      "geostreams_journal_segments_compacted_total",
+      "Retired segments whose live records were rewritten forward");
+  Counter* compacted_records = counter(
+      "geostreams_journal_records_compacted_total",
+      "Still-unacked records carried across segment retirement");
+  Counter* reclaimed_bytes =
+      counter("geostreams_journal_reclaimed_bytes_total",
+              "On-disk bytes freed by retention/compaction");
+  Counter* recovered_records =
+      counter("geostreams_journal_recovered_records_total",
+              "Committed records replayed by startup recovery");
+  Counter* recovered_duplicates =
+      counter("geostreams_journal_recovered_duplicates_total",
+              "Duplicate sequence numbers skipped by startup recovery");
+  Counter* torn_tails =
+      counter("geostreams_journal_torn_tails_total",
+              "Half-written tail records truncated by startup recovery");
+  Counter* torn_bytes = counter("geostreams_journal_torn_bytes_total",
+                                "Bytes truncated off torn journal tails");
+  Counter* corrupt_regions = counter(
+      "geostreams_journal_corrupt_regions_total",
+      "Mid-file corrupt regions quarantined into dead-letter stores");
+  collector_ = reg.AddCollector([=, this] {
+    const SourceJournalStats s = TotalStats();
+    appends->Set(s.appends);
+    append_bytes->Set(s.append_bytes);
+    append_errors->Set(s.append_errors);
+    fsyncs->Set(s.fsyncs);
+    rotations->Set(s.rotations);
+    retired->Set(s.segments_retired);
+    compacted_segments->Set(s.segments_compacted);
+    compacted_records->Set(s.records_compacted);
+    reclaimed_bytes->Set(s.reclaimed_bytes);
+    // Fixed once Open returns.
+    recovered_records->Set(recovery_.records_replayed);
+    recovered_duplicates->Set(recovery_.duplicate_records);
+    torn_tails->Set(recovery_.torn_tails);
+    torn_bytes->Set(recovery_.torn_bytes);
+    corrupt_regions->Set(recovery_.corrupt_regions);
+  });
 }
 
 IngestJournal::~IngestJournal() {
@@ -564,6 +554,7 @@ Result<std::unique_ptr<IngestJournal>> IngestJournal::Open(
   std::unique_ptr<IngestJournal> journal(
       new IngestJournal(std::move(options)));
   GEOSTREAMS_RETURN_IF_ERROR(journal->RecoverAll());
+  journal->RegisterCollector();
   if (journal->options_.fsync == FsyncPolicy::kGroupCommit) {
     // Interval fsyncs happen here, off every append path.
     IngestJournal* raw = journal.get();
@@ -577,14 +568,6 @@ Status IngestJournal::RecoverAll() {
                               ListSourceDirs(options_.dir));
   for (const SourceDir& dir : source_dirs) {
     GEOSTREAMS_RETURN_IF_ERROR(RecoverSource(dir));
-  }
-  if (m_recovered_records_) {
-    m_recovered_records_->Increment(recovery_.records_replayed);
-  }
-  if (m_torn_tails_) m_torn_tails_->Increment(recovery_.torn_tails);
-  if (m_torn_bytes_) m_torn_bytes_->Increment(recovery_.torn_bytes);
-  if (m_corrupt_regions_) {
-    m_corrupt_regions_->Increment(recovery_.corrupt_regions);
   }
   if (options_.governor != nullptr) {
     // Seed the governor's byte accounting with what is actually on
@@ -627,9 +610,6 @@ Status IngestJournal::RecoverSource(const SourceDir& dir) {
         << scan.damage.torn.bytes << " bytes at offset "
         << scan.damage.torn.offset << " of " << scan.damage.torn.path;
   }
-  if (m_recovered_duplicates_) {
-    m_recovered_duplicates_->Increment(scan.recovery.duplicate_records);
-  }
   for (const DamagedRegion& region : scan.damage.corrupt) {
     // The region WAS acked once and is now unreadable: quarantine it,
     // loudly, while every surviving record keeps replaying.
@@ -649,6 +629,7 @@ Status IngestJournal::RecoverSource(const SourceDir& dir) {
     }
   }
   recovery_.records_replayed += scan.recovery.records_replayed;
+  recovery_.duplicate_records += scan.recovery.duplicate_records;
   recovery_.torn_bytes += scan.recovery.torn_bytes;
   recovery_.corrupt_regions += scan.recovery.corrupt_regions;
   recovery_.sources[source] = scan.recovery;

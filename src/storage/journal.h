@@ -106,8 +106,10 @@ struct JournalOptions {
   uint64_t retention_max_age_ms = 0;
   /// File opener; null = OpenPosixWritable. Tests inject FaultyFile.
   WritableFileFactory file_factory;
-  /// Optional registry for geostreams_journal_* counters and the
-  /// fsync-latency histogram. Not owned; may be null.
+  /// Optional registry: a scrape-time collector mirrors TotalStats()
+  /// and recovery() into the geostreams_journal_* counters; fsyncs
+  /// are observed into the fsync-latency histogram. Not owned; may be
+  /// null; must outlive the journal.
   MetricsRegistry* metrics = nullptr;
   /// Optional disk-pressure governor (not owned). When set, appends
   /// pass its admission gate first — refused appends surface as NACKs
@@ -132,6 +134,7 @@ struct SourceRecovery {
 struct JournalRecovery {
   std::map<std::string, SourceRecovery> sources;
   uint64_t records_replayed = 0;
+  uint64_t duplicate_records = 0;
   uint64_t torn_tails = 0;
   uint64_t torn_bytes = 0;
   uint64_t corrupt_regions = 0;
@@ -272,6 +275,8 @@ class IngestJournal {
 
   Status RecoverAll();
   Status RecoverSource(const SourceDir& dir);
+  /// Registers the geostreams_journal_* collector (after recovery).
+  void RegisterCollector();
   Result<std::unique_ptr<WritableFile>> OpenFile(const std::string& path);
   /// Group-commit flusher: ticks every group_commit_interval_ms and
   /// fsyncs every dirty source (SyncLocked skips clean ones).
@@ -291,22 +296,10 @@ class IngestJournal {
   bool flusher_stop_ = false;
   std::thread flusher_;
 
-  // geostreams_journal_* series; null without a registry.
-  Counter* m_appends_ = nullptr;
-  Counter* m_append_bytes_ = nullptr;
-  Counter* m_append_errors_ = nullptr;
-  Counter* m_fsyncs_ = nullptr;
-  Counter* m_rotations_ = nullptr;
-  Counter* m_retired_ = nullptr;
-  Counter* m_compacted_segments_ = nullptr;
-  Counter* m_compacted_records_ = nullptr;
-  Counter* m_reclaimed_bytes_ = nullptr;
-  Counter* m_recovered_records_ = nullptr;
-  Counter* m_recovered_duplicates_ = nullptr;
-  Counter* m_torn_tails_ = nullptr;
-  Counter* m_torn_bytes_ = nullptr;
-  Counter* m_corrupt_regions_ = nullptr;
-  MetricHistogram* m_fsync_latency_us_ = nullptr;
+  /// Null without a registry.
+  MetricHistogram* fsync_latency_us_ = nullptr;
+  /// Last member: unregistered first on destruction.
+  MetricsRegistry::CollectorHandle collector_;
 };
 
 }  // namespace geostreams

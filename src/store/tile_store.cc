@@ -201,58 +201,84 @@ TileStore::TileStore(TileStoreOptions options)
   if (options_.tile_size < 1) options_.tile_size = 64;
   if (options_.max_levels < 0) options_.max_levels = 0;
   if (options_.metrics != nullptr) {
-    MetricsRegistry& reg = *options_.metrics;
-    m_frames_written_ =
-        reg.GetCounter("geostreams_store_frames_written_total",
-                       "Frames committed to the tile store");
-    m_tiles_written_ = reg.GetCounter("geostreams_store_tiles_written_total",
-                                      "Tile pages written (all levels)");
-    m_bytes_written_ = reg.GetCounter("geostreams_store_bytes_written_total",
-                                      "Bytes appended to tile page segments");
-    m_write_errors_ = reg.GetCounter(
-        "geostreams_store_write_errors_total",
-        "Frame writes abandoned on I/O errors (frame not committed)");
-    m_frames_read_ = reg.GetCounter("geostreams_store_frames_read_total",
-                                    "Frames replayed from the store");
-    m_tiles_read_ = reg.GetCounter("geostreams_store_tiles_read_total",
-                                   "Tile pages read and CRC-verified");
-    m_tile_read_errors_ = reg.GetCounter(
-        "geostreams_store_tile_read_errors_total",
-        "Tile pages skipped on read (CRC mismatch or I/O error)");
-    m_frames_recovered_ =
-        reg.GetCounter("geostreams_store_frames_recovered_total",
-                       "Committed frames re-indexed by startup recovery");
-    m_torn_tails_ = reg.GetCounter(
-        "geostreams_store_torn_tails_total",
-        "Half-written page tails truncated by startup recovery");
-    m_corrupt_regions_ = reg.GetCounter(
-        "geostreams_store_corrupt_regions_total",
-        "Mid-file corrupt regions skipped by recovery");
-    m_frames_rejected_ = reg.GetCounter(
-        "geostreams_store_frames_rejected_total",
-        "Frames refused at PutFrame admission while storage is degraded");
-    m_sync_errors_ = reg.GetCounter(
-        "geostreams_store_sync_errors_total",
-        "Segment Sync/Close failures (previously silently discarded)");
-    m_frames_pruned_ = reg.GetCounter(
-        "geostreams_store_frames_pruned_total",
-        "Frames evicted from the index by retention budgets");
-    m_segments_deleted_ = reg.GetCounter(
-        "geostreams_store_segments_deleted_total",
-        "Fully-dead page segments unlinked by GC");
-    m_segments_rewritten_ = reg.GetCounter(
-        "geostreams_store_segments_rewritten_total",
-        "Mostly-dead page segments compacted by GC");
-    m_bytes_reclaimed_ = reg.GetCounter(
-        "geostreams_store_bytes_reclaimed_total",
-        "Net on-disk bytes freed by retention and GC");
-    m_put_latency_us_ = reg.GetHistogram(
+    put_latency_us_ = options_.metrics->GetHistogram(
         "geostreams_store_put_latency_us",
         "Tile + pyramid encode and append latency per committed frame");
-    m_scan_frame_latency_us_ = reg.GetHistogram(
+    scan_frame_latency_us_ = options_.metrics->GetHistogram(
         "geostreams_store_scan_frame_latency_us",
         "Latency of replaying one stored frame into an event sink");
   }
+}
+
+void TileStore::RegisterCollector() {
+  if (options_.metrics == nullptr) return;
+  MetricsRegistry& reg = *options_.metrics;
+  auto counter = [&reg](const char* name, const char* help) {
+    return reg.GetCounter(name, help);
+  };
+  Counter* frames_written = counter("geostreams_store_frames_written_total",
+                                    "Frames committed to the tile store");
+  Counter* tiles_written = counter("geostreams_store_tiles_written_total",
+                                   "Tile pages written (all levels)");
+  Counter* bytes_written = counter("geostreams_store_bytes_written_total",
+                                   "Bytes appended to tile page segments");
+  Counter* write_errors = counter(
+      "geostreams_store_write_errors_total",
+      "Frame writes abandoned on I/O errors (frame not committed)");
+  Counter* frames_read = counter("geostreams_store_frames_read_total",
+                                 "Frames replayed from the store");
+  Counter* tiles_read = counter("geostreams_store_tiles_read_total",
+                                "Tile pages read and CRC-verified");
+  Counter* tile_read_errors = counter(
+      "geostreams_store_tile_read_errors_total",
+      "Tile pages skipped on read (CRC mismatch or I/O error)");
+  Counter* frames_recovered =
+      counter("geostreams_store_frames_recovered_total",
+              "Committed frames re-indexed by startup recovery");
+  Counter* torn_tails =
+      counter("geostreams_store_torn_tails_total",
+              "Half-written page tails truncated by startup recovery");
+  Counter* corrupt_regions =
+      counter("geostreams_store_corrupt_regions_total",
+              "Mid-file corrupt regions skipped by recovery");
+  Counter* frames_rejected = counter(
+      "geostreams_store_frames_rejected_total",
+      "Frames refused at PutFrame admission while storage is degraded");
+  Counter* sync_errors = counter(
+      "geostreams_store_sync_errors_total",
+      "Segment Sync/Close failures (previously silently discarded)");
+  Counter* frames_pruned =
+      counter("geostreams_store_frames_pruned_total",
+              "Frames evicted from the index by retention budgets");
+  Counter* segments_deleted =
+      counter("geostreams_store_segments_deleted_total",
+              "Fully-dead page segments unlinked by GC");
+  Counter* segments_rewritten =
+      counter("geostreams_store_segments_rewritten_total",
+              "Mostly-dead page segments compacted by GC");
+  Counter* bytes_reclaimed =
+      counter("geostreams_store_bytes_reclaimed_total",
+              "Net on-disk bytes freed by retention and GC");
+  collector_ = reg.AddCollector([=, this] {
+    const TileStoreStats s = TotalStats();
+    frames_written->Set(s.frames_written);
+    tiles_written->Set(s.tiles_written);
+    bytes_written->Set(s.bytes_written);
+    write_errors->Set(s.write_errors);
+    frames_read->Set(s.frames_read);
+    tiles_read->Set(s.tiles_read);
+    tile_read_errors->Set(s.tile_read_errors);
+    frames_rejected->Set(s.frames_rejected);
+    sync_errors->Set(s.sync_errors);
+    frames_pruned->Set(s.frames_pruned);
+    segments_deleted->Set(s.segments_deleted);
+    segments_rewritten->Set(s.segments_rewritten);
+    bytes_reclaimed->Set(s.bytes_reclaimed);
+    // Fixed once Open returns.
+    frames_recovered->Set(recovery_.frames_recovered);
+    torn_tails->Set(recovery_.torn_tails);
+    corrupt_regions->Set(recovery_.corrupt_regions);
+  });
 }
 
 TileStore::~TileStore() {
@@ -279,6 +305,7 @@ Result<std::unique_ptr<TileStore>> TileStore::Open(TileStoreOptions options) {
   }
   std::unique_ptr<TileStore> store(new TileStore(std::move(options)));
   GEOSTREAMS_RETURN_IF_ERROR(store->RecoverAll());
+  store->RegisterCollector();
   if (store->options_.gc_interval_ms > 0) {
     TileStore* raw = store.get();
     store->gc_thread_ = std::thread([raw] { raw->GcThreadMain(); });
@@ -299,13 +326,6 @@ Status TileStore::RecoverAll() {
                               ListSourceDirs(options_.dir));
   for (const SourceDir& dir : source_dirs) {
     GEOSTREAMS_RETURN_IF_ERROR(RecoverSource(dir));
-  }
-  if (m_frames_recovered_) {
-    m_frames_recovered_->Increment(recovery_.frames_recovered);
-  }
-  if (m_torn_tails_) m_torn_tails_->Increment(recovery_.torn_tails);
-  if (m_corrupt_regions_) {
-    m_corrupt_regions_->Increment(recovery_.corrupt_regions);
   }
   if (options_.governor != nullptr) {
     uint64_t on_disk = 0;
@@ -545,7 +565,6 @@ Status TileStore::EnsureOpenLocked(SourceStore* src) {
     Status close_st = src->active->Close();
     if (!sync_st.ok() || !close_st.ok()) {
       ++src->stats.sync_errors;
-      if (m_sync_errors_) m_sync_errors_->Increment();
       GEOSTREAMS_LOG(kWarning)
           << "tile store source '" << src->name << "': sealing segment: "
           << (!sync_st.ok() ? sync_st : close_st).ToString();
@@ -611,7 +630,6 @@ Status TileStore::PutFrame(const std::string& source, const FrameInfo& info,
     Status admit = gov->Admit("store");
     if (!admit.ok()) {
       ++src->stats.frames_rejected;
-      if (m_frames_rejected_) m_frames_rejected_->Increment();
       return admit;
     }
   }
@@ -743,7 +761,6 @@ Status TileStore::PutFrame(const std::string& source, const FrameInfo& info,
     }
     src->tainted = true;
     ++src->stats.write_errors;
-    if (m_write_errors_) m_write_errors_->Increment();
     return st;
   }
 
@@ -763,10 +780,7 @@ Status TileStore::PutFrame(const std::string& source, const FrameInfo& info,
   ++src->stats.frames_written;
   src->stats.tiles_written += total_tiles;
   src->stats.bytes_written += run.size();
-  if (m_frames_written_) m_frames_written_->Increment();
-  if (m_tiles_written_) m_tiles_written_->Increment(total_tiles);
-  if (m_bytes_written_) m_bytes_written_->Increment(run.size());
-  if (m_put_latency_us_) m_put_latency_us_->Observe(ElapsedUs(t0));
+  if (put_latency_us_) put_latency_us_->Observe(ElapsedUs(t0));
   return Status::OK();
 }
 
@@ -904,7 +918,6 @@ Status TileStore::EmitFrame(SourceStore* src,
       // Serve what survives: a rotten page loses its tile, not the
       // frame, and the loss is counted and logged once.
       ++tile_errors;
-      if (m_tile_read_errors_) m_tile_read_errors_->Increment();
       if (!warned) {
         warned = true;
         GEOSTREAMS_LOG(kWarning)
@@ -928,7 +941,6 @@ Status TileStore::EmitFrame(SourceStore* src,
     if (!reader.ok || bands != frame->band_count || tw != ref.tile_w ||
         th != ref.tile_h) {
       ++tile_errors;
-      if (m_tile_read_errors_) m_tile_read_errors_->Increment();
       continue;
     }
     const int64_t c0 = static_cast<int64_t>(ref.tile_col) * options_.tile_size;
@@ -969,9 +981,9 @@ Status TileStore::EmitFrame(SourceStore* src,
     src->stats.tiles_read += tiles_read;
     src->stats.tile_read_errors += tile_errors;
   }
-  if (m_frames_read_) m_frames_read_->Increment();
-  if (m_tiles_read_) m_tiles_read_->Increment(tiles_read);
-  if (m_scan_frame_latency_us_) m_scan_frame_latency_us_->Observe(ElapsedUs(t0));
+  if (scan_frame_latency_us_) {
+    scan_frame_latency_us_->Observe(ElapsedUs(t0));
+  }
   return Status::OK();
 }
 
@@ -1077,7 +1089,6 @@ Status TileStore::SyncAll() {
     Status st = src->active->Sync();
     if (!st.ok()) {
       ++src->stats.sync_errors;
-      if (m_sync_errors_) m_sync_errors_->Increment();
       if (first.ok()) first = st;
     }
   }
@@ -1120,23 +1131,9 @@ Status TileStore::RunRetentionNow() {
 }
 
 Status TileStore::ApplyRetentionSource(SourceStore* src) {
-  StorageGovernor* gov = options_.governor;
-  uint64_t max_bytes = options_.retention_max_bytes;
-  uint64_t max_age_ms = options_.retention_max_age_ms;
+  const uint64_t max_bytes = options_.retention_max_bytes;
+  const uint64_t max_age_ms = options_.retention_max_age_ms;
   const uint64_t max_frames = options_.retention_max_frames;
-  if (gov != nullptr) {
-    // The governor's "store" budget tightens the static knobs
-    // (applied per source, like the journal's retention caps).
-    const SubsystemBudget budget = gov->Budget("store");
-    if (budget.max_bytes > 0 &&
-        (max_bytes == 0 || budget.max_bytes < max_bytes)) {
-      max_bytes = budget.max_bytes;
-    }
-    if (budget.max_age_ms > 0 &&
-        (max_age_ms == 0 || budget.max_age_ms < max_age_ms)) {
-      max_age_ms = budget.max_age_ms;
-    }
-  }
   const uint64_t now = NowMs();
   Status first = Status::OK();
   uint64_t reclaimed_total = 0;
@@ -1169,7 +1166,6 @@ Status TileStore::ApplyRetentionSource(SourceStore* src) {
     src->pruned_upto = std::max(src->pruned_upto, f.frame_id);
     ++src->stats.frames_pruned;
     ++pruned_this_pass;
-    if (m_frames_pruned_) m_frames_pruned_->Increment();
     src->frames.erase(oldest);
   }
 
@@ -1185,7 +1181,6 @@ Status TileStore::ApplyRetentionSource(SourceStore* src) {
         reclaimed_total += freed;
         ++src->stats.segments_deleted;
         ++segments_deleted_this_pass;
-        if (m_segments_deleted_) m_segments_deleted_->Increment();
       }
       continue;
     }
@@ -1206,9 +1201,9 @@ Status TileStore::ApplyRetentionSource(SourceStore* src) {
 
   if (reclaimed_total > 0) {
     src->stats.bytes_reclaimed += reclaimed_total;
-    if (m_bytes_reclaimed_) m_bytes_reclaimed_->Increment(reclaimed_total);
-    if (gov != nullptr) {
-      gov->AddUsage("store", -static_cast<int64_t>(reclaimed_total));
+    if (options_.governor != nullptr) {
+      options_.governor->AddUsage("store",
+                                  -static_cast<int64_t>(reclaimed_total));
     }
   }
   if (options_.event_log != nullptr &&
@@ -1265,7 +1260,6 @@ Status TileStore::RewriteSegmentLocked(SourceStore* src,
     if (freed > 0) {
       *reclaimed = freed;
       ++src->stats.segments_deleted;
-      if (m_segments_deleted_) m_segments_deleted_->Increment();
     }
     return Status::OK();
   }
@@ -1343,7 +1337,6 @@ Status TileStore::RewriteSegmentLocked(SourceStore* src,
     *reclaimed = freed - packed.size();
   }
   ++src->stats.segments_rewritten;
-  if (m_segments_rewritten_) m_segments_rewritten_->Increment();
   if (options_.governor != nullptr && freed == 0) {
     // Unlink failed: the new copy still landed, account its bytes.
     options_.governor->AddUsage("store", static_cast<int64_t>(packed.size()));

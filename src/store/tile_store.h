@@ -45,8 +45,7 @@
 // served.
 //
 // Retention and garbage collection (disk-pressure resilience): when
-// byte/frame/age budgets are configured — directly or through a
-// StorageGovernor's "store" subsystem budget — a background pass (or
+// byte/frame/age budgets are configured a background pass (or
 // RunRetentionNow()) prunes the oldest committed frames from the
 // index, deletes sealed segments whose frames are all pruned, and
 // rewrites mostly-dead sealed segments by copying the surviving frame
@@ -117,7 +116,10 @@ struct TileStoreOptions {
   bool fsync_frames = false;
   /// File opener; null = OpenPosixWritable. Tests inject FaultyFile.
   WritableFileFactory file_factory;
-  /// Optional registry for geostreams_store_* series. Not owned.
+  /// Optional registry: a scrape-time collector mirrors TotalStats()
+  /// and recovery() into the geostreams_store_* counters; puts and
+  /// frame scans are observed into latency histograms. Not owned;
+  /// must outlive the store.
   MetricsRegistry* metrics = nullptr;
   /// Optional flight recorder (not owned): retention passes that
   /// pruned frames or reclaimed segments are recorded as structured
@@ -145,9 +147,8 @@ struct TileStoreOptions {
   uint64_t gc_interval_ms = 0;
   /// Optional disk-pressure governor (not owned, must outlive the
   /// store): PutFrame admission is gated on it, write results feed
-  /// its degraded-mode probe, its "store" subsystem byte/age budget
-  /// tightens the retention budgets above, and on-disk usage is
-  /// reported back to it.
+  /// its degraded-mode probe, and on-disk usage is reported back to
+  /// it.
   StorageGovernor* governor = nullptr;
   /// Injectable millisecond clock for age-based retention (tests pin
   /// time); null = steady_clock.
@@ -293,6 +294,8 @@ class TileStore {
 
   Status RecoverAll();
   Status RecoverSource(const SourceDir& dir);
+  /// Registers the geostreams_store_* collector (after recovery).
+  void RegisterCollector();
   SourceStore* SourceFor(const std::string& source);
   SourceStore* FindSource(const std::string& source) const;
   Result<std::unique_ptr<WritableFile>> OpenFile(const std::string& path);
@@ -333,25 +336,11 @@ class TileStore {
   std::condition_variable gc_cv_;
   bool stopping_ = false;
 
-  // geostreams_store_* series; null without a registry.
-  Counter* m_frames_written_ = nullptr;
-  Counter* m_tiles_written_ = nullptr;
-  Counter* m_bytes_written_ = nullptr;
-  Counter* m_write_errors_ = nullptr;
-  Counter* m_frames_read_ = nullptr;
-  Counter* m_tiles_read_ = nullptr;
-  Counter* m_tile_read_errors_ = nullptr;
-  Counter* m_frames_recovered_ = nullptr;
-  Counter* m_torn_tails_ = nullptr;
-  Counter* m_corrupt_regions_ = nullptr;
-  Counter* m_frames_rejected_ = nullptr;
-  Counter* m_sync_errors_ = nullptr;
-  Counter* m_frames_pruned_ = nullptr;
-  Counter* m_segments_deleted_ = nullptr;
-  Counter* m_segments_rewritten_ = nullptr;
-  Counter* m_bytes_reclaimed_ = nullptr;
-  MetricHistogram* m_put_latency_us_ = nullptr;
-  MetricHistogram* m_scan_frame_latency_us_ = nullptr;
+  /// Null without a registry.
+  MetricHistogram* put_latency_us_ = nullptr;
+  MetricHistogram* scan_frame_latency_us_ = nullptr;
+  /// Last member: unregistered first on destruction.
+  MetricsRegistry::CollectorHandle collector_;
 };
 
 /// EventSink that assembles each frame of one source and persists it

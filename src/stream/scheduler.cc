@@ -470,15 +470,16 @@ bool QueryScheduler::DeliverNextLocked(std::unique_lock<std::mutex>& lock) {
       const uint64_t admit = trace->admit_wall_us();
       const uint64_t durable = trace->durable_wall_us();
       const uint64_t seeded = durable ? durable : (admit ? admit : capture);
-      if (trace->observes_source_stages() &&
+      const SourceStageHistograms* source = trace->source_stages().get();
+      if (source != nullptr && trace->observes_source_stages() &&
           trace->last_anchor_wall_us() == seeded) {
         if (capture != 0 && admit > capture) {
-          ObserveE2eStage(options_.metrics, "send", "source",
-                          trace->origin(), admit - capture, trace);
+          ObserveE2eStage(source->send.get(), admit - capture,
+                          trace->ring_ordinal(), trace->pipeline());
         }
         if (admit != 0 && durable > admit) {
-          ObserveE2eStage(options_.metrics, "journal", "source",
-                          trace->origin(), durable - admit, trace);
+          ObserveE2eStage(source->journal.get(), durable - admit,
+                          trace->ring_ordinal(), trace->pipeline());
         }
       }
       ObserveE2eStage(trace->stages()->queue.get(),

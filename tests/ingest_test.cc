@@ -1160,6 +1160,38 @@ TEST(IngestSessionTest, PerSourceBudgetShedAcksDropsAndStaysDurable) {
   EXPECT_EQ((*sj)->next_seq(), 3u);
 }
 
+TEST(IngestSessionTest, OverloadShedUnderAJournalSettlesTheRetainFloor) {
+  const std::string dir = FreshJournalDir("overload-shed");
+  JournalOptions jopts;
+  jopts.dir = dir;
+  jopts.fsync = FsyncPolicy::kOff;
+  auto journal = IngestJournal::Open(jopts);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  auto sj = (*journal)->SourceFor("ovl.src");
+  ASSERT_TRUE(sj.ok()) << sj.status().ToString();
+
+  MemoryTracker tracker;
+  tracker.Update("test.ballast", 1u << 20);
+  AuditSink sink;
+  IngestSessionOptions options;
+  options.memory = &tracker;
+  options.admission_max_bytes = 1024;
+  options.overload_policy = IngestSessionOptions::OverloadPolicy::kShed;
+  options.journal = *sj;
+  IngestSession session("ovl.src", &sink, options);
+  session.Attach();
+
+  // Memory-admission kShed: journaled, acked, dropped — and settled,
+  // so retention may retire the record instead of compacting it
+  // forward as if it were still awaiting a retry.
+  EXPECT_EQ(session.Handle(MakeIngest("ovl.src", 1, BatchEvent(0))),
+            "ACK ovl.src 1");
+  EXPECT_EQ(session.Stats().overload_shed, 1u);
+  EXPECT_EQ(session.Stats().acks, 1u);
+  EXPECT_EQ(sink.events(), 0u);
+  EXPECT_EQ((*sj)->stats().retain_floor, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Durable sessions: journal-gated acks
 

@@ -408,6 +408,7 @@ TEST(JournalTest, MetricsTrackAppendsAndFsyncLatency) {
   for (uint64_t seq = 1; seq <= 5; ++seq) {
     GS_ASSERT_OK_((*sj)->Append(Msg("m.src", seq)));
   }
+  registry.RenderPrometheus();  // the journal's collector fills the series
   EXPECT_EQ(registry.GetCounter("geostreams_journal_appends_total", "")
                 ->Value(),
             5u);
@@ -893,6 +894,7 @@ TEST(JournalFuzzTest, TenThousandRecordRecoveryIsBoundedAndCounted) {
   auto journal = IngestJournal::Open(options);
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   GS_ASSERT_OK_(journal.status());
+  registry.RenderPrometheus();  // the journal's collector fills the series
   EXPECT_EQ((*journal)->recovery().records_replayed, kRecords);
   EXPECT_EQ((*journal)->recovery().sources.at(source).next_seq,
             kRecords + 1);
@@ -919,6 +921,7 @@ TEST(JournalFuzzTest, TenThousandRecordRecoveryIsBoundedAndCounted) {
   options.metrics = &registry2;
   auto reopened = IngestJournal::Open(options);
   GS_ASSERT_OK_(reopened.status());
+  registry2.RenderPrometheus();
   EXPECT_EQ(
       registry2.GetCounter("geostreams_journal_recovered_records_total", "")
           ->Value(),

@@ -235,11 +235,18 @@ TEST(MetricsRegistryTest, CollectorsRefreshMirrorsAtScrapeTime) {
   MetricsRegistry reg;
   Counter* mirror = reg.GetCounter("geostreams_mirror_total", "h");
   uint64_t source_of_truth = 0;
-  reg.AddCollector([&] { mirror->Set(source_of_truth); });
+  MetricsRegistry::CollectorHandle collector =
+      reg.AddCollector([&] { mirror->Set(source_of_truth); });
   source_of_truth = 42;
   const std::string out = reg.RenderPrometheus();
   EXPECT_NE(out.find("geostreams_mirror_total 42\n"), std::string::npos)
       << out;
+  // Dropping the handle unregisters the collector: the mirror keeps
+  // its last value and is never refreshed again.
+  collector.Reset();
+  source_of_truth = 7;
+  EXPECT_NE(reg.RenderPrometheus().find("geostreams_mirror_total 42\n"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -389,6 +396,7 @@ TEST(ObsIngestTest, SessionCountsAcksReplaysAndShedding) {
   ingest(2);        // kShed: acked but dropped
   pressure.Update("ballast", 0);
 
+  reg.RenderPrometheus();  // the session's collector fills the series
   auto value = [&](const char* name) {
     return reg.GetCounter(name, "", {{"source", "sat.band1"}})->Value();
   };
@@ -777,16 +785,23 @@ TEST(MetricsRegistryTest, ExemplarPipelineLabelsAreEscaped) {
 
 TEST(ObserveE2eStageTest, SharedFamilyAndExemplarLinkage) {
   MetricsRegistry reg;
+  // Per-source and per-query stage series resolve once into shared
+  // handles over one family.
+  const auto source = SourceStageHistograms::Resolve(&reg, "sat.band1");
+  const auto query = QueryStageHistograms::Resolve(&reg, "q1");
+  EXPECT_EQ(SourceStageHistograms::Resolve(&reg, "sat.band1")->send,
+            source->send);
   // A trace with a reserved ring slot exemplar-links the observation.
   TraceContext linked(1, "sat.band1");
   linked.set_ring_ordinal(5);
-  ObserveE2eStage(&reg, "send", "source", "sat.band1", 42, &linked);
-  // No ring slot (or no trace at all): plain observation.
+  ObserveE2eStage(source->send.get(), 42, linked.ring_ordinal(),
+                  linked.pipeline());
+  // No ring slot: plain observation.
   TraceContext unlinked(2, "sat.band1");
-  ObserveE2eStage(&reg, "queue", "query", "q1", 7, &unlinked);
-  ObserveE2eStage(&reg, "write", "query", "q1", 9, nullptr);
-  // Null registry is a no-op, not a crash.
-  ObserveE2eStage(nullptr, "send", "source", "s", 1, &linked);
+  ObserveE2eStage(query->queue.get(), 7, unlinked.ring_ordinal(), "q1");
+  ObserveE2eStage(query->write.get(), 9, TraceContext::kNoRingOrdinal, "");
+  // Null histogram is a no-op, not a crash.
+  ObserveE2eStage(nullptr, 1, linked.ring_ordinal(), "");
 
   const std::string out = reg.RenderOpenMetrics();
   EXPECT_NE(

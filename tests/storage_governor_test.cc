@@ -33,24 +33,17 @@ std::string FreshDir(const std::string& tag) {
   return dir;
 }
 
-TEST(StorageGovernorTest, UsageAndBudgetArithmetic) {
+TEST(StorageGovernorTest, UsageArithmetic) {
   StorageGovernor governor({});
 
   EXPECT_EQ(governor.Usage("store"), 0u);
-  EXPECT_EQ(governor.BytesOverBudget("store"), 0u);
 
   governor.SetUsage("store", 1000);
   governor.AddUsage("store", 500);
   governor.AddUsage("store", -200);
   EXPECT_EQ(governor.Usage("store"), 1300u);
-  // No budget set: never over.
-  EXPECT_EQ(governor.BytesOverBudget("store"), 0u);
-
-  governor.SetBudget("store", {/*max_bytes=*/1000, /*max_age_ms=*/0});
-  EXPECT_EQ(governor.Budget("store").max_bytes, 1000u);
-  EXPECT_EQ(governor.BytesOverBudget("store"), 300u);
   governor.SetUsage("store", 400);
-  EXPECT_EQ(governor.BytesOverBudget("store"), 0u);
+  EXPECT_EQ(governor.Usage("store"), 400u);
 
   // Accounting drift clamps at zero instead of wrapping.
   governor.AddUsage("store", -4000);
