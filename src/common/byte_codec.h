@@ -1,15 +1,20 @@
 // Little-endian byte codec shared by every wire and on-disk format
 // (GSF1 messages, GST1 tile pages, GSDL dead letters): Put* appends a
 // value's bytes to a buffer, Get* reads one back from a pointer, and
-// PayloadReader walks a payload with bounds checking.
+// PayloadReader walks a payload with bounds checking. PutArray and
+// GetArray move a whole column of numbers at once: one memcpy on a
+// little-endian host, the per-element loop elsewhere, the same bytes
+// either way.
 
 #ifndef GEOSTREAMS_COMMON_BYTE_CODEC_H_
 #define GEOSTREAMS_COMMON_BYTE_CODEC_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace geostreams {
@@ -70,6 +75,53 @@ inline double GetF64(const uint8_t* p) {
   return v;
 }
 
+/// The unsigned integer with T's width: the bit pattern a column
+/// element travels as.
+template <typename T>
+using ColumnBits = std::conditional_t<sizeof(T) == 4, uint32_t, uint64_t>;
+
+/// Appends `n` values as little-endian bit patterns.
+template <typename T>
+inline void PutArray(std::vector<uint8_t>& out, const T* values, size_t n) {
+  static_assert(std::is_arithmetic_v<T> && (sizeof(T) == 4 || sizeof(T) == 8));
+  if (n == 0) return;  // `values` may be null
+  if constexpr (std::endian::native == std::endian::little) {
+    const size_t at = out.size();
+    out.resize(at + n * sizeof(T));
+    std::memcpy(out.data() + at, values, n * sizeof(T));
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      ColumnBits<T> bits = 0;
+      std::memcpy(&bits, &values[i], sizeof(T));
+      if constexpr (sizeof(T) == 4) {
+        PutU32(out, bits);
+      } else {
+        PutU64(out, bits);
+      }
+    }
+  }
+}
+
+/// Reads `n` little-endian values from `src` (no alignment needed).
+template <typename T>
+inline void GetArray(const uint8_t* src, T* values, size_t n) {
+  static_assert(std::is_arithmetic_v<T> && (sizeof(T) == 4 || sizeof(T) == 8));
+  if (n == 0) return;  // `values` may be null
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(values, src, n * sizeof(T));
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      ColumnBits<T> bits = 0;
+      if constexpr (sizeof(T) == 4) {
+        bits = GetU32(src + i * sizeof(T));
+      } else {
+        bits = GetU64(src + i * sizeof(T));
+      }
+      std::memcpy(&values[i], &bits, sizeof(T));
+    }
+  }
+}
+
 /// Bounds-checked sequential reader over a payload. Every read fails
 /// closed: once `ok` is false the cursor stops moving and reads return
 /// zero, so a caller checks `ok` once after a run of reads.
@@ -95,6 +147,12 @@ struct PayloadReader {
   uint64_t U64() { const uint8_t* q = Take(8); return q ? GetU64(q) : 0; }
   int64_t I64() { return static_cast<int64_t>(U64()); }
   double F64() { const uint8_t* q = Take(8); return q ? GetF64(q) : 0.0; }
+  /// Fills `values` with the next values.size() little-endian values.
+  template <typename T>
+  void Array(std::vector<T>& values) {
+    const uint8_t* q = Take(values.size() * sizeof(T));
+    if (q != nullptr) GetArray(q, values.data(), values.size());
+  }
   std::string String(size_t n) {
     const uint8_t* q = Take(n);
     return q ? std::string(reinterpret_cast<const char*>(q), n)

@@ -7,6 +7,15 @@
 
 namespace geostreams {
 
+namespace {
+
+/// Every read asks the socket for at least this much, straight into
+/// the decoder's buffer: a 512 KiB result frame arrives in a handful
+/// of reads and is never copied before it is decoded.
+constexpr size_t kMinReadBytes = 64 << 10;
+
+}  // namespace
+
 GeoStreamsClient::~GeoStreamsClient() { Close(); }
 
 Status GeoStreamsClient::Connect(const std::string& host, uint16_t port,
@@ -46,13 +55,13 @@ Result<FrameDecoder::Unit> GeoStreamsClient::ReadUnitUntil(Deadline deadline,
     GEOSTREAMS_ASSIGN_OR_RETURN(bool readable,
                                 PollReadable(fd_, std::max(wait_ms, 1)));
     if (!readable) continue;
-    uint8_t buf[8192];
-    GEOSTREAMS_ASSIGN_OR_RETURN(size_t n, ReadSome(fd_, buf, sizeof(buf)));
+    const FrameDecoder::Room room = decoder_.PrepareFeed(kMinReadBytes);
+    GEOSTREAMS_ASSIGN_OR_RETURN(size_t n, ReadSome(fd_, room.data, room.size));
     if (n == 0) {
       *eof = true;
       return FrameDecoder::Unit{};
     }
-    decoder_.Feed(buf, n);
+    decoder_.CommitFeed(n);
   }
 }
 

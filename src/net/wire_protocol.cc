@@ -27,16 +27,6 @@ Status ValidateHeader(const uint8_t* data, size_t len, MessageType expected,
   return Status::OK();
 }
 
-/// Wraps `payload` in a ready-to-send message (header prepended).
-std::vector<uint8_t> FinishMessage(MessageType type, uint8_t flags,
-                                   const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> out;
-  out.reserve(kWireHeaderSize + payload.size());
-  AppendRecord(kWireFormat, static_cast<uint8_t>(type), flags, payload.data(),
-               payload.size(), out);
-  return out;
-}
-
 void PutLattice(std::vector<uint8_t>& out, const GridLattice& lattice) {
   PutString(out, lattice.crs() ? lattice.crs()->name() : std::string());
   PutF64(out, lattice.origin_x());
@@ -66,46 +56,50 @@ Result<GridLattice> GetLattice(PayloadReader& reader) {
   return GridLattice(crs, origin_x, origin_y, dx, dy, width, height);
 }
 
+/// One result-frame message, written header, preamble and body into
+/// a single buffer and CRCed in place: the raw samples, or the PNG
+/// bytes when `png` is set.
+std::vector<uint8_t> EncodeFrame(int64_t query_id, int64_t frame_id,
+                                 uint32_t width, uint32_t height,
+                                 uint16_t bands,
+                                 const std::vector<double>& samples,
+                                 const std::vector<uint8_t>* png) {
+  std::vector<uint8_t> out;
+  out.reserve(kWireHeaderSize + kFramePreambleSize +
+              (png ? png->size() : samples.size() * sizeof(double)));
+  const size_t start = BeginRecord(out);
+  PutU64(out, static_cast<uint64_t>(query_id));
+  PutU64(out, static_cast<uint64_t>(frame_id));
+  PutU32(out, width);
+  PutU32(out, height);
+  PutU16(out, bands);
+  PutU16(out, 0);  // reserved
+  if (png) {
+    out.insert(out.end(), png->begin(), png->end());
+  } else {
+    PutArray(out, samples.data(), samples.size());
+  }
+  SealRecord(kWireFormat, static_cast<uint8_t>(MessageType::kResultFrame),
+             png ? kFlagPng : 0, start, out);
+  return out;
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeFrameMessage(const FrameMessage& message) {
-  std::vector<uint8_t> payload;
-  payload.reserve(kFramePreambleSize +
-                  (message.png ? message.png_bytes.size()
-                               : message.samples.size() * sizeof(double)));
-  PutU64(payload, static_cast<uint64_t>(message.query_id));
-  PutU64(payload, static_cast<uint64_t>(message.frame_id));
-  PutU32(payload, message.width);
-  PutU32(payload, message.height);
-  PutU16(payload, message.bands);
-  PutU16(payload, 0);  // reserved
-  if (message.png) {
-    payload.insert(payload.end(), message.png_bytes.begin(),
-                   message.png_bytes.end());
-  } else {
-    for (double sample : message.samples) PutF64(payload, sample);
-  }
-
-  return FinishMessage(MessageType::kResultFrame,
-                       message.png ? kFlagPng : 0, payload);
+  return EncodeFrame(message.query_id, message.frame_id, message.width,
+                     message.height, message.bands, message.samples,
+                     message.png ? &message.png_bytes : nullptr);
 }
 
 std::vector<uint8_t> EncodeResultFrame(int64_t query_id, int64_t frame_id,
                                        const Raster& raster,
                                        const std::vector<uint8_t>& png) {
-  FrameMessage message;
-  message.query_id = query_id;
-  message.frame_id = frame_id;
-  message.width = static_cast<uint32_t>(raster.width());
-  message.height = static_cast<uint32_t>(raster.height());
-  message.bands = static_cast<uint16_t>(raster.bands());
-  if (!png.empty()) {
-    message.png = true;
-    message.png_bytes = png;
-  } else {
-    message.samples = raster.data();
-  }
-  return EncodeFrameMessage(message);
+  return EncodeFrame(query_id, frame_id,
+                     static_cast<uint32_t>(raster.width()),
+                     static_cast<uint32_t>(raster.height()),
+                     static_cast<uint16_t>(raster.bands()), raster.data(),
+                     png.empty() ? nullptr : &png);
 }
 
 Result<FrameMessage> DecodeFrameMessage(const uint8_t* data, size_t len) {
@@ -142,14 +136,12 @@ Result<FrameMessage> DecodeFrameMessage(const uint8_t* data, size_t len) {
         static_cast<unsigned long long>(expected * sizeof(double))));
   }
   message.samples.resize(expected);
-  for (uint64_t i = 0; i < expected; ++i) {
-    message.samples[i] = GetF64(body + i * sizeof(double));
-  }
+  GetArray(body, message.samples.data(), message.samples.size());
   return message;
 }
 
 std::vector<uint8_t> EncodeIngestMessage(const IngestMessage& message) {
-  std::vector<uint8_t> payload;
+  std::vector<uint8_t> out;
   const StreamEvent& event = message.event;
   size_t body_hint = 64;
   if (event.kind == EventKind::kPointBatch && event.batch) {
@@ -158,45 +150,42 @@ std::vector<uint8_t> EncodeIngestMessage(const IngestMessage& message) {
                   sizeof(double) * static_cast<size_t>(
                                        event.batch->band_count));
   }
-  payload.reserve(message.source.size() + body_hint);
-  PutString(payload, message.source);
-  PutU64(payload, message.seq);
+  out.reserve(kWireHeaderSize + message.source.size() + body_hint);
+  const size_t start = BeginRecord(out);
+  PutString(out, message.source);
+  PutU64(out, message.seq);
   uint8_t flags = 0;
   if (message.capture_wall_us != 0) {
     flags |= kFlagCaptureTs;
-    PutU64(payload, message.capture_wall_us);
+    PutU64(out, message.capture_wall_us);
   }
-  payload.push_back(static_cast<uint8_t>(event.kind));
+  out.push_back(static_cast<uint8_t>(event.kind));
   switch (event.kind) {
     case EventKind::kFrameBegin:
     case EventKind::kFrameEnd:
-      PutU64(payload, static_cast<uint64_t>(event.frame.frame_id));
-      PutU64(payload, static_cast<uint64_t>(event.frame.expected_points));
-      PutLattice(payload, event.frame.lattice);
+      PutU64(out, static_cast<uint64_t>(event.frame.frame_id));
+      PutU64(out, static_cast<uint64_t>(event.frame.expected_points));
+      PutLattice(out, event.frame.lattice);
       break;
     case EventKind::kPointBatch: {
       static const PointBatch kEmpty;
       const PointBatch& batch = event.batch ? *event.batch : kEmpty;
-      PutU64(payload, static_cast<uint64_t>(batch.frame_id));
-      PutU32(payload, static_cast<uint32_t>(batch.band_count));
-      PutU64(payload, batch.checksum);
-      PutU32(payload, static_cast<uint32_t>(batch.size()));
-      for (int32_t col : batch.cols) {
-        PutU32(payload, static_cast<uint32_t>(col));
-      }
-      for (int32_t row : batch.rows) {
-        PutU32(payload, static_cast<uint32_t>(row));
-      }
-      for (int64_t t : batch.timestamps) {
-        PutU64(payload, static_cast<uint64_t>(t));
-      }
-      for (double v : batch.values) PutF64(payload, v);
+      PutU64(out, static_cast<uint64_t>(batch.frame_id));
+      PutU32(out, static_cast<uint32_t>(batch.band_count));
+      PutU64(out, batch.checksum);
+      PutU32(out, static_cast<uint32_t>(batch.size()));
+      PutArray(out, batch.cols.data(), batch.cols.size());
+      PutArray(out, batch.rows.data(), batch.rows.size());
+      PutArray(out, batch.timestamps.data(), batch.timestamps.size());
+      PutArray(out, batch.values.data(), batch.values.size());
       break;
     }
     case EventKind::kStreamEnd:
       break;
   }
-  return FinishMessage(MessageType::kIngest, flags, payload);
+  SealRecord(kWireFormat, static_cast<uint8_t>(MessageType::kIngest), flags,
+             start, out);
+  return out;
 }
 
 Result<IngestMessage> DecodeIngestMessage(const uint8_t* data, size_t len) {
@@ -268,21 +257,14 @@ Result<IngestMessage> DecodeIngestPayload(const RecordView& view) {
             static_cast<unsigned long long>(need)));
       }
       batch->band_count = static_cast<int>(band_count);
-      batch->Reserve(n);
       batch->cols.resize(n);
       batch->rows.resize(n);
       batch->timestamps.resize(n);
       batch->values.resize(static_cast<size_t>(n) * band_count);
-      for (uint32_t i = 0; i < n; ++i) {
-        batch->cols[i] = static_cast<int32_t>(reader.U32());
-      }
-      for (uint32_t i = 0; i < n; ++i) {
-        batch->rows[i] = static_cast<int32_t>(reader.U32());
-      }
-      for (uint32_t i = 0; i < n; ++i) {
-        batch->timestamps[i] = reader.I64();
-      }
-      for (auto& v : batch->values) v = reader.F64();
+      reader.Array(batch->cols);
+      reader.Array(batch->rows);
+      reader.Array(batch->timestamps);
+      reader.Array(batch->values);
       message.event = StreamEvent::Batch(std::move(batch));
       break;
     }
@@ -305,24 +287,34 @@ Result<IngestMessage> DecodeIngestPayload(const RecordView& view) {
 }
 
 void FrameDecoder::Feed(const uint8_t* data, size_t len) {
-  buffer_.insert(buffer_.end(), data, data + len);
+  if (len == 0) return;
+  std::memcpy(PrepareFeed(len).data, data, len);
+  CommitFeed(len);
 }
 
-void FrameDecoder::Compact() {
-  if (consumed_ == 0) return;
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + static_cast<ptrdiff_t>(consumed_));
-  consumed_ = 0;
+FrameDecoder::Room FrameDecoder::PrepareFeed(size_t min_bytes) {
+  if (buffer_.size() - end_ < min_bytes && begin_ > 0) {
+    // Slide the undecoded bytes to the front before growing.
+    std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+  }
+  if (buffer_.size() - end_ < min_bytes) buffer_.resize(end_ + min_bytes);
+  return Room{buffer_.data() + end_, buffer_.size() - end_};
+}
+
+void FrameDecoder::CommitFeed(size_t len) { end_ += len; }
+
+void FrameDecoder::Consume(size_t len) {
+  begin_ += len;
+  if (begin_ == end_) begin_ = end_ = 0;
 }
 
 Result<std::optional<FrameDecoder::Unit>> FrameDecoder::Next() {
   if (!poisoned_.ok()) return poisoned_;
-  const uint8_t* data = buffer_.data() + consumed_;
-  const size_t avail = buffer_.size() - consumed_;
-  if (avail == 0) {
-    Compact();
-    return std::optional<Unit>{};
-  }
+  const uint8_t* data = buffer_.data() + begin_;
+  const size_t avail = end_ - begin_;
+  if (avail == 0) return std::optional<Unit>{};
   // A unit is binary only when it opens with the full GSF1 magic.
   // Comparing just the bytes on hand keeps 'G'-leading text lines
   // ("GET /metrics", a future verb) on the line path instead of
@@ -364,8 +356,7 @@ Result<std::optional<FrameDecoder::Unit>> FrameDecoder::Next() {
       }
       unit.frame = std::move(decoded).value();
     }
-    consumed_ += total;
-    Compact();
+    Consume(total);
     return std::optional<Unit>(std::move(unit));
   }
   // Text line.
@@ -375,8 +366,7 @@ Result<std::optional<FrameDecoder::Unit>> FrameDecoder::Next() {
       while (end > 0 && data[end - 1] == '\r') --end;
       Unit unit;
       unit.line = std::string(reinterpret_cast<const char*>(data), end);
-      consumed_ += i + 1;
-      Compact();
+      Consume(i + 1);
       return std::optional<Unit>(std::move(unit));
     }
   }

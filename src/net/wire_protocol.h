@@ -150,7 +150,9 @@ Result<IngestMessage> DecodeIngestPayload(const RecordView& view);
 
 /// Incremental decoder over a byte stream that interleaves text lines
 /// and binary messages (the client side of one connection). Feed()
-/// appends received bytes; Next() pulls decoded units in order.
+/// appends received bytes, or a reader fills PrepareFeed()'s room in
+/// place and CommitFeed()s what it wrote; Next() pulls decoded units
+/// in order.
 class FrameDecoder {
  public:
   /// One demultiplexed unit: exactly one of `frame` / `ingest` /
@@ -163,18 +165,34 @@ class FrameDecoder {
 
   void Feed(const uint8_t* data, size_t len);
 
+  /// Free space at the end of the buffer.
+  struct Room {
+    uint8_t* data;
+    size_t size;
+  };
+  /// Makes room for at least `min_bytes` more bytes (sliding the
+  /// undecoded bytes to the front, or growing the buffer) and returns
+  /// all of it, so one read can fill it directly.
+  Room PrepareFeed(size_t min_bytes);
+  /// Appends the first `len` bytes written into PrepareFeed()'s room.
+  void CommitFeed(size_t len);
+
   /// Next complete unit; nullopt when more bytes are needed. A
   /// malformed binary message poisons the stream: the error is
   /// returned now and on every later call (framing is lost for good).
   Result<std::optional<Unit>> Next();
 
-  size_t buffered_bytes() const { return buffer_.size() - consumed_; }
+  size_t buffered_bytes() const { return end_ - begin_; }
 
  private:
-  void Compact();
+  /// Drops `len` decoded bytes off the front.
+  void Consume(size_t len);
 
+  /// Bytes [begin_, end_) are received and undecoded; the rest of
+  /// buffer_ is room for the next read.
   std::vector<uint8_t> buffer_;
-  size_t consumed_ = 0;
+  size_t begin_ = 0;
+  size_t end_ = 0;
   Status poisoned_ = Status::OK();
 };
 

@@ -328,10 +328,52 @@ std::string MetricsRegistry::RenderExposition(bool openmetrics) {
     for (const auto& [id, collect] : collectors_) collect();
   }
 
+  // Snapshot the families under mu_ and format them without it, so a
+  // back-to-back scraper holds off registration only for the copy.
+  // Counter and gauge values are read now (RemoveSeries frees their
+  // series); histograms are shared handles, read while formatting.
+  struct SeriesSnapshot {
+    std::string label_str;
+    uint64_t value = 0;
+    MetricLabels labels;
+    std::shared_ptr<MetricHistogram> histogram;
+  };
+  struct FamilySnapshot {
+    std::string name;
+    Kind kind;
+    std::string help;
+    std::vector<SeriesSnapshot> series;
+  };
+  std::vector<FamilySnapshot> families;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    families.reserve(families_.size());
+    for (const auto& [name, family] : families_) {
+      FamilySnapshot& snap = families.emplace_back(
+          FamilySnapshot{name, family.kind, family.help, {}});
+      snap.series.reserve(family.series.size());
+      for (const auto& [label_str, series] : family.series) {
+        SeriesSnapshot one;
+        if (family.kind == Kind::kCounter && series.counter) {
+          one.value = series.counter->Value();
+        } else if (family.kind == Kind::kGauge && series.gauge) {
+          one.value = series.gauge->Value();
+        } else if (family.kind == Kind::kHistogram && series.histogram) {
+          one.labels = series.labels;
+          one.histogram = series.histogram;
+        } else {
+          continue;
+        }
+        one.label_str = label_str;
+        snap.series.push_back(std::move(one));
+      }
+    }
+  }
+
   char line[160];
   std::string out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, family] : families_) {
+  for (const FamilySnapshot& family : families) {
+    const std::string& name = family.name;
     // OpenMetrics names the counter family without its `_total`
     // suffix; the sample line keeps the full name.
     std::string meta_name = name;
@@ -346,45 +388,42 @@ std::string MetricsRegistry::RenderExposition(bool openmetrics) {
       case Kind::kGauge: out += "gauge\n"; break;
       case Kind::kHistogram: out += "histogram\n"; break;
     }
-    for (const auto& [label_str, series] : family.series) {
-      if (family.kind == Kind::kCounter && series.counter) {
+    for (const SeriesSnapshot& series : family.series) {
+      const std::string& label_str = series.label_str;
+      if (!series.histogram) {
         std::snprintf(line, sizeof(line), " %llu\n",
-                      static_cast<unsigned long long>(series.counter->Value()));
+                      static_cast<unsigned long long>(series.value));
         out += name + label_str + line;
-      } else if (family.kind == Kind::kGauge && series.gauge) {
-        std::snprintf(line, sizeof(line), " %llu\n",
-                      static_cast<unsigned long long>(series.gauge->Value()));
-        out += name + label_str + line;
-      } else if (family.kind == Kind::kHistogram && series.histogram) {
-        MetricHistogram::Snapshot snap = series.histogram->TakeSnapshot();
-        uint64_t cumulative = 0;
-        for (size_t i = 0; i < snap.bounds.size(); ++i) {
-          cumulative += snap.counts[i];
-          std::snprintf(line, sizeof(line), " %llu",
-                        static_cast<unsigned long long>(cumulative));
-          out += name + "_bucket" +
-                 RenderLabelsWithLe(series.labels,
-                                    std::to_string(snap.bounds[i])) +
-                 line;
-          if (openmetrics) AppendExemplar(&out, snap.exemplars, i);
-          out += "\n";
-        }
-        cumulative += snap.counts.back();
+        continue;
+      }
+      MetricHistogram::Snapshot snap = series.histogram->TakeSnapshot();
+      uint64_t cumulative = 0;
+      for (size_t i = 0; i < snap.bounds.size(); ++i) {
+        cumulative += snap.counts[i];
         std::snprintf(line, sizeof(line), " %llu",
                       static_cast<unsigned long long>(cumulative));
-        out += name + "_bucket" + RenderLabelsWithLe(series.labels, "+Inf") +
+        out += name + "_bucket" +
+               RenderLabelsWithLe(series.labels,
+                                  std::to_string(snap.bounds[i])) +
                line;
-        if (openmetrics) {
-          AppendExemplar(&out, snap.exemplars, snap.bounds.size());
-        }
+        if (openmetrics) AppendExemplar(&out, snap.exemplars, i);
         out += "\n";
-        std::snprintf(line, sizeof(line), " %llu\n",
-                      static_cast<unsigned long long>(snap.sum));
-        out += name + "_sum" + label_str + line;
-        std::snprintf(line, sizeof(line), " %llu\n",
-                      static_cast<unsigned long long>(snap.count));
-        out += name + "_count" + label_str + line;
       }
+      cumulative += snap.counts.back();
+      std::snprintf(line, sizeof(line), " %llu",
+                    static_cast<unsigned long long>(cumulative));
+      out += name + "_bucket" + RenderLabelsWithLe(series.labels, "+Inf") +
+             line;
+      if (openmetrics) {
+        AppendExemplar(&out, snap.exemplars, snap.bounds.size());
+      }
+      out += "\n";
+      std::snprintf(line, sizeof(line), " %llu\n",
+                    static_cast<unsigned long long>(snap.sum));
+      out += name + "_sum" + label_str + line;
+      std::snprintf(line, sizeof(line), " %llu\n",
+                    static_cast<unsigned long long>(snap.count));
+      out += name + "_count" + label_str + line;
     }
   }
   if (openmetrics) out += "# EOF\n";

@@ -9,7 +9,9 @@
 //
 //  1. Update paths are lock-light. Counter/Gauge/MetricHistogram updates
 //     are relaxed atomics on pre-resolved pointers; the registry
-//     mutex is taken only at registration and at scrape time.
+//     mutex is taken only at registration and, at scrape time, for
+//     the snapshot the exposition is formatted from (formatting runs
+//     unlocked, so a back-to-back scraper cannot starve registration).
 //  2. Series are stable. GetCounter/GetGauge/GetHistogram return the
 //     same instance for the same (name, labels) forever; handles
 //     never dangle even after the registering component is gone.

@@ -24,7 +24,7 @@ Status DeliveryOp::Process(const StreamEvent& event) {
         GEOSTREAMS_RETURN_IF_ERROR(assembler_.Begin(event.frame, band_count_));
         frame_pending_ = false;
       } else {
-        // Defer allocation until the first batch reveals band count.
+        // Defer Begin until the first batch reveals the band count.
         pending_frame_ = event.frame;
         frame_pending_ = true;
       }

@@ -2,33 +2,56 @@
 
 #include <array>
 
+#include "common/byte_codec.h"
+
 namespace geostreams {
 
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+/// Slicing-by-8 tables for the reflected IEEE polynomial: table[0] is
+/// the classic byte-at-a-time table, and table[k][n] is the CRC of
+/// byte n followed by k zero bytes, so eight table lookups advance the
+/// CRC over eight input bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (uint32_t n = 0; n < 256; ++n) {
     uint32_t c = n;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[n] = c;
+    tables[0][n] = c;
   }
-  return table;
+  for (uint32_t n = 0; n < 256; ++n) {
+    for (size_t k = 1; k < 8; ++k) {
+      const uint32_t prev = tables[k - 1][n];
+      tables[k][n] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
-const std::array<uint32_t, 256>& CrcTable() {
-  static const std::array<uint32_t, 256> table = MakeCrcTable();
-  return table;
-}
+constexpr CrcTables kCrcTables = MakeCrcTables();
 
 }  // namespace
 
 uint32_t UpdateCrc32(uint32_t crc, const uint8_t* data, size_t len) {
-  const auto& table = CrcTable();
+  const auto& t = kCrcTables;
+  // The eight bytes are read as two little-endian words whatever the
+  // host order, so the table lookups see the bytes in stream order.
+  while (len >= 8) {
+    const uint32_t lo = GetU32(data) ^ crc;
+    const uint32_t hi = GetU32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+          t[0][hi >> 24];
+    data += 8;
+    len -= 8;
+  }
   for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+    crc = t[0][(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
   }
   return crc;
 }

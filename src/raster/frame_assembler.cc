@@ -1,5 +1,7 @@
 #include "raster/frame_assembler.h"
 
+#include <utility>
+
 #include "common/string_util.h"
 
 namespace geostreams {
@@ -11,15 +13,22 @@ Status FrameAssembler::Begin(const FrameInfo& info, int band_count) {
                      static_cast<long long>(frame_id_)));
   }
   GEOSTREAMS_RETURN_IF_ERROR(info.lattice.Validate());
-  GEOSTREAMS_ASSIGN_OR_RETURN(
-      raster_, Raster::Create(info.lattice.width(), info.lattice.height(),
-                              band_count, nodata_));
-  raster_.set_lattice(info.lattice);
-  filled_.assign(static_cast<size_t>(raster_.num_pixels()), 0);
+  // Validated now, allocated at the first point: an open frame that
+  // no point has reached yet holds no buffer.
+  GEOSTREAMS_RETURN_IF_ERROR(Raster::ValidateShape(
+      info.lattice.width(), info.lattice.height(), band_count));
+  lattice_ = info.lattice;
+  bands_ = band_count;
   frame_id_ = info.frame_id;
   points_seen_ = 0;
   active_ = true;
   return Status::OK();
+}
+
+void FrameAssembler::Allocate() {
+  raster_ = Raster(lattice_.width(), lattice_.height(), bands_, nodata_);
+  raster_.set_lattice(lattice_);
+  filled_.assign(static_cast<size_t>(raster_.num_pixels()), 0);
 }
 
 Status FrameAssembler::Add(const PointBatch& batch) {
@@ -32,11 +41,13 @@ Status FrameAssembler::Add(const PointBatch& batch) {
                      static_cast<long long>(batch.frame_id),
                      static_cast<long long>(frame_id_)));
   }
-  if (batch.band_count != raster_.bands()) {
+  if (batch.band_count != bands_) {
     return Status::InvalidArgument(
         StringPrintf("batch bands %d != raster bands %d", batch.band_count,
-                     raster_.bands()));
+                     bands_));
   }
+  if (batch.empty()) return Status::OK();
+  if (raster_.empty()) Allocate();
   for (size_t i = 0; i < batch.size(); ++i) {
     const int64_t c = batch.cols[i];
     const int64_t r = batch.rows[i];
@@ -60,9 +71,11 @@ Result<AssembledFrame> FrameAssembler::Finish() {
   if (!active_) {
     return Status::FailedPrecondition("no open frame");
   }
+  // A frame no point reached delivers all-nodata.
+  if (raster_.empty()) Allocate();
   active_ = false;
   AssembledFrame frame;
-  frame.raster = std::move(raster_);
+  frame.raster = std::exchange(raster_, Raster());
   frame.filled = std::move(filled_);
   return frame;
 }

@@ -14,8 +14,7 @@ Raster::Raster(int64_t width, int64_t height, int bands, double fill)
       bands_(bands),
       data_(static_cast<size_t>(width * height * bands), fill) {}
 
-Result<Raster> Raster::Create(int64_t width, int64_t height, int bands,
-                              double fill) {
+Status Raster::ValidateShape(int64_t width, int64_t height, int bands) {
   if (width <= 0 || height <= 0) {
     return Status::InvalidArgument(
         StringPrintf("raster extents must be positive: %lld x %lld",
@@ -27,6 +26,12 @@ Result<Raster> Raster::Create(int64_t width, int64_t height, int bands,
         StringPrintf("raster band count %d outside [1, %d]", bands,
                      kMaxBands));
   }
+  return Status::OK();
+}
+
+Result<Raster> Raster::Create(int64_t width, int64_t height, int bands,
+                              double fill) {
+  GEOSTREAMS_RETURN_IF_ERROR(ValidateShape(width, height, bands));
   return Raster(width, height, bands, fill);
 }
 

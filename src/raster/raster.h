@@ -23,6 +23,8 @@ class Raster {
 
   static Result<Raster> Create(int64_t width, int64_t height, int bands,
                                double fill = 0.0);
+  /// The checks Create makes: positive extents, 1..kMaxBands bands.
+  static Status ValidateShape(int64_t width, int64_t height, int bands);
 
   int64_t width() const { return width_; }
   int64_t height() const { return height_; }

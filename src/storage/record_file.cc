@@ -131,16 +131,31 @@ Status ReadWholeFile(const std::string& path, std::vector<uint8_t>* out) {
 // ---------------------------------------------------------------------------
 // Record header
 
+size_t BeginRecord(std::vector<uint8_t>& out) {
+  const size_t start = out.size();
+  out.resize(start + kRecordHeaderSize);
+  return start;
+}
+
+void SealRecord(const RecordFormat& format, uint8_t type, uint8_t flags,
+                size_t start, std::vector<uint8_t>& out) {
+  const uint8_t* payload = out.data() + start + kRecordHeaderSize;
+  const size_t payload_len = out.size() - start - kRecordHeaderSize;
+  std::vector<uint8_t> header(format.magic, format.magic + 4);
+  header.push_back(type);
+  header.push_back(flags);
+  PutU16(header, format.version);
+  PutU32(header, static_cast<uint32_t>(payload_len));
+  PutU32(header, Crc32(payload, payload_len));
+  std::copy(header.begin(), header.end(), out.begin() + start);
+}
+
 void AppendRecord(const RecordFormat& format, uint8_t type, uint8_t flags,
                   const uint8_t* payload, size_t payload_len,
                   std::vector<uint8_t>& out) {
-  for (char c : format.magic) out.push_back(static_cast<uint8_t>(c));
-  out.push_back(type);
-  out.push_back(flags);
-  PutU16(out, format.version);
-  PutU32(out, static_cast<uint32_t>(payload_len));
-  PutU32(out, Crc32(payload, payload_len));
+  const size_t start = BeginRecord(out);
   out.insert(out.end(), payload, payload + payload_len);
+  SealRecord(format, type, flags, start, out);
 }
 
 Result<RecordView> ParseRecord(const RecordFormat& format,

@@ -95,6 +95,16 @@ struct RecordView {
   size_t size() const { return kRecordHeaderSize + payload_len; }
 };
 
+/// Opens a record at the end of `out` by reserving its header, and
+/// returns where the record starts. The caller appends the payload
+/// straight into `out`, then seals the record.
+size_t BeginRecord(std::vector<uint8_t>& out);
+
+/// Fills in the header of the record opened at `start`, whose payload
+/// runs to the end of `out`; the CRC is taken over the payload in place.
+void SealRecord(const RecordFormat& format, uint8_t type, uint8_t flags,
+                size_t start, std::vector<uint8_t>& out);
+
 /// Appends header + payload to `out`.
 void AppendRecord(const RecordFormat& format, uint8_t type, uint8_t flags,
                   const uint8_t* payload, size_t payload_len,

@@ -720,7 +720,7 @@ Status TileStore::PutFrame(const std::string& source, const FrameInfo& info,
         PutU16(payload, static_cast<uint16_t>(bands));
         PutU16(payload, 0);
         payload.insert(payload.end(), bitmap.begin(), bitmap.end());
-        for (double v : samples) PutF64(payload, v);
+        PutArray(payload, samples.data(), samples.size());
 
         TileRef ref;
         ref.offset = run.size();

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <mutex>
 #include <set>
 #include <string>
@@ -1355,12 +1356,33 @@ TEST(ProducerE2eTest, FullWindowWaitsForTheNextAckNotTheResendTimeout) {
   // A full window blocks Publish until an ack makes room. With a
   // prompt server that is the next ack's round trip, so even the
   // stalled publishes stay far below the resend timeout — which only
-  // bounds a wait that sees no ack at all.
+  // bounds a wait that sees no ack at all. The server holds its first
+  // ack until the window is full, so the stall is certain rather than
+  // a race against a quick ack.
   constexpr int kBatches = 12;
+  class HeldSink : public EventSink {
+   public:
+    explicit HeldSink(AuditSink* audit) : audit_(audit) {}
+    Status Consume(const StreamEvent& event) override {
+      if (!held_.exchange(true)) {
+        // Bounded, so a test that fails before Release() still ends.
+        released_.wait_for(std::chrono::seconds(10));
+      }
+      return audit_->Consume(event);
+    }
+    void Release() { release_.set_value(); }
+
+   private:
+    AuditSink* audit_;
+    std::atomic<bool> held_{false};
+    std::promise<void> release_;
+    std::shared_future<void> released_ = release_.get_future().share();
+  };
   AuditSink audit;
+  HeldSink held(&audit);
   NetServerOptions net_options;
-  net_options.ingest_resolver = [&audit](const std::string&) -> EventSink* {
-    return &audit;
+  net_options.ingest_resolver = [&held](const std::string&) -> EventSink* {
+    return &held;
   };
   IngestFixture fixture(std::move(net_options));
 
@@ -1371,6 +1393,12 @@ TEST(ProducerE2eTest, FullWindowWaitsForTheNextAckNotTheResendTimeout) {
   GS_ASSERT_OK(producer.Connect());
   std::vector<double> publish_ms;
   for (int i = 0; i < kBatches; ++i) {
+    if (i == static_cast<int>(options.window_messages)) {
+      // Both in-flight batches wait behind the held first ack. Release
+      // it: this publish must now wait for that ack to arrive.
+      ASSERT_EQ(producer.unacked(), options.window_messages);
+      held.Release();
+    }
     const auto start = std::chrono::steady_clock::now();
     GS_ASSERT_OK(producer.Publish(BatchEvent(i)));
     publish_ms.push_back(std::chrono::duration<double, std::milli>(

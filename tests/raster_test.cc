@@ -290,13 +290,104 @@ TEST(FrameAssemblerTest, RejectsNestedFramesAndEmptyFinish) {
 }
 
 TEST(FrameAssemblerTest, ReportsBufferedBytes) {
+  // The raster is allocated at the frame's first point, not at Begin.
   FrameAssembler assembler;
   EXPECT_EQ(assembler.BufferedBytes(), 0u);
   FrameInfo info;
   info.frame_id = 1;
   info.lattice = LatLonLattice(16, 16);
   GS_ASSERT_OK(assembler.Begin(info, 1));
+  EXPECT_EQ(assembler.BufferedBytes(), 0u);
+  PointBatch batch;
+  batch.frame_id = 1;
+  batch.band_count = 1;
+  batch.Append1(3, 4, 1, 2.5);
+  GS_ASSERT_OK(assembler.Add(batch));
   EXPECT_GE(assembler.BufferedBytes(), 16u * 16u * sizeof(double));
+}
+
+TEST(FrameAssemblerTest, FrameWithoutPointsFinishesAllNodata) {
+  FrameAssembler assembler(-7.0);
+  FrameInfo info;
+  info.frame_id = 3;
+  info.lattice = LatLonLattice(5, 4);
+  GS_ASSERT_OK(assembler.Begin(info, 2));
+  PointBatch empty;
+  empty.frame_id = 3;
+  empty.band_count = 2;
+  GS_ASSERT_OK(assembler.Add(empty));  // an empty batch allocates nothing
+  EXPECT_EQ(assembler.BufferedBytes(), 0u);
+  auto frame = assembler.Finish();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->raster.width(), 5);
+  EXPECT_EQ(frame->raster.height(), 4);
+  EXPECT_EQ(frame->raster.bands(), 2);
+  EXPECT_EQ(frame->raster.lattice().width(), 5);
+  ASSERT_EQ(frame->filled.size(), 20u);
+  for (int64_t r = 0; r < 4; ++r) {
+    for (int64_t c = 0; c < 5; ++c) {
+      EXPECT_FALSE(frame->IsFilled(c, r));
+      EXPECT_DOUBLE_EQ(frame->raster.At(c, r, 0), -7.0);
+      EXPECT_DOUBLE_EQ(frame->raster.At(c, r, 1), -7.0);
+    }
+  }
+}
+
+TEST(FrameAssemblerTest, AbortBeforeTheFirstPointBuffersNothing) {
+  FrameAssembler assembler;
+  FrameInfo info;
+  info.frame_id = 1;
+  info.lattice = LatLonLattice(16, 16);
+  GS_ASSERT_OK(assembler.Begin(info, 1));
+  assembler.Abort();
+  EXPECT_FALSE(assembler.active());
+  EXPECT_EQ(assembler.BufferedBytes(), 0u);
+  // The assembler is reusable, and the next frame allocates afresh.
+  info.frame_id = 2;
+  GS_ASSERT_OK(assembler.Begin(info, 1));
+  PointBatch batch;
+  batch.frame_id = 2;
+  batch.band_count = 1;
+  batch.Append1(15, 15, 2, 1.0);
+  GS_ASSERT_OK(assembler.Add(batch));
+  auto frame = assembler.Finish();
+  ASSERT_TRUE(frame.ok());
+  EXPECT_TRUE(frame->IsFilled(15, 15));
+  EXPECT_FALSE(frame->IsFilled(0, 0));
+}
+
+TEST(FrameAssemblerTest, MismatchedBatchIsRejectedBeforeAllocation) {
+  FrameAssembler assembler;
+  FrameInfo info;
+  info.frame_id = 1;
+  info.lattice = LatLonLattice(16, 16);
+  GS_ASSERT_OK(assembler.Begin(info, 1));
+
+  PointBatch wrong_frame;
+  wrong_frame.frame_id = 2;
+  wrong_frame.band_count = 1;
+  wrong_frame.Append1(0, 0, 2, 0.0);
+  EXPECT_EQ(assembler.Add(wrong_frame).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(assembler.BufferedBytes(), 0u);
+
+  PointBatch wrong_bands;
+  wrong_bands.frame_id = 1;
+  wrong_bands.band_count = 2;
+  const double v[2] = {0.0, 0.0};
+  wrong_bands.Append(0, 0, 1, v);
+  EXPECT_EQ(assembler.Add(wrong_bands).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(assembler.BufferedBytes(), 0u);
+  EXPECT_EQ(assembler.points_seen(), 0);
+}
+
+TEST(FrameAssemblerTest, BeginStillValidatesTheShape) {
+  FrameAssembler assembler;
+  FrameInfo info;
+  info.frame_id = 1;
+  info.lattice = LatLonLattice(4, 4);
+  EXPECT_FALSE(assembler.Begin(info, 0).ok());
+  EXPECT_FALSE(assembler.Begin(info, kMaxBands + 1).ok());
+  EXPECT_FALSE(assembler.active());
 }
 
 }  // namespace
