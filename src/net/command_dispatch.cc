@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "common/string_util.h"
 #include "server/dsms_server.h"
@@ -44,10 +45,10 @@ bool IsBareNumber(std::string_view rest) {
 /// Splits a trailing "SINCE <t>" clause off query text. Matched
 /// case-insensitively against the LAST such clause, and only when the
 /// tail is a bare (possibly negative) integer, so parenthesized query
-/// grammar never collides with it.
+/// grammar never collides with it. No clause means INT64_MAX: a live
+/// query replays nothing.
 struct SinceClause {
-  bool present = false;
-  int64_t since = 0;
+  int64_t since = std::numeric_limits<int64_t>::max();
   std::string text;
 };
 
@@ -64,7 +65,6 @@ SinceClause SplitSinceClause(std::string_view text) {
   errno = 0;
   const long long value = std::strtoll(tail.c_str(), &end, 10);
   if (end != tail.c_str() + tail.size() || errno == ERANGE) return out;
-  out.present = true;
   out.since = static_cast<int64_t>(value);
   out.text = std::string(
       StripWhitespace(std::string_view(out.text).substr(0, pos)));
@@ -239,17 +239,7 @@ std::string ExecuteCommand(DsmsServer* server, SessionHooks* hooks,
                           static_cast<long long>(*attached));
     }
     const SinceClause since = SplitSinceClause(text);
-    if (since.present) {
-      if (since.text.empty()) {
-        return ErrResponse(
-            Status::InvalidArgument("QUERY SINCE needs query text"));
-      }
-      Result<QueryId> id =
-          hooks->RegisterClientQuerySince(since.text, since.since);
-      if (!id.ok()) return ErrResponse(id.status());
-      return StringPrintf("OK QUERY %lld", static_cast<long long>(*id));
-    }
-    Result<QueryId> id = hooks->RegisterClientQuery(text);
+    Result<QueryId> id = hooks->RegisterClientQuery(since.text, since.since);
     if (!id.ok()) return ErrResponse(id.status());
     return StringPrintf("OK QUERY %lld", static_cast<long long>(*id));
   }

@@ -81,16 +81,11 @@ class SessionHooks {
  public:
   virtual ~SessionHooks() = default;
   /// Registers `text` as a continuous query whose frames stream back
-  /// over this connection.
-  virtual Result<QueryId> RegisterClientQuery(const std::string& text) = 0;
-  /// `QUERY <text> SINCE <t>`: registers the query with store catch-up
-  /// from frame id `since` before the live cut-over.
-  virtual Result<QueryId> RegisterClientQuerySince(const std::string& text,
-                                                   int64_t since) {
-    (void)text;
-    (void)since;
-    return Status::Unimplemented("catch-up queries not supported here");
-  }
+  /// over this connection, replaying stored frames with id >= `since`
+  /// first (`QUERY <text> SINCE <t>`); a plain `QUERY <text>` passes
+  /// INT64_MAX, which replays nothing.
+  virtual Result<QueryId> RegisterClientQuery(const std::string& text,
+                                              int64_t since) = 0;
   /// Detaches and unregisters a query this connection registered.
   virtual Status UnregisterClientQuery(QueryId id) = 0;
   /// The connection's delivery statistics (ClientSession::StatsLine).

@@ -42,7 +42,8 @@ class NetServer::Connection : public SessionHooks {
   bool done() const { return done_.load(); }
   const std::shared_ptr<ClientSession>& session() const { return session_; }
 
-  Result<QueryId> RegisterClientQuery(const std::string& text) override {
+  Result<QueryId> RegisterClientQuery(const std::string& text,
+                                      int64_t since) override {
     // Subscribe-then-register: the delivery callback sees this
     // session from its very first frame.
     auto sub = std::make_shared<Subscription>();
@@ -54,35 +55,13 @@ class NetServer::Connection : public SessionHooks {
       // and its status is ignored here (visible in its STATS).
       FanOutFrame(sub.get(), frame_id, raster, png);
     };
-    Result<QueryId> id =
-        server_->dsms_->RegisterQuery(text, std::move(callback));
-    if (!id.ok()) return id;
-    sub->query_id.store(*id);
-    {
-      std::lock_guard<std::mutex> lock(server_->net_mu_);
-      server_->subscriptions_.emplace(*id, std::move(sub));
-    }
-    owned_.push_back(*id);
-    return id;
-  }
-
-  Result<QueryId> RegisterClientQuerySince(const std::string& text,
-                                           int64_t since) override {
-    auto sub = std::make_shared<Subscription>();
-    sub->sessions.push_back(session_);
-    auto callback = [sub](int64_t frame_id, const Raster& raster,
-                          const std::vector<uint8_t>& png) {
-      FanOutFrame(sub.get(), frame_id, raster, png);
-    };
     CatchUpOptions catch_up;
     catch_up.since = since;
-    // Unlike the live path, replayed frames start flowing before
-    // RegisterQuery returns, so the id must be bound (and the fan-out
-    // published) the moment the engine assigns it.
-    auto announced = std::make_shared<std::atomic<int64_t>>(-1);
+    // Frames (replayed ones first) can flow before RegisterQuery
+    // returns, so the id is bound and the fan-out published the moment
+    // the engine assigns it, before any gate opens.
     NetServer* server = server_;
-    catch_up.on_registered = [sub, server, announced](QueryId id) {
-      announced->store(id);
+    catch_up.on_registered = [sub, server](QueryId id) {
       sub->query_id.store(id);
       std::lock_guard<std::mutex> lock(server->net_mu_);
       server->subscriptions_.emplace(id, sub);
@@ -92,7 +71,7 @@ class NetServer::Connection : public SessionHooks {
     if (!id.ok()) {
       // The engine already tore the query down; drop the fan-out it
       // announced mid-flight, if any.
-      const int64_t stale = announced->load();
+      const int64_t stale = sub->query_id.load();
       if (stale >= 0) {
         std::lock_guard<std::mutex> lock(server_->net_mu_);
         server_->subscriptions_.erase(static_cast<QueryId>(stale));

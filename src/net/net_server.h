@@ -125,9 +125,8 @@ class NetServer {
   struct Subscription {
     std::mutex mu;
     std::vector<std::shared_ptr<ClientSession>> sessions;
-    /// Set right after RegisterQuery returns; frames racing that
-    /// window would carry -1 (cannot happen for queries registered
-    /// before their source streams, the protocol's normal order).
+    /// Bound by CatchUpOptions::on_registered, before any of the
+    /// query's gates opens, so every frame carries the real id.
     std::atomic<int64_t> query_id{-1};
   };
 

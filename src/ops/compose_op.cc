@@ -1,6 +1,7 @@
 #include "ops/compose_op.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/math_util.h"
 #include "common/string_util.h"
@@ -81,6 +82,7 @@ Status ComposeOp::HandleFrameBegin(int port, const FrameInfo& info) {
                      static_cast<long long>(info.frame_id), port));
   }
   fs.began[port] = true;
+  last_began_[port] = info.frame_id;
   const int other = 1 - port;
   if (fs.began[other]) {
     // Precondition of Definition 10: both streams over the same point
@@ -258,7 +260,19 @@ Status ComposeOp::AdvanceOutput() {
     // one side has not begun yet (per-stream frames arrive in order).
     if (frames_.empty()) break;
     FrameState& fs = frames_.begin()->second;
-    if (!(fs.began[0] && fs.began[1]) || fs.begin_emitted) break;
+    const int missing = !fs.began[0] ? 0 : !fs.began[1] ? 1 : -1;
+    if (missing >= 0 && fs.ended[1 - missing] &&
+        last_began_[missing] > frames_.begin()->first) {
+      // The missing side has moved past this frame (the inputs opened
+      // on different frames): it can never match, so drop it.
+      for (const PKey& key : fs.keys[1 - missing]) {
+        pending_[1 - missing].erase(key);
+      }
+      frames_.erase(frames_.begin());
+      UpdateBuffered();
+      continue;
+    }
+    if (missing >= 0 || fs.begin_emitted) break;
     fs.begin_emitted = true;
     open_frame_ = fs.info.frame_id;
     GEOSTREAMS_RETURN_IF_ERROR(Emit(StreamEvent::FrameBegin(fs.info)));
@@ -293,6 +307,7 @@ void ComposeOp::Reset() {
   pending_[1].clear();
   frames_.clear();
   open_frame_.reset();
+  last_began_[0] = last_began_[1] = std::numeric_limits<int64_t>::min();
   stream_ends_ = 0;
   UpdateBuffered();
 }

@@ -9,7 +9,9 @@
 // exactly the behaviour Sec. 3.3 derives (benchmark E4). Under
 // measurement-time timestamps the two sides never match and the
 // operator produces no output (E5); buffered points are evicted when
-// their frame closes on both sides, so memory stays bounded.
+// their frame closes on both sides, so memory stays bounded. A frame
+// only one side delivers is dropped once the other side has begun a
+// later one, so inputs that opened on different frames still pair up.
 
 #ifndef GEOSTREAMS_OPS_COMPOSE_OP_H_
 #define GEOSTREAMS_OPS_COMPOSE_OP_H_
@@ -17,6 +19,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <unordered_map>
@@ -118,6 +121,9 @@ class ComposeOp : public BinaryOperator {
   PendingMap pending_[2];
   std::map<int64_t, FrameState> frames_;
   std::optional<int64_t> open_frame_;
+  /// Newest frame id each side has begun.
+  int64_t last_began_[2] = {std::numeric_limits<int64_t>::min(),
+                            std::numeric_limits<int64_t>::min()};
   int stream_ends_ = 0;
   uint64_t matches_ = 0;
 };

@@ -1,19 +1,11 @@
 #include "ops/reproject_op.h"
 
-#include <cmath>
-
-#include "common/math_util.h"
-#include "common/string_util.h"
-
 namespace geostreams {
 
 ReprojectOp::ReprojectOp(std::string name, CrsPtr target_crs,
-                         ResampleKernel kernel,
-                         std::optional<GridLattice> fixed_lattice)
-    : UnaryOperator(std::move(name)),
-      target_crs_(std::move(target_crs)),
-      kernel_(kernel),
-      fixed_lattice_(std::move(fixed_lattice)) {}
+                         ResampleKernel kernel)
+    : GatherOp(std::move(name), kernel, "re-projection"),
+      target_crs_(std::move(target_crs)) {}
 
 Result<GridLattice> ReprojectOp::DeriveLattice(const GridLattice& source,
                                                const CrsPtr& target_crs) {
@@ -34,95 +26,28 @@ Result<GridLattice> ReprojectOp::DeriveLattice(const GridLattice& source,
                      dx, -dy, w, h);
 }
 
-void ReprojectOp::Reset() {
-  assembler_.Abort();
-  ReportBuffered(0);
-}
-
-Status ReprojectOp::Process(const StreamEvent& event) {
-  switch (event.kind) {
-    case EventKind::kFrameBegin: {
-      in_lattice_ = event.frame.lattice;
-      if (fixed_lattice_) {
-        out_lattice_ = *fixed_lattice_;
-      } else {
-        GEOSTREAMS_ASSIGN_OR_RETURN(
-            out_lattice_, DeriveLattice(in_lattice_, target_crs_));
-      }
-      GEOSTREAMS_RETURN_IF_ERROR(assembler_.Begin(event.frame, 1));
-      frame_timestamp_ = event.frame.frame_id;
-      FrameInfo info = event.frame;
-      info.lattice = out_lattice_;
-      info.expected_points = out_lattice_.num_cells();
-      return Emit(StreamEvent::FrameBegin(std::move(info)));
-    }
-    case EventKind::kPointBatch: {
-      if (!assembler_.active()) {
-        return Status::FailedPrecondition(
-            "re-projection requires framed input");
-      }
-      if (event.batch->band_count != 1) {
-        return Status::InvalidArgument(
-            "re-projection supports single-band streams");
-      }
-      GEOSTREAMS_RETURN_IF_ERROR(assembler_.Add(*event.batch));
-      if (!event.batch->empty()) {
-        frame_timestamp_ = event.batch->timestamps.front();
-      }
-      ReportBuffered(assembler_.BufferedBytes());
-      return Status::OK();
-    }
-    case EventKind::kFrameEnd: {
-      GEOSTREAMS_RETURN_IF_ERROR(FlushFrame(event.frame));
-      FrameInfo info = event.frame;
-      info.lattice = out_lattice_;
-      return Emit(StreamEvent::FrameEnd(std::move(info)));
-    }
-    case EventKind::kStreamEnd:
-      return Emit(event);
-  }
+Status ReprojectOp::BeginFrame(const GridLattice& in) {
+  in_lattice_ = in;
+  GEOSTREAMS_ASSIGN_OR_RETURN(out_lattice_, DeriveLattice(in, target_crs_));
   return Status::OK();
 }
 
-Status ReprojectOp::FlushFrame(const FrameInfo& info) {
-  GEOSTREAMS_ASSIGN_OR_RETURN(AssembledFrame frame, assembler_.Finish());
-  ReportBuffered(0);
-
+Status ReprojectOp::FlushFrame(const AssembledFrame& frame,
+                               int64_t frame_id) {
   const CoordinateSystem& src_crs = *in_lattice_.crs();
-  auto out = std::make_shared<PointBatch>();
-  out->frame_id = info.frame_id;
-  out->band_count = 1;
-  out->Reserve(static_cast<size_t>(out_lattice_.num_cells()));
-
-  for (int64_t r = 0; r < out_lattice_.height(); ++r) {
-    const double ty = out_lattice_.CellY(r);
-    for (int64_t c = 0; c < out_lattice_.width(); ++c) {
-      const double tx = out_lattice_.CellX(c);
-      double sx = 0.0, sy = 0.0;
-      if (!TransformPoint(*target_crs_, src_crs, tx, ty, &sx, &sy).ok()) {
-        continue;  // target cell outside the source projection domain
-      }
-      // Fractional source cell coordinates.
-      const double fc = (sx - in_lattice_.origin_x()) / in_lattice_.dx();
-      const double fr = (sy - in_lattice_.origin_y()) / in_lattice_.dy();
-      if (fc < -0.5 || fc > frame.raster.width() - 0.5 || fr < -0.5 ||
-          fr > frame.raster.height() - 0.5) {
-        continue;  // outside the scanned sector
-      }
-      // Never fabricate a value from a cell the (possibly restricted)
-      // stream did not deliver.
-      const int64_t nc = static_cast<int64_t>(std::llround(
-          Clamp(fc, 0.0, static_cast<double>(frame.raster.width() - 1))));
-      const int64_t nr = static_cast<int64_t>(std::llround(
-          Clamp(fr, 0.0, static_cast<double>(frame.raster.height() - 1))));
-      if (!frame.IsFilled(nc, nr)) continue;
-      out->Append1(static_cast<int32_t>(c), static_cast<int32_t>(r),
-                   frame_timestamp_,
-                   SampleRaster(frame.raster, fc, fr, 0, kernel_));
-    }
-  }
-  if (out->empty()) return Status::OK();
-  return Emit(StreamEvent::Batch(std::move(out)));
+  return GatherFrame(
+      frame, frame_id, [&](int64_t c, int64_t r, double* fc, double* fr) {
+        double sx = 0.0, sy = 0.0;
+        // A target cell outside the source projection domain has none.
+        if (!TransformPoint(*target_crs_, src_crs, out_lattice_.CellX(c),
+                            out_lattice_.CellY(r), &sx, &sy)
+                 .ok()) {
+          return false;
+        }
+        *fc = (sx - in_lattice_.origin_x()) / in_lattice_.dx();
+        *fr = (sy - in_lattice_.origin_y()) / in_lattice_.dy();
+        return true;
+      });
 }
 
 }  // namespace geostreams

@@ -13,27 +13,18 @@
 #ifndef GEOSTREAMS_OPS_REPROJECT_OP_H_
 #define GEOSTREAMS_OPS_REPROJECT_OP_H_
 
-#include <optional>
-
 #include "geo/crs.h"
-#include "raster/frame_assembler.h"
-#include "raster/resample.h"
-#include "stream/operator.h"
+#include "ops/spatial_transform_op.h"
 
 namespace geostreams {
 
-class ReprojectOp : public UnaryOperator {
+class ReprojectOp : public GatherOp {
  public:
-  /// Re-projects into `target_crs`. If `fixed_lattice` is provided the
-  /// output is gathered onto it (the DSMS uses this to serve a fixed
-  /// client viewport); otherwise each frame derives an output lattice
-  /// covering its own transformed extent with approximately as many
-  /// cells as the source sector.
+  /// Re-projects into `target_crs`. Each frame derives an output
+  /// lattice covering its own transformed extent with approximately as
+  /// many cells as the source sector.
   ReprojectOp(std::string name, CrsPtr target_crs,
-              ResampleKernel kernel = ResampleKernel::kNearest,
-              std::optional<GridLattice> fixed_lattice = std::nullopt);
-
-  const CrsPtr& target_crs() const { return target_crs_; }
+              ResampleKernel kernel = ResampleKernel::kNearest);
 
   /// Derives the per-frame output lattice for a source lattice: the
   /// transformed extent overlaid with a regular grid "corresponding in
@@ -41,21 +32,13 @@ class ReprojectOp : public UnaryOperator {
   static Result<GridLattice> DeriveLattice(const GridLattice& source,
                                            const CrsPtr& target_crs);
 
-  void Reset() override;
-
  protected:
-  Status Process(const StreamEvent& event) override;
+  Status BeginFrame(const GridLattice& in) override;
+  Status FlushFrame(const AssembledFrame& frame, int64_t frame_id) override;
 
  private:
-  Status FlushFrame(const FrameInfo& info);
-
   CrsPtr target_crs_;
-  ResampleKernel kernel_;
-  std::optional<GridLattice> fixed_lattice_;
-  GridLattice out_lattice_;
   GridLattice in_lattice_;
-  FrameAssembler assembler_;
-  int64_t frame_timestamp_ = 0;
 };
 
 }  // namespace geostreams

@@ -178,21 +178,22 @@ AffineMap AffineMap::RotationAboutCenter(double deg, int64_t w, int64_t h) {
   return m;
 }
 
-AffineOp::AffineOp(std::string name, AffineMap map, GridLattice out_lattice,
-                   ResampleKernel kernel)
+GatherOp::GatherOp(std::string name, ResampleKernel kernel, std::string what,
+                   GridLattice out_lattice)
     : UnaryOperator(std::move(name)),
-      map_(map),
       out_lattice_(std::move(out_lattice)),
-      kernel_(kernel) {}
+      kernel_(kernel),
+      what_(std::move(what)) {}
 
-void AffineOp::Reset() {
+void GatherOp::Reset() {
   assembler_.Abort();
   ReportBuffered(0);
 }
 
-Status AffineOp::Process(const StreamEvent& event) {
+Status GatherOp::Process(const StreamEvent& event) {
   switch (event.kind) {
     case EventKind::kFrameBegin: {
+      GEOSTREAMS_RETURN_IF_ERROR(BeginFrame(event.frame.lattice));
       GEOSTREAMS_RETURN_IF_ERROR(assembler_.Begin(event.frame, 1));
       frame_timestamp_ = event.frame.frame_id;
       FrameInfo info = event.frame;
@@ -202,8 +203,7 @@ Status AffineOp::Process(const StreamEvent& event) {
     }
     case EventKind::kPointBatch: {
       if (!assembler_.active()) {
-        return Status::FailedPrecondition(
-            "affine transform requires framed input");
+        return Status::FailedPrecondition(what_ + " requires framed input");
       }
       GEOSTREAMS_RETURN_IF_ERROR(assembler_.Add(*event.batch));
       if (!event.batch->empty()) {
@@ -213,7 +213,9 @@ Status AffineOp::Process(const StreamEvent& event) {
       return Status::OK();
     }
     case EventKind::kFrameEnd: {
-      GEOSTREAMS_RETURN_IF_ERROR(FlushFrame(event.frame));
+      GEOSTREAMS_ASSIGN_OR_RETURN(AssembledFrame frame, assembler_.Finish());
+      ReportBuffered(0);
+      GEOSTREAMS_RETURN_IF_ERROR(FlushFrame(frame, event.frame.frame_id));
       FrameInfo info = event.frame;
       info.lattice = out_lattice_;
       return Emit(StreamEvent::FrameEnd(std::move(info)));
@@ -224,33 +226,19 @@ Status AffineOp::Process(const StreamEvent& event) {
   return Status::OK();
 }
 
-Status AffineOp::FlushFrame(const FrameInfo& info) {
-  GEOSTREAMS_ASSIGN_OR_RETURN(AssembledFrame frame, assembler_.Finish());
-  ReportBuffered(0);
-  auto out = std::make_shared<PointBatch>();
-  out->frame_id = info.frame_id;
-  out->band_count = 1;
-  out->Reserve(static_cast<size_t>(out_lattice_.num_cells()));
-  for (int64_t r = 0; r < out_lattice_.height(); ++r) {
-    for (int64_t c = 0; c < out_lattice_.width(); ++c) {
-      double ic = 0.0, ir = 0.0;
-      map_.Apply(static_cast<double>(c), static_cast<double>(r), &ic, &ir);
-      if (ic < -0.5 || ic > frame.raster.width() - 0.5 || ir < -0.5 ||
-          ir > frame.raster.height() - 0.5) {
-        continue;  // outside the source frame
-      }
-      const int64_t nc = static_cast<int64_t>(std::llround(Clamp(
-          ic, 0.0, static_cast<double>(frame.raster.width() - 1))));
-      const int64_t nr = static_cast<int64_t>(std::llround(Clamp(
-          ir, 0.0, static_cast<double>(frame.raster.height() - 1))));
-      if (!frame.IsFilled(nc, nr)) continue;
-      out->Append1(static_cast<int32_t>(c), static_cast<int32_t>(r),
-                   frame_timestamp_,
-                   SampleRaster(frame.raster, ic, ir, 0, kernel_));
-    }
-  }
-  if (out->empty()) return Status::OK();
-  return Emit(StreamEvent::Batch(std::move(out)));
+AffineOp::AffineOp(std::string name, AffineMap map, GridLattice out_lattice,
+                   ResampleKernel kernel)
+    : GatherOp(std::move(name), kernel, "affine transform",
+               std::move(out_lattice)),
+      map_(map) {}
+
+Status AffineOp::FlushFrame(const AssembledFrame& frame, int64_t frame_id) {
+  return GatherFrame(frame, frame_id,
+                     [&](int64_t c, int64_t r, double* fc, double* fr) {
+                       map_.Apply(static_cast<double>(c),
+                                  static_cast<double>(r), fc, fr);
+                       return true;
+                     });
 }
 
 }  // namespace geostreams

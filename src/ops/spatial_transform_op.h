@@ -15,13 +15,21 @@
 //  * AffineOp      — general affine map between lattices (rotation,
 //                    shear, translation, zoom); buffers the frame and
 //                    gathers with a resampling kernel.
+//
+// AffineOp and re-projection (reproject_op.h) are both GatherOps: they
+// differ only in the output lattice and in where an output cell falls
+// in the source frame.
 
 #ifndef GEOSTREAMS_OPS_SPATIAL_TRANSFORM_OP_H_
 #define GEOSTREAMS_OPS_SPATIAL_TRANSFORM_OP_H_
 
+#include <cmath>
+#include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/math_util.h"
 #include "raster/frame_assembler.h"
 #include "raster/resample.h"
 #include "stream/operator.h"
@@ -92,27 +100,86 @@ struct AffineMap {
   static AffineMap RotationAboutCenter(double deg, int64_t w, int64_t h);
 };
 
+/// A frame-buffered gather: buffers each (single-band) frame, then
+/// samples every cell of the output lattice from it at FrameEnd.
+class GatherOp : public UnaryOperator {
+ public:
+  void Reset() override;
+
+ protected:
+  /// `what` names the transform in the error a frameless batch gets.
+  GatherOp(std::string name, ResampleKernel kernel, std::string what,
+           GridLattice out_lattice = GridLattice());
+
+  /// Called at FrameBegin with the source frame's lattice, before
+  /// out_lattice_ is announced downstream.
+  virtual Status BeginFrame(const GridLattice& in) {
+    (void)in;
+    return Status::OK();
+  }
+  /// Gathers the finished frame: GatherFrame with the op's cell map.
+  virtual Status FlushFrame(const AssembledFrame& frame,
+                            int64_t frame_id) = 0;
+
+  /// Emits the gather of `frame` onto out_lattice_: output cell (c, r)
+  /// samples the frame at the fractional source cell `map(c, r, &fc,
+  /// &fr)` names (false: none). A cell outside the frame or whose
+  /// nearest source cell was never filled is skipped, so no value is
+  /// fabricated. Cells are emitted row-major, in one batch.
+  template <typename CellMap>
+  Status GatherFrame(const AssembledFrame& frame, int64_t frame_id,
+                     CellMap&& map) {
+    auto out = std::make_shared<PointBatch>();
+    out->frame_id = frame_id;
+    out->band_count = 1;
+    out->Reserve(static_cast<size_t>(out_lattice_.num_cells()));
+    const int64_t width = frame.raster.width();
+    const int64_t height = frame.raster.height();
+    for (int64_t r = 0; r < out_lattice_.height(); ++r) {
+      for (int64_t c = 0; c < out_lattice_.width(); ++c) {
+        double fc = 0.0, fr = 0.0;
+        if (!map(c, r, &fc, &fr)) continue;
+        if (fc < -0.5 || fc > width - 0.5 || fr < -0.5 || fr > height - 0.5) {
+          continue;
+        }
+        const int64_t nc = static_cast<int64_t>(
+            std::llround(Clamp(fc, 0.0, static_cast<double>(width - 1))));
+        const int64_t nr = static_cast<int64_t>(
+            std::llround(Clamp(fr, 0.0, static_cast<double>(height - 1))));
+        if (!frame.IsFilled(nc, nr)) continue;
+        out->Append1(static_cast<int32_t>(c), static_cast<int32_t>(r),
+                     frame_timestamp_,
+                     SampleRaster(frame.raster, fc, fr, 0, kernel_));
+      }
+    }
+    if (out->empty()) return Status::OK();
+    return Emit(StreamEvent::Batch(std::move(out)));
+  }
+
+  Status Process(const StreamEvent& event) override;
+
+  GridLattice out_lattice_;
+
+ private:
+  ResampleKernel kernel_;
+  std::string what_;
+  FrameAssembler assembler_;
+  int64_t frame_timestamp_ = 0;
+};
+
 /// General affine spatial transform; frame-buffered.
-class AffineOp : public UnaryOperator {
+class AffineOp : public GatherOp {
  public:
   /// Output lattice geometry is supplied by the planner (it generally
   /// differs from the input's).
   AffineOp(std::string name, AffineMap map, GridLattice out_lattice,
            ResampleKernel kernel);
 
-  void Reset() override;
-
  protected:
-  Status Process(const StreamEvent& event) override;
+  Status FlushFrame(const AssembledFrame& frame, int64_t frame_id) override;
 
  private:
-  Status FlushFrame(const FrameInfo& info);
-
   AffineMap map_;
-  GridLattice out_lattice_;
-  ResampleKernel kernel_;
-  FrameAssembler assembler_;
-  int64_t frame_timestamp_ = 0;
 };
 
 }  // namespace geostreams

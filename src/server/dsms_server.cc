@@ -21,6 +21,10 @@ std::string OpKindLabel(const std::string& name) {
   return dot == std::string::npos ? name : name.substr(dot + 1);
 }
 
+/// A live query is a catch-up query from +inf: nothing replays.
+const CatchUpOptions kLiveOnly{.since = std::numeric_limits<int64_t>::max(),
+                               .on_registered = nullptr};
+
 constexpr char kOperatorLatencyHelp[] =
     "Exclusive microseconds spent in one operator per traced delivery";
 
@@ -282,8 +286,8 @@ struct DsmsServer::QueryState {
   /// Direct wirings (source name -> plan input) for unregistration.
   std::vector<std::pair<std::string, EventSink*>> direct;
 
-  /// Cut-over gates, one per input in plan input order (catch-up
-  /// queries only), wired between the sources and the entries.
+  /// Cut-over gates, one per input in plan input order, wired
+  /// between the sources and the entries.
   std::vector<std::unique_ptr<CatchUpGate>> gates;
   /// True until the replay has armed every gate; blocks
   /// UnregisterQuery racing the replay, which holds raw pointers into
@@ -578,13 +582,27 @@ ExprPtr DsmsServer::PeelLeafRestrictions(QueryId id, ExprPtr expr,
 
 Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
                                           FrameCallback callback) {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  return RegisterInternal(query_text, std::move(callback), "");
+  return RegisterQuery(query_text, std::move(callback), kLiveOnly);
 }
 
 Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
                                           FrameCallback callback,
                                           const CatchUpOptions& catch_up) {
+  return Register(query_text, std::move(callback), "", catch_up);
+}
+
+Result<QueryId> DsmsServer::RegisterDerivedStream(
+    const std::string& name, const std::string& query_text) {
+  if (name.empty()) {
+    return Status::InvalidArgument("derived stream needs a name");
+  }
+  return Register(query_text, nullptr, name, kLiveOnly);
+}
+
+Result<QueryId> DsmsServer::Register(const std::string& query_text,
+                                     FrameCallback callback,
+                                     const std::string& derived_name,
+                                     const CatchUpOptions& catch_up) {
   // Register the query with every input wired behind an unarmed
   // CatchUpGate: live events reach the gates but are dropped until
   // this thread has replayed the store and armed them. `catching_up`
@@ -592,15 +610,22 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
   // holds raw pointers to, so `query` stays valid until it is cleared.
   QueryId id = 0;
   QueryState* query = nullptr;
+  // Each input's store watermark, read under the exclusive lock: every
+  // frame above it commits after registration, so its events reach
+  // the gate and it is delivered whatever `since` says.
+  std::vector<int64_t> marks;
   {
     std::unique_lock<std::shared_mutex> lock(state_mu_);
     GEOSTREAMS_ASSIGN_OR_RETURN(
-        id, RegisterInternal(query_text, std::move(callback), "",
-                             /*catch_up=*/store_ != nullptr));
+        id, RegisterInternal(query_text, std::move(callback), derived_name));
     query = queries_.at(id).get();
+    for (const auto& gate : query->gates) {
+      marks.push_back(store_ != nullptr
+                          ? store_->Watermark(gate->source())
+                          : std::numeric_limits<int64_t>::min());
+    }
   }
   if (catch_up.on_registered) catch_up.on_registered(id);
-  if (store_ == nullptr) return id;  // no history to replay
   const std::vector<std::unique_ptr<CatchUpGate>>& gates = query->gates;
 
   // The replay runs with no lock held, so ingest keeps flowing. With
@@ -621,12 +646,10 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
   const Status replay = [&]() -> Status {
     // History up to each input's watermark, merged ascending by frame
     // id across inputs so multi-stream plans see their operands in
-    // live order.
-    std::vector<int64_t> marks(gates.size());
+    // live order. Without a store there is none.
     std::vector<std::pair<int64_t, size_t>> items;  // (frame id, gate)
-    for (size_t g = 0; g < gates.size(); ++g) {
+    for (size_t g = 0; store_ != nullptr && g < gates.size(); ++g) {
       const std::string& source = gates[g]->source();
-      marks[g] = store_->Watermark(source);
       // Retention may have pruned history the SINCE bound asks for.
       // FrameIds clamps to what exists; the truncation must not pass
       // silently.
@@ -664,9 +687,7 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
     // lock nor the gate mutex is held while the store is read.
     for (size_t g = 0; g < gates.size(); ++g) {
       while (!gates[g]->Arm(marks[g])) {
-        const int64_t lo = marks[g] == std::numeric_limits<int64_t>::min()
-                               ? catch_up.since
-                               : std::max(catch_up.since, marks[g] + 1);
+        const int64_t lo = marks[g] + 1;
         marks[g] = store_->Watermark(gates[g]->source());
         for (int64_t fid : store_->FrameIds(gates[g]->source(), lo, marks[g])) {
           GEOSTREAMS_RETURN_IF_ERROR(replay_frame(*gates[g], fid));
@@ -684,38 +705,39 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
     (void)ignored;
     return replay;
   }
-  GEOSTREAMS_LOG(kInfo) << "query " << id << " caught up: " << replayed
-                        << " stored frames replayed, live at the watermark";
-  // Cut-over wall anchor: the moment every gate was armed. Later live
-  // frames' e2e latencies are comparable against external logs from
-  // this instant on.
-  event_log_->Append(
-      EventSeverity::kInfo, "server", "catchup-cutover",
-      StringPrintf("query=%lld replayed=%zu wall_us=%llu",
-                   static_cast<long long>(id), replayed,
-                   static_cast<unsigned long long>(TraceWallNowUs())));
+  if (replayed > 0) {
+    GEOSTREAMS_LOG(kInfo) << "query " << id << " caught up: " << replayed
+                          << " stored frames replayed, live at the watermark";
+    // Cut-over wall anchor: the moment every gate was armed. Later live
+    // frames' e2e latencies are comparable against external logs from
+    // this instant on.
+    event_log_->Append(
+        EventSeverity::kInfo, "server", "catchup-cutover",
+        StringPrintf("query=%lld replayed=%zu wall_us=%llu",
+                     static_cast<long long>(id), replayed,
+                     static_cast<unsigned long long>(TraceWallNowUs())));
+  }
   return id;
 }
 
-Result<QueryId> DsmsServer::RegisterDerivedStream(
-    const std::string& name, const std::string& query_text) {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  if (name.empty()) {
-    return Status::InvalidArgument("derived stream needs a name");
+Result<QueryId> DsmsServer::RegisterInternal(const std::string& query_text,
+                                             FrameCallback callback,
+                                             const std::string& derived_name) {
+  if (!derived_name.empty() && sources_.count(derived_name) > 0) {
+    return Status::AlreadyExists("stream already registered: " + derived_name);
   }
-  if (sources_.count(name) > 0) {
-    return Status::AlreadyExists("stream already registered: " + name);
-  }
-  return RegisterInternal(query_text, nullptr, name);
-}
-
-Result<QueryId> DsmsServer::RegisterInternal(
-    const std::string& query_text, FrameCallback callback,
-    const std::string& derived_name, bool catch_up) {
   GEOSTREAMS_ASSIGN_OR_RETURN(ExprPtr parsed, ParseQuery(query_text));
   GEOSTREAMS_RETURN_IF_ERROR(AnalyzeQuery(catalog_, parsed));
   GEOSTREAMS_ASSIGN_OR_RETURN(
       ExprPtr optimized, OptimizeQuery(catalog_, parsed, options_.optimizer));
+  if (derived_name.empty() &&
+      optimized->out_desc.organization() == PointOrganization::kPointByPoint) {
+    // Delivery assembles whole frames; a point-by-point result never
+    // opens one. A continuous view over such a stream stays allowed.
+    return Status::InvalidArgument(
+        "delivery requires framed input (the query's result is "
+        "point-by-point; wrap it in a view or a framed operator)");
+  }
 
   const QueryId id = next_query_id_++;
   auto query = std::make_unique<QueryState>();
@@ -774,12 +796,10 @@ Result<QueryId> DsmsServer::RegisterInternal(
   // Temporal IO-pruning hints for the catch-up replay, keyed by the
   // plan's leaf names (synthetic for peeled inputs).
   std::map<std::string, std::vector<TimeSet>> time_hints;
-  if (catch_up) {
-    std::map<std::string, int> leaf_count;
-    CollectTimeHints(plan_expr, {}, &time_hints, &leaf_count);
-    for (const auto& [leaf, count] : leaf_count) {
-      if (count > 1) time_hints[leaf].clear();
-    }
+  std::map<std::string, int> leaf_count;
+  CollectTimeHints(plan_expr, {}, &time_hints, &leaf_count);
+  for (const auto& [leaf, count] : leaf_count) {
+    if (count > 1) time_hints[leaf].clear();
   }
   GEOSTREAMS_ASSIGN_OR_RETURN(query->plan,
                               BuildPlan(plan_expr, plan_sink, &memory_));
@@ -801,8 +821,9 @@ Result<QueryId> DsmsServer::RegisterInternal(
   // restriction index, the rest directly). Every plan input is wrapped
   // in a scheduler entry for the query's single pipeline: sources
   // enqueue cheaply, and the plan itself runs on whichever thread
-  // claims the pipeline. A catch-up query's inputs sit behind unarmed
-  // CatchUpGates until its replay arms them.
+  // claims the pipeline. Every input sits behind an unarmed
+  // CatchUpGate until the registration's replay arms it, so the plan
+  // sees each source from a frame boundary on.
   query->pipeline = scheduler_->AddPipelineGroup(
       StringPrintf("q%lld", static_cast<long long>(id)));
   // The delivery operator sits downstream of the plan (it is the
@@ -832,15 +853,14 @@ Result<QueryId> DsmsServer::RegisterInternal(
     if (source_it == sources_.end()) {
       return Status::NotFound("query reads unknown stream: " + input_name);
     }
-    if (catch_up) {
-      StoreScan scan;
-      if (peeled) scan.region = peeled_it->region;
-      scan.times = time_hints[input_name];
-      query->gates.push_back(std::make_unique<CatchUpGate>(
-          entry, store_.get(), source_name, std::move(scan),
-          m_seam_frames_));
-      entry = query->gates.back().get();
-    }
+    StoreScan scan;
+    if (peeled) scan.region = peeled_it->region;
+    scan.times = time_hints[input_name];
+    query->gates.push_back(std::make_unique<CatchUpGate>(
+        entry, store_.get(), source_name, std::move(scan), m_seam_frames_,
+        source_it->second->desc.organization() !=
+            PointOrganization::kPointByPoint));
+    entry = query->gates.back().get();
     if (peeled) {
       peeled_it->shared_id = id * 1000 +
           static_cast<QueryId>(peeled_it - query->peeled.begin());
@@ -851,7 +871,7 @@ Result<QueryId> DsmsServer::RegisterInternal(
       query->direct.emplace_back(input_name, entry);
     }
   }
-  query->catching_up.store(catch_up, std::memory_order_relaxed);
+  query->catching_up.store(true, std::memory_order_relaxed);
 
   GEOSTREAMS_LOG(kInfo) << "registered "
                         << (query->is_derived ? "derived stream " : "query ")

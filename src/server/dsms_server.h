@@ -101,7 +101,7 @@ struct DsmsOptions {
   /// the server's own registry.
   JournalOptions journal;
   /// Tiled historical store directory. Empty = no history: late
-  /// subscribers see only frames arriving after they register (the
+  /// subscribers see only frames that begin after they register (the
   /// pure-stream behavior). Set, every assembled source frame is
   /// persisted as a tiled + pyramided mosaic, and RegisterQuery's
   /// catch-up overload (the control plane's `QUERY ... SINCE <t>`)
@@ -128,11 +128,12 @@ struct DsmsOptions {
 /// Catch-up parameters for RegisterQuery's hybrid stream/stored path.
 struct CatchUpOptions {
   /// Replay committed frames with id >= since before going live.
-  /// INT64_MIN = the full recorded history.
+  /// INT64_MIN = the full recorded history; INT64_MAX = none (a live
+  /// query).
   int64_t since = std::numeric_limits<int64_t>::min();
-  /// Invoked with the query id once the query is registered but
-  /// before any history replays — network sessions use this to bind
-  /// the id their delivery callback stamps on catch-up frames.
+  /// Invoked with the query id before any gate arms, so before any
+  /// frame is delivered: network sessions bind the id their delivery
+  /// callback stamps on every frame.
   std::function<void(QueryId)> on_registered;
 };
 
@@ -144,21 +145,22 @@ class DsmsServer {
   /// Registers an ingestible source stream (one spectral band).
   Status RegisterStream(const GeoStreamDescriptor& desc);
 
-  /// Registers a continuous query. Every completed output frame is
+  /// Registers a live continuous query: the catch-up overload from
+  /// INT64_MAX, which replays nothing. Every completed output frame is
   /// handed to `callback`. Returns the query id.
   Result<QueryId> RegisterQuery(const std::string& query_text,
                                 FrameCallback callback);
 
-  /// Registers a continuous query with historical catch-up: like any
-  /// query, but each input sits behind an unarmed CatchUpGate that
-  /// drops live events while this thread replays every committed store
-  /// frame with id >= catch_up.since through the plan, lock-free. Each
-  /// gate is then armed at the watermark replayed up to and cuts over
-  /// to the live stream exactly once — no gap, no duplicate (a
-  /// StreamEnd that beats the arming is dropped). Without a store
-  /// (DsmsOptions::store_dir) this is plain registration. The callback
-  /// fires during this call; with zero workers all replayed history
-  /// has been delivered when it returns.
+  /// Registers a continuous query with historical catch-up. Each input
+  /// sits behind an unarmed CatchUpGate that drops live events while
+  /// this thread replays every committed store frame with id >=
+  /// catch_up.since through the plan, lock-free. Each gate is then
+  /// armed at the watermark replayed up to and cuts over to the live
+  /// stream exactly once at a frame boundary (store/catch_up_gate.h).
+  /// A frame that commits after registration is delivered whatever
+  /// `since` says. The callback fires during this call; with zero
+  /// workers all replayed history has been delivered when it returns.
+  /// A query whose result is point-by-point is InvalidArgument.
   Result<QueryId> RegisterQuery(const std::string& query_text,
                                 FrameCallback callback,
                                 const CatchUpOptions& catch_up);
@@ -308,15 +310,20 @@ class DsmsServer {
   class IsolatedEntrySink;
   class GuardedIngestSink;
 
-  /// Builds the plan and wires its inputs to their sources. With
-  /// `catch_up` (RegisterQuery's catch-up overload) each input is
-  /// wired behind an unarmed CatchUpGate and the query is marked
-  /// catching up; the caller replays history and arms the gates.
-  /// Requires the exclusive state lock.
+  /// The registration body of every query and derived view:
+  /// RegisterInternal under the exclusive lock, then the unlocked
+  /// replay and the arming of the gates.
+  Result<QueryId> Register(const std::string& query_text,
+                           FrameCallback callback,
+                           const std::string& derived_name,
+                           const CatchUpOptions& catch_up);
+
+  /// Builds the plan and wires each input to its source behind an
+  /// unarmed CatchUpGate; the query stays catching up until Register
+  /// has armed them. Requires the exclusive state lock.
   Result<QueryId> RegisterInternal(const std::string& query_text,
                                    FrameCallback callback,
-                                   const std::string& derived_name,
-                                   bool catch_up = false);
+                                   const std::string& derived_name);
 
   /// Peels optimizer-pushed leaf restrictions region(stream) out of
   /// the tree, recording (stream, region) pairs; the peeled leaves get

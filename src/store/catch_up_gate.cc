@@ -6,17 +6,18 @@ namespace geostreams {
 
 bool CatchUpGate::Arm(int64_t watermark) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (store_->Watermark(source_) != watermark) return false;
+  if (store_ != nullptr && store_->Watermark(source_) != watermark) {
+    return false;
+  }
   watermark_ = watermark;
   armed_ = true;
   return true;
 }
 
 Status CatchUpGate::ReplaySeam(int64_t before) {
+  if (store_ == nullptr) return Status::OK();
   StoreScan scan = scan_;
-  scan.min_frame_id = watermark_ == std::numeric_limits<int64_t>::min()
-                          ? watermark_
-                          : watermark_ + 1;
+  scan.min_frame_id = watermark_ + 1;
   scan.max_frame_id =
       before == std::numeric_limits<int64_t>::max() ? before : before - 1;
   if (seam_frames_ != nullptr) {
@@ -59,7 +60,8 @@ Status CatchUpGate::Consume(const StreamEvent& event) {
     case EventKind::kFrameEnd:
       // Interior of a frame at or below the watermark (it is already
       // in the store) — or of the in-flight frame whose Begin the gate
-      // dropped, which the seam replay will deliver whole.
+      // never forwarded, which the seam replay delivers whole (if
+      // there is a store).
       return Status::OK();
   }
   return Status::OK();

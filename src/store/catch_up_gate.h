@@ -1,10 +1,11 @@
-// Exactly-once seam between stored history and the live stream.
+// Frame-boundary gate in front of every plan input.
 //
-// A catch-up query's inputs are wired to their sources at
-// registration, each behind a CatchUpGate. The registering thread
-// replays the TileStore into the inputs with no lock held, then arms
-// each gate at the watermark W it replayed up to. The live side must
-// then deliver every frame after W and nothing at or below it:
+// Every query's inputs (live, SINCE or a derived view's) are wired to
+// their sources at registration, each behind a CatchUpGate. The
+// registering thread replays the TileStore into the inputs with no
+// lock held (a live query replays nothing), then arms each gate at the
+// watermark W it replayed up to. The live side must then deliver
+// every frame after W and nothing at or below it:
 //
 //   * Unarmed, the gate drops every event. Nothing is lost: the server
 //     commits each frame to the store before it fans the frame out,
@@ -14,12 +15,19 @@
 //     the gate's mutex, so no frame above W finished its fan-out
 //     before arming; otherwise the caller replays the new frames and
 //     retries.
-//   * Armed, frames at or below W are dropped. The first FrameBegin
+//   * Armed, frames at or below W are dropped, and so is the rest of
+//     a frame whose FrameBegin the gate never saw. The first FrameBegin
 //     above W replays the open interval (W, frame_id) from the store —
-//     frames that committed while the gate was dropping — forwards the
-//     FrameBegin and goes transparent for good (one acquire load on
-//     the hot path). A StreamEnd drains (W, +inf) first, so a stream
-//     that ends without another frame still yields its full history.
+//     frames that committed while the gate was dropping, a frame in
+//     flight at registration among them — forwards the FrameBegin and
+//     goes transparent for good (one acquire load on the hot path). A
+//     StreamEnd drains (W, +inf) first, so a stream that ends without
+//     another frame still yields its full history.
+//
+// Without a store, Arm always succeeds and the seam replays nothing:
+// the gate opens at the first FrameBegin or StreamEnd after arming
+// and drops the in-flight frame whole. A gate over a point-by-point
+// source is open from construction: it has no frame to tear.
 //
 // One ingest thread drives the gate (the fan-out contract); the mutex
 // orders it against the arming thread.
@@ -42,22 +50,24 @@ namespace geostreams {
 
 class CatchUpGate : public EventSink {
  public:
-  /// `scan` carries the input's region and time hints; its frame-id
-  /// bounds are ignored. `seam_frames` (may be null) counts the frames
-  /// the seam replay delivers.
+  /// `store` may be null. `scan` carries the input's region and time
+  /// hints; its frame-id bounds are ignored. `seam_frames` (may be
+  /// null) counts the frames the seam replay delivers. `framed` is
+  /// false for a point-by-point source.
   CatchUpGate(EventSink* downstream, TileStore* store, std::string source,
-              StoreScan scan, Counter* seam_frames)
+              StoreScan scan, Counter* seam_frames, bool framed)
       : downstream_(downstream),
         store_(store),
         source_(std::move(source)),
         scan_(std::move(scan)),
-        seam_frames_(seam_frames) {}
+        seam_frames_(seam_frames),
+        live_(!framed) {}
 
   Status Consume(const StreamEvent& event) override;
 
   /// Arms the gate at `watermark` if the store's watermark for the
   /// source still equals it; false (the gate stays unarmed) when it
-  /// moved. Never scans the store.
+  /// moved. Always succeeds without a store. Never scans the store.
   bool Arm(int64_t watermark);
 
   /// The plan input behind the gate (the replay feeds it directly).
@@ -79,7 +89,7 @@ class CatchUpGate : public EventSink {
   std::mutex mu_;
   bool armed_ = false;      // guarded by mu_
   int64_t watermark_ = 0;   // guarded by mu_; valid once armed_
-  std::atomic<bool> live_{false};
+  std::atomic<bool> live_;
 };
 
 }  // namespace geostreams

@@ -225,6 +225,31 @@ TEST(ComposeTest, MultipleFramesStayWellFormed) {
   EXPECT_EQ(ends, 1);
 }
 
+TEST(ComposeTest, FrameOnlyOneSideDeliversIsDroppedOnceTheOtherMovesOn) {
+  // The right input opened one frame earlier than the left (two
+  // inputs registered mid-stream open at their own next frames): its
+  // frame 0 can never match, and must not hold frame 1 back.
+  GridLattice lattice = LatLonLattice(6, 4);
+  ComposeOp op("c", ComposeFn::kAdd);
+  CollectingSink sink;
+  op.BindOutput(&sink);
+  FrameInfo info;
+  info.frame_id = 0;
+  info.lattice = lattice;
+  GS_ASSERT_OK(op.input(1)->Consume(StreamEvent::FrameBegin(info)));
+  auto batch = std::make_shared<PointBatch>();
+  batch->frame_id = 0;
+  batch->band_count = 1;
+  batch->Append1(0, 0, 0, 1.0);
+  GS_ASSERT_OK(op.input(1)->Consume(StreamEvent::Batch(std::move(batch))));
+  GS_ASSERT_OK(op.input(1)->Consume(StreamEvent::FrameEnd(info)));
+  GS_ASSERT_OK(PushInterleavedFrame(&op, lattice, 1, 0.0, 0.0));
+  EXPECT_TRUE(WellFormedFrames(sink.events()));
+  EXPECT_EQ(sink.NumFrames(), 1u);
+  EXPECT_EQ(sink.TotalPoints(), 24u);
+  EXPECT_EQ(op.metrics().buffered_bytes, 0u);
+}
+
 TEST(ComposeTest, PartialOverlapOnlyMatchesCommonPoints) {
   // Left stream misses some rows: only common points are output
   // ("it can happen that there is no single point that occurs in both

@@ -200,10 +200,13 @@ TEST(FrameDecoderTest, GLeadingTextStaysOnTheLinePath) {
 
 class FakeHooks : public SessionHooks {
  public:
-  Result<QueryId> RegisterClientQuery(const std::string& text) override {
+  /// Answers 7 for a live query and 8 for a SINCE query.
+  Result<QueryId> RegisterClientQuery(const std::string& text,
+                                      int64_t since) override {
     last_query = text;
+    last_since = since;
     if (fail_register) return Status::ParseError("bad query");
-    return QueryId{7};
+    return QueryId{since == INT64_MAX ? 7 : 8};
   }
   Status UnregisterClientQuery(QueryId id) override {
     last_unregistered = id;
@@ -213,13 +216,6 @@ class FakeHooks : public SessionHooks {
     return "enqueued=1 dropped=0 keep=1.00";
   }
 
-  Result<QueryId> RegisterClientQuerySince(const std::string& text,
-                                           int64_t since) override {
-    last_query = text;
-    last_since = since;
-    if (fail_register) return Status::ParseError("bad query");
-    return QueryId{8};
-  }
   Status ControlAuth(const std::string& token) override {
     authorized = token == "sesame";
     return authorized ? Status::OK()
@@ -288,13 +284,15 @@ TEST(CommandDispatchTest, QuerySinceRoutesToTheCatchUpHook) {
   EXPECT_EQ(hooks.last_since, -3);
 
   // "SINCE" without a numeric tail is part of the query text, not the
-  // clause: the plain register hook gets the whole string.
+  // clause: the whole string registers live (since INT64_MAX).
   EXPECT_EQ(ExecuteCommand(&server, &hooks, "QUERY a.since"), "OK QUERY 7");
   EXPECT_EQ(hooks.last_query, "a.since");
+  EXPECT_EQ(hooks.last_since, INT64_MAX);
   // A bare "since N" with no query text in front is not a clause —
   // it reaches the parser as query text and fails there, not here.
   EXPECT_EQ(ExecuteCommand(&server, &hooks, "QUERY since 5"), "OK QUERY 7");
   EXPECT_EQ(hooks.last_query, "since 5");
+  EXPECT_EQ(hooks.last_since, INT64_MAX);
 }
 
 TEST(CommandDispatchTest, MutatingVerbsRequireAuthWhenConfigured) {
@@ -1401,6 +1399,87 @@ TEST(NetServerE2eTest, QuerySinceReplaysHistoryThenStreamsLive) {
       "UNREGISTER %lld", static_cast<long long>(id)));
   ASSERT_TRUE(unregister.ok());
   EXPECT_TRUE(StartsWith(*unregister, "OK UNREGISTER"));
+}
+
+TEST(NetServerE2eTest, EveryFrameCarriesTheIdOfItsOkQueryLine) {
+  // One client registers while goes.band1 is mid-frame, a second while
+  // a producer keeps ingesting. Every frame either receives carries the
+  // id of its OK QUERY line — the id is bound before any of the
+  // query's gates opens — and the mid-frame registration starts at the
+  // next whole frame instead of failing on the torn one.
+  for (size_t workers : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE(StringPrintf("workers=%zu", workers));
+    DsmsOptions options;
+    options.workers = workers;
+    NetFixture fixture(options);
+    auto desc = fixture.server().catalog().Lookup("goes.band1");
+    ASSERT_TRUE(desc.ok());
+    const GridLattice lattice = desc->reference_lattice();
+    EventSink* ingest = fixture.server().ingest("goes.band1");
+    FrameInfo info;
+    info.frame_id = 0;
+    info.lattice = lattice;
+    info.expected_points = lattice.num_cells();
+    auto push_row = [&](int64_t row) {
+      auto batch = std::make_shared<PointBatch>();
+      batch->frame_id = 0;
+      batch->band_count = 1;
+      for (int64_t col = 0; col < lattice.width(); ++col) {
+        batch->Append1(static_cast<int32_t>(col), static_cast<int32_t>(row),
+                       0, testing_util::TestValue(0, col, row));
+      }
+      return ingest->Consume(StreamEvent::Batch(std::move(batch)));
+    };
+    GS_ASSERT_OK(ingest->Consume(StreamEvent::FrameBegin(info)));
+    GS_ASSERT_OK(push_row(0));
+
+    GeoStreamsClient first;
+    GS_ASSERT_OK(first.Connect("127.0.0.1", fixture.net().port()));
+    auto response = first.Command("QUERY goes.band1");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(StartsWith(*response, "OK QUERY ")) << *response;
+    const int64_t first_id = ParseIdFromOk(*response);
+
+    constexpr int64_t kFrames = 6;
+    Status produced = Status::OK();
+    std::thread producer([&] {
+      for (int64_t row = 1; row < lattice.height() && produced.ok(); ++row) {
+        produced = push_row(row);
+      }
+      if (produced.ok()) produced = ingest->Consume(StreamEvent::FrameEnd(info));
+      for (int64_t f = 1; f < kFrames && produced.ok(); ++f) {
+        produced = testing_util::PushFrame(ingest, lattice, f);
+      }
+    });
+    GeoStreamsClient second;
+    GS_ASSERT_OK(second.Connect("127.0.0.1", fixture.net().port()));
+    response = second.Command("QUERY goes.band1");
+    producer.join();
+    GS_ASSERT_OK(produced);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(StartsWith(*response, "OK QUERY ")) << *response;
+    const int64_t second_id = ParseIdFromOk(*response);
+    // A frame after both registrations, so the second client has one.
+    GS_ASSERT_OK(testing_util::PushFrame(ingest, lattice, kFrames));
+    GS_ASSERT_OK(fixture.server().Flush());
+
+    for (int64_t expect = 1; expect <= kFrames; ++expect) {
+      auto frame = first.ReadFrame();
+      ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+      EXPECT_EQ(frame->query_id, first_id);
+      EXPECT_EQ(frame->frame_id, expect);
+    }
+    int64_t next = -1;
+    while (next <= kFrames) {
+      auto frame = second.ReadFrame();
+      ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+      EXPECT_EQ(frame->query_id, second_id);
+      if (next >= 0) {
+        EXPECT_EQ(frame->frame_id, next);
+      }
+      next = frame->frame_id + 1;
+    }
+  }
 }
 
 TEST(NetServerE2eTest, CatchUpCutoverIsObservable) {

@@ -131,27 +131,6 @@ TEST(ReprojectTest, BuffersTheFrame) {
   EXPECT_EQ(op.metrics().buffered_bytes, 0u);  // released after flush
 }
 
-TEST(ReprojectTest, FixedLatticeViewport) {
-  // A fixed client viewport: only the overlapping part is produced.
-  GridLattice src = LatLonLattice(10, 10);  // [-125, -120] x [40, 45]
-  GridLattice viewport(GeographicCrs::Instance(), -122.25, 42.75, 0.5,
-                       -0.5, 10, 10);  // [-122.5, -117.5] x [38, 43]
-  ReprojectOp op("p", GeographicCrs::Instance(), ResampleKernel::kNearest,
-                 viewport);
-  CollectingSink sink;
-  op.BindOutput(&sink);
-  GS_ASSERT_OK(PushFrame(op.input(0), src, 0));
-  auto points = CollectPoints(sink.events());
-  // Only viewport cells inside the source extent appear.
-  ASSERT_GT(points.size(), 0u);
-  EXPECT_LT(points.size(), 100u);
-  for (const auto& [key, v] : points) {
-    const double x = viewport.CellX(std::get<0>(key));
-    const double y = viewport.CellY(std::get<1>(key));
-    EXPECT_TRUE(src.Extent().Contains(x, y));
-  }
-}
-
 TEST(ReprojectTest, RejectsUnframedAndMultiband) {
   auto merc = ResolveCrs("mercator");
   ASSERT_TRUE(merc.ok());
