@@ -58,25 +58,17 @@ class NetServer::Connection : public SessionHooks {
     CatchUpOptions catch_up;
     catch_up.since = since;
     // Frames (replayed ones first) can flow before RegisterQuery
-    // returns, so the id is bound and the fan-out published the moment
-    // the engine assigns it, before any gate opens.
-    NetServer* server = server_;
-    catch_up.on_registered = [sub, server](QueryId id) {
-      sub->query_id.store(id);
-      std::lock_guard<std::mutex> lock(server->net_mu_);
-      server->subscriptions_.emplace(id, sub);
-    };
+    // returns, so the id is bound the moment the engine assigns it,
+    // before any gate opens.
+    catch_up.on_registered = [sub](QueryId id) { sub->query_id.store(id); };
     Result<QueryId> id =
         server_->dsms_->RegisterQuery(text, std::move(callback), catch_up);
-    if (!id.ok()) {
-      // The engine already tore the query down; drop the fan-out it
-      // announced mid-flight, if any.
-      const int64_t stale = sub->query_id.load();
-      if (stale >= 0) {
-        std::lock_guard<std::mutex> lock(server_->net_mu_);
-        server_->subscriptions_.erase(static_cast<QueryId>(stale));
-      }
-      return id;
+    if (!id.ok()) return id;
+    {
+      // Published for ATTACH once registered: no other connection can
+      // name the id before this one's OK QUERY line.
+      std::lock_guard<std::mutex> lock(server_->net_mu_);
+      server_->subscriptions_.emplace(*id, sub);
     }
     owned_.push_back(*id);
     return id;

@@ -619,13 +619,17 @@ Result<QueryId> DsmsServer::Register(const std::string& query_text,
     GEOSTREAMS_ASSIGN_OR_RETURN(
         id, RegisterInternal(query_text, std::move(callback), derived_name));
     query = queries_.at(id).get();
+    if (catch_up.on_registered) catch_up.on_registered(id);
     for (const auto& gate : query->gates) {
       marks.push_back(store_ != nullptr
                           ? store_->Watermark(gate->source())
                           : std::numeric_limits<int64_t>::min());
+      // Nothing to replay below the mark (a live query): arm now.
+      // Ingest is excluded, so Arm cannot fail, and no live event
+      // (a StreamEnd among them) falls into an unarmed window.
+      if (catch_up.since > marks.back()) gate->Arm(marks.back());
     }
   }
-  if (catch_up.on_registered) catch_up.on_registered(id);
   const std::vector<std::unique_ptr<CatchUpGate>>& gates = query->gates;
 
   // The replay runs with no lock held, so ingest keeps flowing. With
@@ -681,10 +685,11 @@ Result<QueryId> DsmsServer::Register(const std::string& query_text,
       --backlog;
       catchup_backlog_.fetch_sub(1, std::memory_order_relaxed);
     }
-    // Arm each gate at the watermark its input was replayed up to. A
-    // frame that committed meanwhile moved the watermark and Arm
-    // refuses: replay the new frames and try again. Neither the state
-    // lock nor the gate mutex is held while the store is read.
+    // Arm each gate at the watermark its input was replayed up to (a
+    // gate armed under the lock stays as it is). A frame that
+    // committed meanwhile moved the watermark and Arm refuses: replay
+    // the new frames and try again. Neither the state lock nor the
+    // gate mutex is held while the store is scanned.
     for (size_t g = 0; g < gates.size(); ++g) {
       while (!gates[g]->Arm(marks[g])) {
         const int64_t lo = marks[g] + 1;

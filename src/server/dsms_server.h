@@ -131,9 +131,11 @@ struct CatchUpOptions {
   /// INT64_MIN = the full recorded history; INT64_MAX = none (a live
   /// query).
   int64_t since = std::numeric_limits<int64_t>::min();
-  /// Invoked with the query id before any gate arms, so before any
-  /// frame is delivered: network sessions bind the id their delivery
-  /// callback stamps on every frame.
+  /// Invoked with the query id under the server's exclusive state
+  /// lock, before any gate arms, so before any frame is delivered:
+  /// network sessions bind the id their delivery callback stamps on
+  /// every frame. It must not wait on another thread or call into
+  /// the server.
   std::function<void(QueryId)> on_registered;
 };
 
@@ -155,8 +157,9 @@ class DsmsServer {
   /// sits behind an unarmed CatchUpGate that drops live events while
   /// this thread replays every committed store frame with id >=
   /// catch_up.since through the plan, lock-free. Each gate is then
-  /// armed at the watermark replayed up to and cuts over to the live
-  /// stream exactly once at a frame boundary (store/catch_up_gate.h).
+  /// armed at the watermark replayed up to (at once, when there is
+  /// nothing to replay) and cuts over to the live stream exactly once
+  /// at a frame boundary (store/catch_up_gate.h).
   /// A frame that commits after registration is delivered whatever
   /// `since` says. The callback fires during this call; with zero
   /// workers all replayed history has been delivered when it returns.

@@ -6,6 +6,7 @@ namespace geostreams {
 
 bool CatchUpGate::Arm(int64_t watermark) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (armed_) return true;
   if (store_ != nullptr && store_->Watermark(source_) != watermark) {
     return false;
   }
@@ -15,7 +16,7 @@ bool CatchUpGate::Arm(int64_t watermark) {
 }
 
 Status CatchUpGate::ReplaySeam(int64_t before) {
-  if (store_ == nullptr) return Status::OK();
+  if (store_ == nullptr || before <= watermark_ + 1) return Status::OK();
   StoreScan scan = scan_;
   scan.min_frame_id = watermark_ + 1;
   scan.max_frame_id =
@@ -41,14 +42,11 @@ Status CatchUpGate::Consume(const StreamEvent& event) {
   if (!armed_) return Status::OK();
   switch (event.kind) {
     case EventKind::kFrameBegin:
-      if (event.frame.frame_id > watermark_) {
-        // Cut-over: any frame committed after the watermark but before
-        // this one comes from the store, exactly once.
-        GEOSTREAMS_RETURN_IF_ERROR(ReplaySeam(event.frame.frame_id));
-        live_.store(true, std::memory_order_release);
-        return downstream_->Consume(event);
-      }
-      return Status::OK();
+      // Cut-over: any frame committed after the watermark but before
+      // this one comes from the store, exactly once.
+      GEOSTREAMS_RETURN_IF_ERROR(ReplaySeam(event.frame.frame_id));
+      live_.store(true, std::memory_order_release);
+      return downstream_->Consume(event);
     case EventKind::kStreamEnd:
       // The stream ends before another live frame: drain the seam to
       // the end of recorded history, then let the end through.
@@ -58,10 +56,9 @@ Status CatchUpGate::Consume(const StreamEvent& event) {
       return downstream_->Consume(event);
     case EventKind::kPointBatch:
     case EventKind::kFrameEnd:
-      // Interior of a frame at or below the watermark (it is already
-      // in the store) — or of the in-flight frame whose Begin the gate
-      // never forwarded, which the seam replay delivers whole (if
-      // there is a store).
+      // Interior of a frame whose Begin the gate never forwarded: the
+      // replay already delivered it, or the seam replay delivers it
+      // whole (if there is a store and its id is above the watermark).
       return Status::OK();
   }
   return Status::OK();

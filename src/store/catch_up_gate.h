@@ -3,9 +3,10 @@
 // Every query's inputs (live, SINCE or a derived view's) are wired to
 // their sources at registration, each behind a CatchUpGate. The
 // registering thread replays the TileStore into the inputs with no
-// lock held (a live query replays nothing), then arms each gate at the
-// watermark W it replayed up to. The live side must then deliver
-// every frame after W and nothing at or below it:
+// lock held, then arms each gate at the watermark W it replayed up
+// to; a gate with nothing to replay (a live query's) is armed at once,
+// under the server's state lock. The live side must then deliver
+// every frame committed after W and no frame twice:
 //
 //   * Unarmed, the gate drops every event. Nothing is lost: the server
 //     commits each frame to the store before it fans the frame out,
@@ -15,14 +16,18 @@
 //     the gate's mutex, so no frame above W finished its fan-out
 //     before arming; otherwise the caller replays the new frames and
 //     retries.
-//   * Armed, frames at or below W are dropped, and so is the rest of
-//     a frame whose FrameBegin the gate never saw. The first FrameBegin
-//     above W replays the open interval (W, frame_id) from the store —
-//     frames that committed while the gate was dropping, a frame in
-//     flight at registration among them — forwards the FrameBegin and
-//     goes transparent for good (one acquire load on the hot path). A
-//     StreamEnd drains (W, +inf) first, so a stream that ends without
-//     another frame still yields its full history.
+//   * Armed, the gate drops the rest of a frame whose FrameBegin it
+//     never saw. The first FrameBegin, whatever its id, replays the
+//     open interval (W, frame_id) from the store — frames that
+//     committed while the gate was dropping, a frame in flight at
+//     registration among them — forwards the FrameBegin and goes
+//     transparent for good (one acquire load on the hot path). A
+//     FrameBegin at or below W + 1 replays nothing: with monotonic ids
+//     none arrives at or below W, so such a frame is a producer that
+//     restarted its numbering over a store that already holds those
+//     ids, and the stored frames are an earlier run's. A StreamEnd
+//     drains (W, +inf) first, so a stream that ends without another
+//     frame still yields its full history.
 //
 // Without a store, Arm always succeeds and the seam replays nothing:
 // the gate opens at the first FrameBegin or StreamEnd after arming
@@ -67,7 +72,9 @@ class CatchUpGate : public EventSink {
 
   /// Arms the gate at `watermark` if the store's watermark for the
   /// source still equals it; false (the gate stays unarmed) when it
-  /// moved. Always succeeds without a store. Never scans the store.
+  /// moved. Always succeeds without a store, and on a gate that is
+  /// already armed (keeping its first watermark). Never scans the
+  /// store.
   bool Arm(int64_t watermark);
 
   /// The plan input behind the gate (the replay feeds it directly).

@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -75,23 +77,32 @@ const std::vector<std::string>& Queries() {
   return queries;
 }
 
-/// Two synthetic sources "a" and "b" (16x12 lat/lon); with `store`,
-/// the tile store is on.
-std::unique_ptr<DsmsServer> MakeServer(size_t workers, bool store) {
+/// A fresh, empty tile-store directory named after the running test.
+std::string FreshStoreDir() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string tag = std::string(info->test_suite_name()) + "-" + info->name();
+  std::replace(tag.begin(), tag.end(), '/', '_');
+  const std::string dir = ::testing::TempDir() + "gsregister-" + tag;
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+/// Two synthetic sources "a" and "b" (16x12 lat/lon), with the tile
+/// store in `store_dir` (none when empty).
+std::unique_ptr<DsmsServer> MakeServer(size_t workers,
+                                       const std::string& store_dir) {
   DsmsOptions options;
   options.workers = workers;
-  if (store) {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    std::string tag = std::string(info->test_suite_name()) + "-" + info->name();
-    std::replace(tag.begin(), tag.end(), '/', '_');
-    options.store_dir = ::testing::TempDir() + "gsregister-" + tag;
-    fs::remove_all(options.store_dir);
-    fs::create_directories(options.store_dir);
-  }
+  options.store_dir = store_dir;
   auto server = std::make_unique<DsmsServer>(options);
   EXPECT_TRUE(server->RegisterStream(TestDescriptor("a")).ok());
   EXPECT_TRUE(server->RegisterStream(TestDescriptor("b")).ok());
   return server;
+}
+
+std::unique_ptr<DsmsServer> MakeServer(size_t workers, bool store) {
+  return MakeServer(workers, store ? FreshStoreDir() : std::string());
 }
 
 FrameInfo Info(const GridLattice& lattice, int64_t frame_id) {
@@ -313,11 +324,116 @@ TEST_P(ConcurrentRegistrationTest, QueriesRegisteringWhileProducersIngest) {
   }
 }
 
+/// A StreamEnd ingested the moment registration has assigned the
+/// query id (on_registered lingers, so the end races whatever the
+/// registration does next) still reaches every input of the query.
+TEST_P(ConcurrentRegistrationTest, StreamEndRacingTheRegistrationArrives) {
+  const auto [workers, store] = GetParam();
+  const GridLattice lattice = LatLonLattice(16, 12);
+  for (const std::string& text : Queries()) {
+    SCOPED_TRACE(text);
+    std::unique_ptr<DsmsServer> server = MakeServer(workers, store);
+    // History a live query does not replay.
+    for (int64_t f = 0; f < 2; ++f) {
+      GS_ASSERT_OK(PushFrame(server->ingest("a"), lattice, f));
+      GS_ASSERT_OK(PushFrame(server->ingest("b"), lattice, f));
+    }
+    GS_ASSERT_OK(server->Flush());
+
+    std::atomic<bool> registered{false};
+    Status ended = Status::OK();
+    std::thread producer([&] {
+      while (!registered.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      for (const char* source : {"a", "b"}) {
+        if (ended.ok()) {
+          ended = server->ingest(source)->Consume(StreamEvent::StreamEnd());
+        }
+      }
+    });
+    CatchUpOptions live;
+    live.since = std::numeric_limits<int64_t>::max();
+    live.on_registered = [&registered](QueryId) {
+      registered.store(true, std::memory_order_release);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    };
+    Frames frames;
+    auto id = server->RegisterQuery(text, frames.Callback(), live);
+    producer.join();
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    GS_ASSERT_OK(ended);
+    GS_ASSERT_OK(server->Flush());
+
+    // Nothing but the end reaches the query: one StreamEnd per input.
+    const uint64_t inputs = text.find("ndvi") == 0 ? 2 : 1;
+    const std::string pipeline =
+        StringPrintf("q%lld", static_cast<long long>(*id));
+    bool found = false;
+    for (const ScheduledQueueStats& stats : server->SchedulerStats()) {
+      if (stats.name != pipeline) continue;
+      found = true;
+      EXPECT_EQ(stats.processed, inputs);
+      EXPECT_EQ(stats.health, PipelineHealth::kRunning) << stats.error;
+    }
+    EXPECT_TRUE(found);
+    EXPECT_TRUE(frames.ids().empty());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(WorkersAndStore, ConcurrentRegistrationTest,
                          ::testing::Combine(::testing::Values(size_t{0},
                                                               size_t{2}),
                                             ::testing::Bool()),
                          ParamName);
+
+/// A server restarted over the store of an earlier run whose producer
+/// numbers its frames from 0 again: the recovered watermark is above
+/// every new frame id, yet live queries and a derived view registered
+/// after the restart deliver every new frame.
+class RestartRegistrationTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(RestartRegistrationTest, LiveQueriesAfterARestartSeeEveryFrame) {
+  const size_t workers = GetParam();
+  const std::string dir = FreshStoreDir();
+  const GridLattice lattice = LatLonLattice(16, 12);
+  constexpr int64_t kFrames = 4;
+  std::vector<std::string> texts = Queries();
+  texts.push_back("v");
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE(StringPrintf("run %d", run));
+    std::unique_ptr<DsmsServer> server = MakeServer(workers, dir);
+    auto view = server->RegisterDerivedStream("v", "ndvi(a, b)");
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    std::vector<std::unique_ptr<Frames>> frames;
+    std::vector<QueryId> ids;
+    for (const std::string& text : texts) {
+      frames.push_back(std::make_unique<Frames>());
+      auto id = server->RegisterQuery(text, frames.back()->Callback());
+      ASSERT_TRUE(id.ok()) << text << ": " << id.status().ToString();
+      ids.push_back(*id);
+    }
+    for (int64_t f = 0; f < kFrames; ++f) {
+      GS_ASSERT_OK(PushFrame(server->ingest("a"), lattice, f));
+      GS_ASSERT_OK(PushFrame(server->ingest("b"), lattice, f));
+    }
+    GS_ASSERT_OK(server->Flush());
+    for (size_t q = 0; q < texts.size(); ++q) {
+      SCOPED_TRACE(texts[q]);
+      auto health = server->QueryHealth(ids[q]);
+      ASSERT_TRUE(health.ok());
+      EXPECT_EQ(*health, PipelineHealth::kRunning)
+          << server->QueryError(ids[q]).ToString();
+      EXPECT_EQ(frames[q]->ids(), Range(0, kFrames - 1));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, RestartRegistrationTest,
+                         ::testing::Values(size_t{0}, size_t{2}),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return StringPrintf("Workers%zu", info.param);
+                         });
 
 }  // namespace
 }  // namespace geostreams
