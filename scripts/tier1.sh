@@ -62,8 +62,9 @@ cmake --build build-tsan -j "${JOBS}" \
        -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|CatchUpTest|WorkersAndPlans/CatchUpConcurrentIngestTest|RegistrationTest|WorkersAndStore/MidFrameRegistrationTest|WorkersAndStore/ConcurrentRegistrationTest|Workers/RestartRegistrationTest|JournalCompactionTest|StorageFormatTest|RecordFileTest|BothStores/DamageClassificationTest|JournalSyncTest|MetricsMirrorTest)')
 
 echo "== tier-1: ASan+UBSan lane (same concurrency/supervision set, plus the byte-plane codec parity suite) =="
-# codec_parity_test rides along: the bulk column copies and the
-# slicing-by-8 CRC read and write at unaligned offsets.
+# codec_parity_test rides along: the bulk column copies, the
+# slicing-by-8 CRC and the fill-window codec read and write at
+# unaligned offsets.
 cmake -B build-asan -S . "-DGEOSTREAMS_SANITIZE=address,undefined" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "${JOBS}" \

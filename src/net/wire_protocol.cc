@@ -1,6 +1,9 @@
 #include "net/wire_protocol.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <optional>
 
 #include "common/byte_codec.h"
 #include "common/string_util.h"
@@ -56,17 +59,174 @@ Result<GridLattice> GetLattice(PayloadReader& reader) {
   return GridLattice(crs, origin_x, origin_y, dx, dy, width, height);
 }
 
+/// Decoded frames hold at most as many samples as a raw body under
+/// kMaxWirePayload could carry, so a small windowed message cannot
+/// drive a huge allocation and width*height*bands cannot wrap.
+constexpr uint64_t kMaxFrameSamples = kMaxWirePayload / sizeof(double);
+
+/// width*height*bands, or false when it exceeds kMaxFrameSamples.
+bool FrameSampleCount(uint32_t width, uint32_t height, uint16_t bands,
+                      uint64_t* count) {
+  const uint64_t cells = static_cast<uint64_t>(width) * height;
+  if (bands != 0 && cells > kMaxFrameSamples / bands) return false;
+  *count = cells * bands;
+  return true;
+}
+
+/// Bytes of a kFlagWindow body ahead of the window's rows: col0, row0,
+/// win_w, win_h (u32 each), then one u64 fill pattern per band.
+size_t WindowPreambleSize(uint16_t bands) {
+  return 4 * sizeof(uint32_t) + static_cast<size_t>(bands) * sizeof(uint64_t);
+}
+
+/// The smallest rectangle outside which every cell carries the fill
+/// pattern (cell 0's bits) in every band; 0x0 when every cell does.
+struct FillWindow {
+  size_t col0 = 0;
+  size_t row0 = 0;
+  size_t width = 0;
+  size_t height = 0;
+};
+
+/// Compares the cells of a band-interleaved raster with the fill
+/// pattern as u64 words (so NaN payloads and -0.0 count as different
+/// values). kOneBand compiles the one-band fast path, which tests
+/// eight cells per branch.
+template <bool kOneBand>
+class FillScanner {
+ public:
+  FillScanner(const double* samples, size_t bands, const uint64_t* fill)
+      : samples_(samples), bands_(kOneBand ? 1 : bands), fill_(fill) {}
+
+  bool Differs(size_t cell) const {
+    if constexpr (kOneBand) {
+      return std::bit_cast<uint64_t>(samples_[cell]) != fill_[0];
+    } else {
+      const double* s = samples_ + cell * bands_;
+      uint64_t diff = 0;
+      for (size_t b = 0; b < bands_; ++b) {
+        diff |= std::bit_cast<uint64_t>(s[b]) ^ fill_[b];
+      }
+      return diff != 0;
+    }
+  }
+
+  /// The first cell in [begin, end) that differs, or `end`.
+  size_t FirstDiff(size_t begin, size_t end) const {
+    size_t i = begin;
+    if constexpr (kOneBand) {
+      for (; i + 8 <= end && !BlockDiffers(i); i += 8) {
+      }
+    }
+    while (i < end && !Differs(i)) ++i;
+    return i;
+  }
+
+  /// One past the last cell in [begin, end) that differs, or `begin`.
+  size_t LastDiffEnd(size_t begin, size_t end) const {
+    size_t i = end;
+    if constexpr (kOneBand) {
+      for (; i >= begin + 8 && !BlockDiffers(i - 8); i -= 8) {
+      }
+    }
+    while (i > begin && !Differs(i - 1)) --i;
+    return i;
+  }
+
+ private:
+  /// Whether any of the eight cells from `cell` on differs.
+  bool BlockDiffers(size_t cell) const {
+    uint64_t diff = 0;
+    for (size_t k = 0; k < 8; ++k) {
+      diff |= std::bit_cast<uint64_t>(samples_[cell + k]) ^ fill_[0];
+    }
+    return diff != 0;
+  }
+
+  const double* samples_;
+  size_t bands_;
+  const uint64_t* fill_;
+};
+
+/// Finds the fill window in one pass: rows from the top until one
+/// differs, rows from the bottom until one differs, then only the
+/// left and right margins of the rows between. No cell is read twice
+/// except the few a hit's block re-tests.
+template <bool kOneBand>
+FillWindow FindFillWindow(const FillScanner<kOneBand>& scan, size_t width,
+                          size_t height) {
+  FillWindow w;
+  size_t top = 0;
+  size_t left = width;
+  size_t right = 0;  // exclusive
+  for (; top < height; ++top) {
+    const size_t row = top * width;
+    const size_t first = scan.FirstDiff(row, row + width);
+    if (first < row + width) {
+      left = first - row;
+      right = scan.LastDiffEnd(first, row + width) - row;
+      break;
+    }
+  }
+  if (top == height) return w;  // every cell is fill
+  size_t bottom = top + 1;  // exclusive
+  for (size_t r = height; r > top + 1; --r) {
+    const size_t row = (r - 1) * width;
+    const size_t first = scan.FirstDiff(row, row + width);
+    if (first < row + width) {
+      bottom = r;
+      left = std::min(left, first - row);
+      const size_t from = std::max(first - row, right);
+      right = std::max(right, scan.LastDiffEnd(row + from, row + width) - row);
+      break;
+    }
+  }
+  for (size_t r = top + 1; r + 1 < bottom; ++r) {
+    const size_t row = r * width;
+    left = scan.FirstDiff(row, row + left) - row;
+    right = scan.LastDiffEnd(row + right, row + width) - row;
+  }
+  w.col0 = left;
+  w.row0 = top;
+  w.width = right - left;
+  w.height = bottom - top;
+  return w;
+}
+
 /// One result-frame message, written header, preamble and body into
-/// a single buffer and CRCed in place: the raw samples, or the PNG
-/// bytes when `png` is set.
+/// a single buffer and CRCed in place: the PNG bytes when `png` is
+/// set, else the raw samples, or only their fill window (kFlagWindow)
+/// when that body is strictly smaller.
 std::vector<uint8_t> EncodeFrame(int64_t query_id, int64_t frame_id,
                                  uint32_t width, uint32_t height,
                                  uint16_t bands,
                                  const std::vector<double>& samples,
                                  const std::vector<uint8_t>* png) {
+  size_t body_bytes = png ? png->size() : samples.size() * sizeof(double);
+  std::vector<uint64_t> fill;
+  std::optional<FillWindow> window;
+  if (png == nullptr && bands != 0 && !samples.empty() &&
+      samples.size() == static_cast<size_t>(width) * height * bands) {
+    fill.resize(bands);
+    for (size_t b = 0; b < bands; ++b) {
+      fill[b] = std::bit_cast<uint64_t>(samples[b]);
+    }
+    const FillWindow w =
+        bands == 1
+            ? FindFillWindow(FillScanner<true>(samples.data(), 1, fill.data()),
+                             width, height)
+            : FindFillWindow(
+                  FillScanner<false>(samples.data(), bands, fill.data()),
+                  width, height);
+    const size_t window_bytes = WindowPreambleSize(bands) +
+                                w.width * w.height * bands * sizeof(double);
+    if (window_bytes < body_bytes) {
+      window = w;
+      body_bytes = window_bytes;
+    }
+  }
   std::vector<uint8_t> out;
-  out.reserve(kWireHeaderSize + kFramePreambleSize +
-              (png ? png->size() : samples.size() * sizeof(double)));
+  out.reserve(kWireHeaderSize + kFramePreambleSize + body_bytes);
   const size_t start = BeginRecord(out);
   PutU64(out, static_cast<uint64_t>(query_id));
   PutU64(out, static_cast<uint64_t>(frame_id));
@@ -74,14 +234,90 @@ std::vector<uint8_t> EncodeFrame(int64_t query_id, int64_t frame_id,
   PutU32(out, height);
   PutU16(out, bands);
   PutU16(out, 0);  // reserved
+  uint8_t flags = 0;
   if (png) {
+    flags = kFlagPng;
     out.insert(out.end(), png->begin(), png->end());
+  } else if (window) {
+    flags = kFlagWindow;
+    PutU32(out, static_cast<uint32_t>(window->col0));
+    PutU32(out, static_cast<uint32_t>(window->row0));
+    PutU32(out, static_cast<uint32_t>(window->width));
+    PutU32(out, static_cast<uint32_t>(window->height));
+    for (size_t b = 0; b < bands; ++b) PutU64(out, fill[b]);
+    for (size_t r = 0; r < window->height; ++r) {
+      const size_t cell = (window->row0 + r) * width + window->col0;
+      PutArray(out, samples.data() + cell * bands, window->width * bands);
+    }
   } else {
     PutArray(out, samples.data(), samples.size());
   }
   SealRecord(kWireFormat, static_cast<uint8_t>(MessageType::kResultFrame),
-             png ? kFlagPng : 0, start, out);
+             flags, start, out);
   return out;
+}
+
+/// Rebuilds a kFlagWindow body into the full sample vector: every cell
+/// gets the fill pattern, then the window's rows are copied in.
+Status DecodeWindowBody(const uint8_t* body, size_t body_len,
+                        FrameMessage* message) {
+  const uint16_t bands = message->bands;
+  if (bands == 0) {
+    return Status::InvalidArgument("windowed frame declares 0 bands");
+  }
+  uint64_t expected = 0;
+  if (!FrameSampleCount(message->width, message->height, bands, &expected)) {
+    return Status::InvalidArgument(StringPrintf(
+        "windowed frame of %ux%ux%u exceeds %llu samples", message->width,
+        message->height, bands,
+        static_cast<unsigned long long>(kMaxFrameSamples)));
+  }
+  PayloadReader reader{body, body_len};
+  const uint64_t col0 = reader.U32();
+  const uint64_t row0 = reader.U32();
+  const uint64_t win_w = reader.U32();
+  const uint64_t win_h = reader.U32();
+  std::vector<uint64_t> fill(bands);
+  reader.Array(fill);
+  if (!reader.ok) {
+    return Status::InvalidArgument("windowed frame preamble truncated");
+  }
+  if (col0 + win_w > message->width || row0 + win_h > message->height) {
+    return Status::InvalidArgument(StringPrintf(
+        "frame window %llux%llu at (%llu, %llu) falls outside %ux%u",
+        static_cast<unsigned long long>(win_w),
+        static_cast<unsigned long long>(win_h),
+        static_cast<unsigned long long>(col0),
+        static_cast<unsigned long long>(row0), message->width,
+        message->height));
+  }
+  const uint64_t row_samples = win_w * bands;
+  if (reader.remaining != win_h * row_samples * sizeof(double)) {
+    return Status::InvalidArgument(StringPrintf(
+        "windowed frame body holds %zu bytes, a %llux%llux%u window "
+        "needs %llu",
+        reader.remaining, static_cast<unsigned long long>(win_w),
+        static_cast<unsigned long long>(win_h), bands,
+        static_cast<unsigned long long>(win_h * row_samples *
+                                        sizeof(double))));
+  }
+  std::vector<double>& samples = message->samples;
+  if (bands == 1) {
+    samples.assign(expected, std::bit_cast<double>(fill[0]));
+  } else {
+    samples.resize(expected);
+    for (size_t i = 0; i < expected; i += bands) {
+      for (size_t b = 0; b < bands; ++b) {
+        samples[i + b] = std::bit_cast<double>(fill[b]);
+      }
+    }
+  }
+  for (uint64_t r = 0; r < win_h; ++r) {
+    const uint64_t cell = (row0 + r) * message->width + col0;
+    GetArray(reader.p + r * row_samples * sizeof(double),
+             samples.data() + cell * bands, row_samples);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -123,17 +359,24 @@ Result<FrameMessage> DecodeFrameMessage(const uint8_t* data, size_t len) {
   const uint8_t* body = payload + kFramePreambleSize;
   const size_t body_len = payload_len - kFramePreambleSize;
   if (message.png) {
+    if ((view.flags & kFlagWindow) != 0) {
+      return Status::InvalidArgument("PNG frame carries the window flag");
+    }
     message.png_bytes.assign(body, body + body_len);
     return message;
   }
-  const uint64_t expected =
-      static_cast<uint64_t>(message.width) * message.height * message.bands;
-  if (body_len != expected * sizeof(double)) {
+  if ((view.flags & kFlagWindow) != 0) {
+    GEOSTREAMS_RETURN_IF_ERROR(DecodeWindowBody(body, body_len, &message));
+    return message;
+  }
+  uint64_t expected = 0;
+  if (!FrameSampleCount(message.width, message.height, message.bands,
+                        &expected) ||
+      body_len != expected * sizeof(double)) {
     return Status::InvalidArgument(StringPrintf(
-        "frame body holds %zu bytes, %llu samples of %ux%ux%u need %llu",
-        body_len, static_cast<unsigned long long>(expected), message.width,
-        message.height, message.bands,
-        static_cast<unsigned long long>(expected * sizeof(double))));
+        "frame body holds %zu bytes, not the %ux%ux%u samples its header "
+        "declares",
+        body_len, message.width, message.height, message.bands));
   }
   message.samples.resize(expected);
   GetArray(body, message.samples.data(), message.samples.size());

@@ -9,7 +9,7 @@
 //   which the journal and the tile store share)
 //     0   magic        "GSF1"
 //     4   type         u8   (MessageType)
-//     5   flags        u8   (kFlagPng: payload is PNG, not doubles)
+//     5   flags        u8   (kFlagPng, kFlagWindow, kFlagCaptureTs)
 //     6   version      u16  LE (kWireVersion)
 //     8   payload_len  u32  LE
 //     12  payload_crc  u32  LE (CRC-32 of the payload bytes)
@@ -21,8 +21,27 @@
 //     20  height       u32  LE
 //     24  bands        u16  LE
 //     26  reserved     u16
-//   followed by width*height*bands doubles (LE bit patterns), or by
-//   PNG bytes when kFlagPng is set.
+//   followed by one of three bodies:
+//     raw (no body flag)   width*height*bands doubles (LE bit patterns,
+//                          band-interleaved, row-major)
+//     kFlagPng             PNG bytes
+//     kFlagWindow          the raw samples with their uniform border cut
+//                          off. The fill pattern is cell 0's bits; the
+//                          window is the smallest rectangle outside
+//                          which every cell carries it in every band.
+//         0   col0         u32  LE
+//         4   row0         u32  LE
+//         8   win_w        u32  LE   (0x0: every cell is fill)
+//         12  win_h        u32  LE
+//         16  fill         bands x u64 LE (cell 0's bit patterns)
+//             followed by win_h rows of win_w*bands doubles.
+//   The encoder sends a window only when its body is strictly smaller
+//   than the raw one, so frames with no uniform border (and PNG frames)
+//   keep the raw bytes exactly. Decoding rebuilds the full raw sample
+//   vector, bit for bit. A decoder that predates kFlagWindow ignores
+//   the flag, finds a body shorter than width*height*bands doubles and
+//   rejects the message (InvalidArgument); it never decodes a windowed
+//   frame wrongly.
 //
 //   ingest payload (kIngest — producer -> server)
 //     0   source_len   u16  LE
@@ -88,6 +107,8 @@ enum class MessageType : uint8_t {
 inline constexpr size_t kMaxIngestSourceLen = 256;
 
 inline constexpr uint8_t kFlagPng = 0x1;
+/// kResultFrame only: the body is a fill window, not the raw samples.
+inline constexpr uint8_t kFlagWindow = 0x4;
 /// kIngest only: the payload carries a producer capture timestamp
 /// (u64 wall-clock microseconds) between `seq` and `event_kind`.
 inline constexpr uint8_t kFlagCaptureTs = 0x2;
@@ -111,15 +132,17 @@ std::vector<uint8_t> EncodeFrameMessage(const FrameMessage& message);
 
 /// Convenience: builds the message for one delivered frame. When
 /// `png` is non-empty it is shipped as-is (kFlagPng); otherwise the
-/// raster's raw samples are.
+/// raster's samples are, as a fill window (kFlagWindow) when that is
+/// smaller.
 std::vector<uint8_t> EncodeResultFrame(int64_t query_id, int64_t frame_id,
                                        const Raster& raster,
                                        const std::vector<uint8_t>& png);
 
 /// Decodes one complete message (header + payload). Strict: anything
 /// malformed — short buffer, bad magic, unknown type/version, length
-/// over kMaxWirePayload, CRC mismatch, truncated or trailing bytes —
-/// is InvalidArgument.
+/// over kMaxWirePayload, CRC mismatch, truncated or trailing bytes, a
+/// window outside the frame — is InvalidArgument. A windowed body is
+/// expanded, so `samples` always holds width*height*bands values.
 Result<FrameMessage> DecodeFrameMessage(const uint8_t* data, size_t len);
 
 /// One sequenced ingest event from a producer: which source stream it

@@ -71,7 +71,6 @@ class ReduceOp : public UnaryOperator {
     int64_t timestamp = 0;
   };
 
-  Status EmitReady(std::vector<std::pair<int64_t, CellAccum>>* ready);
   Status FlushAll();
   int32_t ExpectedContributions(int64_t ocol, int64_t orow) const;
 

@@ -250,6 +250,11 @@ Status Analyze(const StreamCatalog& catalog, Expr* e) {
         return Status::InvalidArgument(
             "aggregates apply to single-band streams");
       }
+      if (in.organization() == PointOrganization::kPointByPoint) {
+        return Status::InvalidArgument(
+            "aggregates require framed input (a region's value is "
+            "computed over a whole frame)");
+      }
       if (e->agg_regions.empty()) {
         return Status::InvalidArgument("aggregate needs regions");
       }

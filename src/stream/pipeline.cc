@@ -1,6 +1,6 @@
 #include "stream/pipeline.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace geostreams {
 
@@ -34,14 +34,6 @@ void Pipeline::Reset() {
 uint64_t Pipeline::BufferedBytes() const {
   uint64_t n = 0;
   for (const auto& op : ops_) n += op->metrics().buffered_bytes;
-  return n;
-}
-
-uint64_t Pipeline::MaxOperatorHighWater() const {
-  uint64_t n = 0;
-  for (const auto& op : ops_) {
-    n = std::max(n, op->metrics().buffered_bytes_high_water);
-  }
   return n;
 }
 

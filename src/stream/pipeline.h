@@ -39,8 +39,6 @@ class Pipeline : public EventSink {
 
   /// Sum of current buffered bytes across the chain.
   uint64_t BufferedBytes() const;
-  /// Largest per-operator high-water mark in the chain.
-  uint64_t MaxOperatorHighWater() const;
 
  private:
   std::vector<std::unique_ptr<UnaryOperator>> ops_;

@@ -184,6 +184,16 @@ TEST(AnalyzerTest, AggregateDescriptor) {
       ParseAndAnalyze(catalog, "aggregate(cam.rgb, \"avg\", 1, all())").ok());
 }
 
+TEST(AnalyzerTest, AggregateRefusesPointByPointInput) {
+  // AggregateOp closes its regions at each FrameEnd, so a stream with
+  // no frames would register and then quarantine on its first batch.
+  StreamCatalog catalog = MakeTestCatalog();
+  auto e = ParseAndAnalyze(catalog, "aggregate(lidar.z, \"avg\", 1, all())");
+  ASSERT_FALSE(e.ok());
+  EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(e.status().message().find("framed input"), std::string::npos);
+}
+
 TEST(AnalyzerTest, IsIdempotent) {
   StreamCatalog catalog = MakeTestCatalog();
   auto e = ParseAndAnalyze(catalog, "ndvi(g.nir, g.vis)");

@@ -1,15 +1,19 @@
 // Parity of the byte plane's fast paths against the simple ones they
-// replaced: the slicing-by-8 CRC-32 against a byte-at-a-time CRC, and
-// the bulk-copy GSF1 encoders against per-element reference encoders
-// kept here. Every byte on the wire and on disk must stay the same.
+// replaced: the slicing-by-8 CRC-32 against a byte-at-a-time CRC, the
+// bulk-copy GSF1 encoders against per-element reference encoders
+// kept here, and the one-pass fill-window trim against a brute-force
+// window. Every byte on the wire and on disk must stay the same.
 // The bulk copies read and write at unaligned offsets, so this suite
 // also runs in the ASan+UBSan lane.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -75,6 +79,71 @@ std::vector<uint8_t> ReferenceResultFrame(int64_t query_id, int64_t frame_id,
   for (double v : raster.data()) PutDouble(payload, v);
   return ReferenceMessage(static_cast<uint8_t>(MessageType::kResultFrame), 0,
                           payload);
+}
+
+/// A kFlagWindow body's rectangle.
+struct Window {
+  uint32_t col0 = 0;
+  uint32_t row0 = 0;
+  uint32_t width = 0;
+  uint32_t height = 0;
+};
+
+/// The smallest rectangle holding every cell whose bytes differ from
+/// cell 0's in some band, found by comparing every cell.
+Window ReferenceFillWindow(const Raster& raster) {
+  const size_t bands = static_cast<size_t>(raster.bands());
+  const double* data = raster.data().data();
+  int64_t min_col = raster.width(), min_row = raster.height();
+  int64_t max_col = -1, max_row = -1;
+  for (int64_t row = 0; row < raster.height(); ++row) {
+    for (int64_t col = 0; col < raster.width(); ++col) {
+      const size_t cell = static_cast<size_t>(row * raster.width() + col);
+      if (std::memcmp(data + cell * bands, data, bands * sizeof(double)) ==
+          0) {
+        continue;
+      }
+      min_col = std::min(min_col, col);
+      max_col = std::max(max_col, col);
+      min_row = std::min(min_row, row);
+      max_row = std::max(max_row, row);
+    }
+  }
+  if (max_col < 0) return Window{};
+  return Window{static_cast<uint32_t>(min_col), static_cast<uint32_t>(min_row),
+                static_cast<uint32_t>(max_col - min_col + 1),
+                static_cast<uint32_t>(max_row - min_row + 1)};
+}
+
+/// A kFlagWindow message over `window`, one byte at a time.
+std::vector<uint8_t> ReferenceWindowedFrame(int64_t query_id,
+                                            int64_t frame_id,
+                                            const Raster& raster,
+                                            const Window& window) {
+  const size_t bands = static_cast<size_t>(raster.bands());
+  std::vector<uint8_t> payload;
+  PutLe(payload, static_cast<uint64_t>(query_id), 8);
+  PutLe(payload, static_cast<uint64_t>(frame_id), 8);
+  PutLe(payload, static_cast<uint64_t>(raster.width()), 4);
+  PutLe(payload, static_cast<uint64_t>(raster.height()), 4);
+  PutLe(payload, bands, 2);
+  PutLe(payload, 0, 2);
+  PutLe(payload, window.col0, 4);
+  PutLe(payload, window.row0, 4);
+  PutLe(payload, window.width, 4);
+  PutLe(payload, window.height, 4);
+  for (size_t b = 0; b < bands; ++b) PutDouble(payload, raster.data()[b]);
+  for (uint32_t r = 0; r < window.height; ++r) {
+    for (uint32_t c = 0; c < window.width; ++c) {
+      const size_t cell = static_cast<size_t>(
+          (window.row0 + r) * raster.width() + window.col0 + c);
+      for (size_t b = 0; b < bands; ++b) {
+        PutDouble(payload, raster.data()[cell * bands + b]);
+      }
+    }
+  }
+  return ReferenceMessage(static_cast<uint8_t>(MessageType::kResultFrame),
+                          kFlagWindow, payload);
 }
 
 std::vector<uint8_t> ReferenceIngestBatch(const std::string& source,
@@ -290,6 +359,334 @@ TEST(ResultFrameParityTest, DecoderRejectsEveryTruncation) {
   EXPECT_EQ(DecodeFrameMessage(short_body.data(), short_body.size())
                 .status()
                 .code(),
+            StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Fill windows (kFlagWindow)
+
+double FromBits(uint64_t bits) { return std::bit_cast<double>(bits); }
+
+/// Fill values, each with a twin whose bytes differ although it
+/// compares equal, is NaN too, or is its mirror: the trim must compare
+/// bit patterns, not values.
+struct FillTwin {
+  double fill;
+  double twin;
+};
+const std::vector<FillTwin>& FillTwins() {
+  static const std::vector<FillTwin> twins = {
+      {0.0, -0.0},
+      {std::numeric_limits<double>::quiet_NaN(), FromBits(0x7FF8000000000ABCull)},
+      {FromBits(0xFFF8000000000000ull), std::numeric_limits<double>::quiet_NaN()},
+      {std::numeric_limits<double>::infinity(),
+       -std::numeric_limits<double>::infinity()},
+      {std::numeric_limits<double>::denorm_min(),
+       -std::numeric_limits<double>::denorm_min()},
+      {-1e300, std::nextafter(-1e300, 0.0)},
+  };
+  return twins;
+}
+
+/// Where WindowedRaster marks the window's extent: at its top-right
+/// and bottom-left corners, or at one cell inside each edge, so that
+/// rows between the first and the last set the left and right edges.
+enum class Marks { kCorners, kEdges };
+
+/// A frame that is all fill (twin `t` shifted by band) but for data
+/// inside `window`: the marks carry the fill's twin in band
+/// `mark_band`, so the window is exactly the trim's answer, and each
+/// other window cell keeps or replaces each band's fill at random.
+/// Cell 0 stays fill.
+Raster WindowedRaster(uint32_t width, uint32_t height, int bands,
+                      const Window& window, size_t t, int mark_band,
+                      std::mt19937_64* rng, Marks marks = Marks::kCorners) {
+  const auto& twins = FillTwins();
+  auto fill = [&](int b) { return twins[(t + b) % twins.size()].fill; };
+  Raster raster(width, height, bands);
+  std::vector<double>& data = raster.mutable_data();
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = fill(static_cast<int>(i % static_cast<size_t>(bands)));
+  }
+  auto at = [&](uint32_t col, uint32_t row, int b) -> double& {
+    return data[(static_cast<size_t>(row) * width + col) * bands + b];
+  };
+  for (uint32_t r = 0; r < window.height; ++r) {
+    for (uint32_t c = 0; c < window.width; ++c) {
+      for (int b = 0; b < bands; ++b) {
+        if ((*rng)() % 2 == 0) {
+          at(window.col0 + c, window.row0 + r, b) =
+              Sample(static_cast<size_t>((*rng)() % 1000));
+        }
+      }
+    }
+  }
+  if (window.width > 0 && window.height > 0) {
+    const double twin = twins[(t + mark_band) % twins.size()].twin;
+    const uint32_t right = window.col0 + window.width - 1;
+    const uint32_t bottom = window.row0 + window.height - 1;
+    if (marks == Marks::kCorners) {
+      at(right, window.row0, mark_band) = twin;
+      at(window.col0, bottom, mark_band) = twin;
+    } else {
+      at(window.col0 + window.width / 2, window.row0, mark_band) = twin;
+      at(window.col0 + (window.width - 1) / 2, bottom, mark_band) = twin;
+      at(window.col0, window.row0 + window.height / 2, mark_band) = twin;
+      at(right, window.row0 + (window.height - 1) / 2, mark_band) = twin;
+    }
+  }
+  for (int b = 0; b < bands; ++b) at(0, 0, b) = fill(b);
+  return raster;
+}
+
+size_t RawFrameSize(const Raster& raster) {
+  return kWireHeaderSize + kFramePreambleSize +
+         raster.data().size() * sizeof(double);
+}
+
+size_t WindowedFrameSize(const Window& w, int bands) {
+  return kWireHeaderSize + kFramePreambleSize + 16 + 8 * bands +
+         8 * static_cast<size_t>(bands) * w.width * w.height;
+}
+
+/// Encodes `raster` and checks it against the reference encoders: the
+/// brute-force window's message when that is smaller than the raw
+/// one, the raw message otherwise. Returns whether it was windowed.
+bool ExpectWindowParity(const Raster& raster, const std::string& label) {
+  const std::vector<uint8_t> wire = EncodeResultFrame(5, -6, raster, {});
+  const Window window = ReferenceFillWindow(raster);
+  const bool windowed =
+      WindowedFrameSize(window, raster.bands()) < RawFrameSize(raster);
+  if (windowed) {
+    EXPECT_EQ(wire, ReferenceWindowedFrame(5, -6, raster, window)) << label;
+    // The window flag is set and the body is shorter than the raw one,
+    // so a decoder that ignores the flag fails its length check.
+    EXPECT_EQ(wire[5], kFlagWindow) << label;
+    EXPECT_LT(wire.size(), RawFrameSize(raster)) << label;
+  } else {
+    EXPECT_EQ(wire, ReferenceResultFrame(5, -6, raster)) << label;
+  }
+  ExpectFrameRoundTrip(wire, raster, 5, -6);
+  return windowed;
+}
+
+TEST(ResultFrameParityTest, WindowMatchesBruteForceAtEveryEdge) {
+  constexpr uint32_t kW = 19;
+  constexpr uint32_t kH = 7;
+  const std::vector<Window> windows = {
+      {3, 2, 4, 3},    // interior
+      {0, 2, 4, 3},    // left edge
+      {15, 2, 4, 3},   // right edge
+      {3, 0, 4, 3},    // top edge
+      {3, 4, 4, 3},    // bottom edge
+      {0, 0, 5, 4},    // top-left corner (cell 0 stays fill)
+      {14, 3, 5, 4},   // bottom-right corner
+      {0, 2, kW, 3},   // left to right
+      {4, 0, 3, kH},   // top to bottom
+      {9, 3, 1, 1},    // a single cell
+      {18, 6, 1, 1},   // the last cell
+      {17, 1, 1, 5},   // one column
+      {2, 5, 16, 1},   // one row
+      {0, 0, 0, 0},    // every cell is fill
+  };
+  std::mt19937_64 rng(24);
+  for (int bands : {1, 2, 3}) {
+    for (size_t i = 0; i < windows.size(); ++i) {
+      for (size_t t = 0; t < FillTwins().size(); ++t) {
+        for (Marks marks : {Marks::kCorners, Marks::kEdges}) {
+          const Window& w = windows[i];
+          const int mark_band = static_cast<int>((i + t) % bands);
+          const Raster raster =
+              WindowedRaster(kW, kH, bands, w, t, mark_band, &rng, marks);
+          const std::string label =
+              "bands " + std::to_string(bands) + " window " +
+              std::to_string(i) + " fill " + std::to_string(t) +
+              (marks == Marks::kCorners ? " corners" : " edges");
+          const Window found = ReferenceFillWindow(raster);
+          ASSERT_EQ(found.col0, w.col0) << label;
+          ASSERT_EQ(found.row0, w.row0) << label;
+          ASSERT_EQ(found.width, w.width) << label;
+          ASSERT_EQ(found.height, w.height) << label;
+          EXPECT_TRUE(ExpectWindowParity(raster, label)) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(ResultFrameParityTest, SeededRandomRastersRoundTripBitForBit) {
+  std::mt19937_64 rng(0x5EED);
+  size_t windowed = 0;
+  for (int iter = 0; iter < 600; ++iter) {
+    const int bands = 1 + iter % 3;
+    const uint32_t width = 1 + static_cast<uint32_t>(rng() % 40);
+    const uint32_t height = 1 + static_cast<uint32_t>(rng() % 12);
+    Window w;  // one in eight all fill, two in eight the whole frame
+    const uint64_t shape = rng() % 8;
+    if (shape == 1 || shape == 2) {
+      w = Window{0, 0, width, height};
+    } else if (shape > 2) {
+      w.col0 = static_cast<uint32_t>(rng() % width);
+      w.row0 = static_cast<uint32_t>(rng() % height);
+      w.width = 1 + static_cast<uint32_t>(rng() % (width - w.col0));
+      w.height = 1 + static_cast<uint32_t>(rng() % (height - w.row0));
+    }
+    const size_t t = rng() % FillTwins().size();
+    const Marks marks = rng() % 2 == 0 ? Marks::kCorners : Marks::kEdges;
+    const Raster raster =
+        WindowedRaster(width, height, bands, w, t,
+                       static_cast<int>(rng() % bands), &rng, marks);
+    windowed += ExpectWindowParity(
+        raster, "iteration " + std::to_string(iter)) ? 1 : 0;
+    if (HasFailure()) return;
+  }
+  // Both paths ran many times.
+  EXPECT_GT(windowed, 100u);
+  EXPECT_LT(windowed, 500u);
+}
+
+TEST(ResultFrameParityTest, FrameWithNoFillBorderKeepsTheRawBytes) {
+  std::mt19937_64 rng(7);
+  for (int bands : {1, 2, 3}) {
+    // All fill but one cell in the top row's last column and one in
+    // the bottom row's first column: the window is the whole frame.
+    const Raster sparse =
+        WindowedRaster(33, 9, bands, Window{0, 0, 33, 9}, 1, 0, &rng);
+    EXPECT_EQ(EncodeResultFrame(1, 2, sparse, {}),
+              ReferenceResultFrame(1, 2, sparse))
+        << bands << " bands";
+    const Raster awkward = AwkwardRaster(9, 5, bands);
+    EXPECT_EQ(EncodeResultFrame(1, 2, awkward, {}),
+              ReferenceResultFrame(1, 2, awkward))
+        << bands << " bands";
+  }
+  // A window that would not shrink the message: a 2x2 frame whose
+  // last cell differs (1x1 window: 16 + 8 + 8 bytes against 32 raw).
+  Raster tiny(2, 2, 1);
+  tiny.mutable_data() = {0.0, 0.0, 0.0, 1.0};
+  EXPECT_EQ(EncodeResultFrame(1, 2, tiny, {}),
+            ReferenceResultFrame(1, 2, tiny));
+  // PNG frames never carry the window flag.
+  const Raster blank(64, 64, 1);
+  const std::vector<uint8_t> png = PseudoRandomBytes(40, 3);
+  const std::vector<uint8_t> wire = EncodeResultFrame(1, 2, blank, png);
+  EXPECT_EQ(wire[5], kFlagPng);
+  EXPECT_EQ(wire.size(), kWireHeaderSize + kFramePreambleSize + png.size());
+}
+
+TEST(ResultFrameParityTest, WindowedMessageHoldsOnlyTheWindow) {
+  std::mt19937_64 rng(11);
+  for (int bands : {1, 2, 3}) {
+    const Window w{100, 40, 21, 9};
+    const Raster raster = WindowedRaster(256, 256, bands, w, 1, 0, &rng);
+    const std::vector<uint8_t> wire = EncodeResultFrame(3, 4, raster, {});
+    EXPECT_LE(wire.size(), kWireHeaderSize + kFramePreambleSize + 16 +
+                               8 * static_cast<size_t>(bands) +
+                               8 * static_cast<size_t>(bands) * w.width *
+                                   w.height)
+        << bands << " bands";
+    ExpectFrameRoundTrip(wire, raster, 3, 4);
+  }
+  // An all-fill frame ships as a 0x0 window and its fill pattern.
+  Raster nodata(256, 256, 1);
+  std::fill(nodata.mutable_data().begin(), nodata.mutable_data().end(),
+            FromBits(0x7FF8000000000ABCull));
+  const std::vector<uint8_t> wire = EncodeResultFrame(3, 4, nodata, {});
+  EXPECT_EQ(wire.size(), kWireHeaderSize + kFramePreambleSize + 16 + 8);
+  ExpectFrameRoundTrip(wire, nodata, 3, 4);
+}
+
+/// A kFlagWindow payload with whatever fields a test wants, and
+/// `samples` zero samples after the fill.
+std::vector<uint8_t> CraftedWindowMessage(uint32_t width, uint32_t height,
+                                          uint16_t bands, const Window& w,
+                                          uint64_t samples,
+                                          uint8_t flags = kFlagWindow) {
+  std::vector<uint8_t> payload;
+  PutLe(payload, 1, 8);
+  PutLe(payload, 2, 8);
+  PutLe(payload, width, 4);
+  PutLe(payload, height, 4);
+  PutLe(payload, bands, 2);
+  PutLe(payload, 0, 2);
+  PutLe(payload, w.col0, 4);
+  PutLe(payload, w.row0, 4);
+  PutLe(payload, w.width, 4);
+  PutLe(payload, w.height, 4);
+  for (uint16_t b = 0; b < bands; ++b) PutDouble(payload, 0.0);
+  for (uint64_t i = 0; i < samples; ++i) PutDouble(payload, 1.0);
+  return ReferenceMessage(static_cast<uint8_t>(MessageType::kResultFrame),
+                          flags, payload);
+}
+
+TEST(ResultFrameParityTest, DecoderRejectsMalformedWindows) {
+  auto rejected = [](const std::vector<uint8_t>& wire) {
+    return DecodeFrameMessage(wire.data(), wire.size()).status().code() ==
+           StatusCode::kInvalidArgument;
+  };
+  // The crafted message is well formed before it is broken.
+  ASSERT_FALSE(rejected(CraftedWindowMessage(16, 8, 2, {3, 2, 4, 3}, 24)));
+
+  // Every truncation of a real windowed message.
+  std::mt19937_64 rng(5);
+  const Raster raster = WindowedRaster(16, 8, 2, {3, 2, 4, 3}, 0, 1, &rng);
+  const std::vector<uint8_t> wire = EncodeResultFrame(1, 2, raster, {});
+  ASSERT_EQ(wire[5], kFlagWindow);
+  for (size_t len = 0; len < wire.size(); ++len) {
+    EXPECT_FALSE(DecodeFrameMessage(wire.data(), len).ok()) << len;
+  }
+  // Truncations under a consistent header and CRC: the window
+  // preamble cut short, and the fill cut short.
+  for (size_t cut : {size_t{4}, size_t{16}, size_t{16 + 8}}) {
+    std::vector<uint8_t> payload(wire.begin() + kWireHeaderSize,
+                                 wire.begin() + kWireHeaderSize +
+                                     kFramePreambleSize + cut);
+    EXPECT_TRUE(rejected(ReferenceMessage(
+        static_cast<uint8_t>(MessageType::kResultFrame), kFlagWindow,
+        payload)))
+        << cut;
+  }
+
+  // Windows outside the frame, with bodies that match their claims.
+  EXPECT_TRUE(rejected(CraftedWindowMessage(16, 8, 1, {13, 0, 4, 1}, 4)));
+  EXPECT_TRUE(rejected(CraftedWindowMessage(16, 8, 1, {0, 6, 1, 3}, 3)));
+  EXPECT_TRUE(rejected(CraftedWindowMessage(16, 8, 1, {16, 0, 1, 1}, 1)));
+  // col0 + win_w and row0 + win_h wrap u32 to a value inside the frame.
+  EXPECT_TRUE(
+      rejected(CraftedWindowMessage(16, 8, 1, {0xFFFFFFF0u, 0, 0x20, 1}, 32)));
+  EXPECT_TRUE(
+      rejected(CraftedWindowMessage(16, 8, 1, {0, 0xFFFFFFFFu, 1, 2}, 2)));
+
+  // A body that lies about its length: one sample short, one over.
+  EXPECT_TRUE(rejected(CraftedWindowMessage(16, 8, 2, {3, 2, 4, 3}, 23)));
+  EXPECT_TRUE(rejected(CraftedWindowMessage(16, 8, 2, {3, 2, 4, 3}, 25)));
+
+  // A 0-band windowed header.
+  EXPECT_TRUE(rejected(CraftedWindowMessage(16, 8, 0, {3, 2, 4, 3}, 0)));
+  // A frame too large for any raw body under kMaxWirePayload: refused
+  // before anything is allocated.
+  EXPECT_TRUE(rejected(
+      CraftedWindowMessage(0xFFFFFFFFu, 0xFFFFFFFFu, 3, {0, 0, 1, 1}, 3)));
+  // The window flag on a PNG frame.
+  EXPECT_TRUE(rejected(CraftedWindowMessage(16, 8, 1, {3, 2, 4, 3}, 12,
+                                            kFlagWindow | kFlagPng)));
+}
+
+TEST(ResultFrameParityTest, RawDecoderRejectsHeadersThatWrapTheSampleCount) {
+  // 1824726041 x 315916329 x 8 samples of 8 bytes is 2^64 + 64 bytes:
+  // in u64 arithmetic the header "matches" a 64-byte body. The decoder
+  // must refuse it, not size a vector by the wrapped count.
+  std::vector<uint8_t> payload;
+  PutLe(payload, 1, 8);
+  PutLe(payload, 2, 8);
+  PutLe(payload, 1824726041u, 4);
+  PutLe(payload, 315916329u, 4);
+  PutLe(payload, 8, 2);
+  PutLe(payload, 0, 2);
+  for (int i = 0; i < 8; ++i) PutDouble(payload, 1.0);
+  const std::vector<uint8_t> wire = ReferenceMessage(
+      static_cast<uint8_t>(MessageType::kResultFrame), 0, payload);
+  EXPECT_EQ(DecodeFrameMessage(wire.data(), wire.size()).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -12,9 +12,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -536,6 +538,85 @@ TEST(NetServerE2eTest, NdviOverTcpDeliversVerifiedFrames) {
   ASSERT_TRUE(unregister.ok()) << unregister.status().ToString();
   EXPECT_TRUE(StartsWith(*unregister, "OK UNREGISTER"));
   EXPECT_EQ(fixture.server().num_queries(), 0u);
+}
+
+TEST(NetServerE2eTest, WindowedFramesDecodeToTheInProcessRasters) {
+  // Region results are mostly nodata, so they travel as fill windows
+  // (kFlagWindow). Each frame a client decodes must equal, bit for bit,
+  // the raster the same query hands an in-process FrameCallback.
+  const std::vector<std::string> queries = {
+      "region(goes.band1, bbox(-110, 30, -100, 36))",
+      "region(ndvi(goes.band2, goes.band1), bbox(-100, 35, -92, 40))",
+      "reproject(region(ndvi(goes.band2, goes.band1), "
+      "bbox(-120, 30, -110, 36)), \"mercator\")",
+  };
+  for (size_t workers : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE(StringPrintf("workers=%zu", workers));
+    // Declared before the server, so they outlive its callbacks.
+    std::mutex mu;
+    std::vector<std::map<int64_t, Raster>> local(queries.size());
+    std::map<int64_t, size_t> query_of_id;
+    DsmsOptions options;
+    options.workers = workers;
+    NetFixture fixture(options, {}, 64 * 48);
+    GeoStreamsClient client;
+    GS_ASSERT_OK(client.Connect("127.0.0.1", fixture.net().port()));
+
+    for (size_t q = 0; q < queries.size(); ++q) {
+      auto local_id = fixture.server().RegisterQuery(
+          queries[q], [&, q](int64_t frame_id, const Raster& raster,
+                             const std::vector<uint8_t>&) {
+            std::lock_guard<std::mutex> lock(mu);
+            local[q].emplace(frame_id, raster);
+          });
+      ASSERT_TRUE(local_id.ok()) << local_id.status().ToString();
+      auto response = client.Command("QUERY " + queries[q]);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ASSERT_TRUE(StartsWith(*response, "OK QUERY ")) << *response;
+      query_of_id[ParseIdFromOk(*response)] = q;
+    }
+    // Scans 0-3 cover the full-disk, CONUS and northern-hemisphere
+    // sectors.
+    GS_ASSERT_OK(fixture.Ingest(0, 4));
+
+    size_t expected = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      for (const auto& frames : local) {
+        EXPECT_FALSE(frames.empty());
+        expected += frames.size();
+      }
+    }
+    std::vector<size_t> windowed(queries.size(), 0);
+    for (size_t n = 0; n < expected; ++n) {
+      auto frame = client.ReadFrame();
+      ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+      ASSERT_EQ(query_of_id.count(frame->query_id), 1u);
+      const size_t q = query_of_id[frame->query_id];
+      std::lock_guard<std::mutex> lock(mu);
+      auto it = local[q].find(frame->frame_id);
+      ASSERT_NE(it, local[q].end()) << queries[q] << " frame "
+                                    << frame->frame_id;
+      const Raster& raster = it->second;
+      EXPECT_FALSE(frame->png);
+      ASSERT_EQ(frame->width, static_cast<uint32_t>(raster.width()));
+      ASSERT_EQ(frame->height, static_cast<uint32_t>(raster.height()));
+      ASSERT_EQ(frame->bands, static_cast<uint16_t>(raster.bands()));
+      ASSERT_EQ(frame->samples.size(), raster.data().size());
+      EXPECT_EQ(std::memcmp(frame->samples.data(), raster.data().data(),
+                            raster.data().size() * sizeof(double)),
+                0)
+          << queries[q] << " frame " << frame->frame_id;
+      const std::vector<uint8_t> wire =
+          EncodeResultFrame(frame->query_id, frame->frame_id, raster, {});
+      if ((wire[5] & kFlagWindow) != 0) ++windowed[q];
+      local[q].erase(it);
+    }
+    // The windowed path carried frames of every query.
+    for (size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_GT(windowed[q], 0u) << queries[q];
+    }
+  }
 }
 
 TEST(NetServerE2eTest, DisconnectUnregistersTheClientsQueries) {
