@@ -1,5 +1,7 @@
 #include "core/stream_event.h"
 
+#include <numeric>
+
 #include "common/string_util.h"
 
 namespace geostreams {
@@ -46,6 +48,18 @@ void PointBatch::Append1(int32_t col, int32_t row, int64_t t, double v) {
   rows.push_back(row);
   timestamps.push_back(t);
   values.push_back(v);
+}
+
+double* PointBatch::AppendRowRun(int32_t col0, int32_t row, int64_t t,
+                                 size_t n) {
+  const size_t at = cols.size();
+  cols.resize(at + n);
+  std::iota(cols.begin() + static_cast<ptrdiff_t>(at), cols.end(), col0);
+  rows.resize(at + n, row);
+  timestamps.resize(at + n, t);
+  const size_t stride = static_cast<size_t>(band_count);
+  values.resize((at + n) * stride);
+  return values.data() + at * stride;
 }
 
 uint64_t PointBatch::ComputeChecksum() const {

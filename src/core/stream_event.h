@@ -100,6 +100,10 @@ struct PointBatch {
   /// Appends one point. `vals` must contain band_count samples.
   void Append(int32_t col, int32_t row, int64_t t, const double* vals);
   void Append1(int32_t col, int32_t row, int64_t t, double v);
+  /// Appends `n` points of one row, at columns col0 .. col0 + n - 1,
+  /// all with timestamp `t`, and returns where their n * band_count
+  /// band-interleaved samples go (the caller fills them).
+  double* AppendRowRun(int32_t col0, int32_t row, int64_t t, size_t n);
 
   /// Approximate heap footprint in bytes (for memory accounting).
   size_t ApproxBytes() const;

@@ -59,8 +59,13 @@ ReduceOp::ReduceOp(std::string name, int factor)
     : UnaryOperator(std::move(name)), factor_(factor) {}
 
 void ReduceOp::Reset() {
-  accum_.clear();
+  ClearSlabs();
   in_frame_ = false;
+}
+
+void ReduceOp::ClearSlabs() {
+  slabs_.clear();
+  open_slabs_ = 0;
   ReportBuffered(0);
 }
 
@@ -81,7 +86,8 @@ Status ReduceOp::Process(const StreamEvent& event) {
       out_lattice_ = in_lattice_.Reduced(factor_);
       in_frame_ = true;
       frame_id_ = event.frame.frame_id;
-      accum_.clear();
+      ClearSlabs();
+      slabs_.resize(static_cast<size_t>(out_lattice_.height()));
       FrameInfo info = event.frame;
       info.lattice = out_lattice_;
       info.expected_points = out_lattice_.num_cells();
@@ -112,49 +118,77 @@ Status ReduceOp::Process(const StreamEvent& event) {
   if (in.band_count != 1) {
     return Status::InvalidArgument("ReduceOp supports single-band streams");
   }
+  const int64_t in_width = in_lattice_.width();
+  const int64_t in_height = in_lattice_.height();
+  const size_t out_width = static_cast<size_t>(out_lattice_.width());
   auto out = std::make_shared<PointBatch>();
   out->frame_id = frame_id_;
   out->band_count = 1;
+  // The input row the last point fell in, its output row and that
+  // row's slab: consecutive points of a row skip the division and the
+  // lookup.
+  int64_t last_row = -1;
+  int64_t orow = 0;
+  RowSlab* slab = nullptr;
   for (size_t i = 0; i < in.size(); ++i) {
-    const int64_t oc = in.cols[i] / factor_;
-    const int64_t orow = in.rows[i] / factor_;
-    const int64_t key = orow * out_lattice_.width() + oc;
-    CellAccum& cell = accum_[key];
+    const int64_t col = in.cols[i];
+    const int64_t row = in.rows[i];
+    if (col < 0 || col >= in_width || row < 0 || row >= in_height) {
+      return Status::OutOfRange(StringPrintf(
+          "point (%lld, %lld) outside frame lattice",
+          static_cast<long long>(col), static_cast<long long>(row)));
+    }
+    if (row != last_row) {
+      last_row = row;
+      orow = row / factor_;
+      slab = &slabs_[static_cast<size_t>(orow)];
+    }
+    if (slab->cells.empty()) {
+      slab->cells.resize(out_width);
+      ++open_slabs_;
+    }
+    const int64_t oc = col / factor_;
+    CellAccum& cell = slab->cells[static_cast<size_t>(oc)];
     if (cell.count == 0) {
       cell.expected = ExpectedContributions(oc, orow);
       cell.timestamp = in.timestamps[i];
+      ++slab->open;
     }
     cell.sum += in.ValueAt(i);
     ++cell.count;
     if (cell.count >= cell.expected) {
       out->Append1(static_cast<int32_t>(oc), static_cast<int32_t>(orow),
                    cell.timestamp, cell.sum / cell.count);
-      accum_.erase(key);
+      cell = CellAccum{};
+      if (--slab->open == 0) {
+        std::vector<CellAccum>().swap(slab->cells);
+        --open_slabs_;
+      }
     }
   }
-  ReportBuffered(accum_.size() * (sizeof(int64_t) + sizeof(CellAccum)));
+  ReportBuffered(static_cast<uint64_t>(open_slabs_) * out_width *
+                 sizeof(CellAccum));
   if (out->empty()) return Status::OK();
   return Emit(StreamEvent::Batch(std::move(out)));
 }
 
 Status ReduceOp::FlushAll() {
-  if (accum_.empty()) {
-    ReportBuffered(0);
-    return Status::OK();
-  }
   // Boundary cells whose neighbourhood never completed (points lost or
-  // sector cut short): emit the average of what arrived.
+  // sector cut short): emit the average of what arrived, row-major.
   auto out = std::make_shared<PointBatch>();
   out->frame_id = frame_id_;
   out->band_count = 1;
-  for (const auto& [key, cell] : accum_) {
-    const int64_t orow = key / out_lattice_.width();
-    const int64_t oc = key % out_lattice_.width();
-    out->Append1(static_cast<int32_t>(oc), static_cast<int32_t>(orow),
-                 cell.timestamp, cell.sum / cell.count);
+  for (size_t orow = 0; orow < slabs_.size(); ++orow) {
+    const std::vector<CellAccum>& cells = slabs_[orow].cells;
+    for (size_t oc = 0; oc < cells.size(); ++oc) {
+      const CellAccum& cell = cells[oc];
+      if (cell.count == 0) continue;
+      out->Append1(static_cast<int32_t>(oc), static_cast<int32_t>(orow),
+                   cell.timestamp, cell.sum / cell.count);
+    }
   }
-  accum_.clear();
-  ReportBuffered(0);
+  ClearSlabs();
+  if (out->empty()) return Status::OK();
   return Emit(StreamEvent::Batch(std::move(out)));
 }
 

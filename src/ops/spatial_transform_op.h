@@ -7,11 +7,16 @@
 //  * ReduceOp      — resolution decrease by 1/k (Fig. 2a): each output
 //                    point needs a k x k input neighbourhood. Output
 //                    points are emitted as soon as their neighbourhood
-//                    completes, so a row-by-row stream buffers only
-//                    ~k input rows, while an image-by-image stream
-//                    buffers up to the frame. FrameEnd metadata flushes
-//                    boundary cells (the paper's "boundary point
-//                    interpolations" from scan-sector metadata).
+//                    completes. Partial sums live in dense row slabs,
+//                    one per output row that has an open cell: a slab
+//                    is allocated at its row's first point and freed
+//                    when its last open cell completes, so a
+//                    row-by-row (or tile-ordered) stream buffers about
+//                    one output row, while an arbitrary order buffers
+//                    at most the reduced frame. FrameEnd metadata
+//                    flushes the boundary cells that never completed
+//                    (the paper's "boundary point interpolations" from
+//                    scan-sector metadata), in row-major order.
 //  * AffineOp      — general affine map between lattices (rotation,
 //                    shear, translation, zoom); buffers the frame and
 //                    gathers with a resampling kernel.
@@ -26,7 +31,6 @@
 #include <cmath>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/math_util.h"
@@ -51,7 +55,12 @@ class MagnifyOp : public UnaryOperator {
   GridLattice out_lattice_;
 };
 
-/// Resolution decrease by an integer factor with box averaging.
+/// Resolution decrease by an integer factor with box averaging. Each
+/// output cell sums its inputs in arrival order and is emitted, with
+/// the timestamp of its first input, once all of them have arrived; a
+/// point that arrives again after its cell was emitted opens the cell
+/// anew. Points outside the frame's lattice are refused (OutOfRange),
+/// as the frame assembler refuses them.
 class ReduceOp : public UnaryOperator {
  public:
   ReduceOp(std::string name, int factor);
@@ -66,12 +75,20 @@ class ReduceOp : public UnaryOperator {
  private:
   struct CellAccum {
     double sum = 0.0;
-    int32_t count = 0;
+    int32_t count = 0;  // 0: the cell is not open
     int32_t expected = 0;
     int64_t timestamp = 0;
   };
+  /// One output row: out_width cells while the row has an open cell,
+  /// no storage otherwise.
+  struct RowSlab {
+    std::vector<CellAccum> cells;
+    int64_t open = 0;
+  };
 
   Status FlushAll();
+  /// Drops every slab and reports nothing buffered.
+  void ClearSlabs();
   int32_t ExpectedContributions(int64_t ocol, int64_t orow) const;
 
   int factor_;
@@ -79,8 +96,10 @@ class ReduceOp : public UnaryOperator {
   GridLattice out_lattice_;
   bool in_frame_ = false;
   int64_t frame_id_ = 0;
-  // Key: orow * out_width + ocol.
-  std::unordered_map<int64_t, CellAccum> accum_;
+  /// Indexed by output row; sized at FrameBegin.
+  std::vector<RowSlab> slabs_;
+  /// Slabs holding cells; buffered bytes are these slabs' cells.
+  int64_t open_slabs_ = 0;
 };
 
 /// 2x3 affine matrix mapping output lattice cell indices to input

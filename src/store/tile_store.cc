@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -92,6 +93,32 @@ LevelImage ReduceMasked(const LevelImage& src) {
     }
   }
   return out;
+}
+
+/// Set bits among the first `n` bits of `bitmap` (LSB-first).
+size_t CountBits(const uint8_t* bitmap, size_t n) {
+  size_t count = 0;
+  for (size_t i = 0; i < n / 8; ++i) count += std::popcount(bitmap[i]);
+  if (n % 8 != 0) {
+    const unsigned tail = bitmap[n / 8] & ((1u << (n % 8)) - 1);
+    count += std::popcount(tail);
+  }
+  return count;
+}
+
+/// The first bit in [pos, end) of `bitmap` (LSB-first) that equals
+/// `set`, or `end` when there is none. Whole bytes are tested at once.
+size_t FindBit(const uint8_t* bitmap, size_t pos, size_t end, bool set) {
+  while (pos < end) {
+    const uint8_t byte = set ? bitmap[pos >> 3]
+                             : static_cast<uint8_t>(~bitmap[pos >> 3]);
+    const unsigned rest = static_cast<unsigned>(byte) >> (pos & 7);
+    if (rest != 0) {
+      return std::min(end, pos + static_cast<size_t>(std::countr_zero(rest)));
+    }
+    pos = (pos | 7) + 1;
+  }
+  return end;
 }
 
 uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
@@ -191,6 +218,8 @@ struct TileStore::SourceStore {
   /// reporting).
   int64_t pruned_upto = std::numeric_limits<int64_t>::min();
   TileStoreStats stats;
+  /// PutFrame warned about a duplicate frame id (once per source).
+  bool warned_duplicate = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -244,6 +273,9 @@ void TileStore::RegisterCollector() {
   Counter* frames_rejected = counter(
       "geostreams_store_frames_rejected_total",
       "Frames refused at PutFrame admission while storage is degraded");
+  Counter* frames_duplicate = counter(
+      "geostreams_store_frames_duplicate_total",
+      "Frames dropped at PutFrame because their id was already stored");
   Counter* sync_errors = counter(
       "geostreams_store_sync_errors_total",
       "Segment Sync/Close failures (previously silently discarded)");
@@ -269,6 +301,7 @@ void TileStore::RegisterCollector() {
     tiles_read->Set(s.tiles_read);
     tile_read_errors->Set(s.tile_read_errors);
     frames_rejected->Set(s.frames_rejected);
+    frames_duplicate->Set(s.frames_duplicate);
     sync_errors->Set(s.sync_errors);
     frames_pruned->Set(s.frames_pruned);
     segments_deleted->Set(s.segments_deleted);
@@ -621,7 +654,21 @@ Status TileStore::PutFrame(const std::string& source, const FrameInfo& info,
   SourceStore* src = SourceFor(source);
   std::lock_guard<std::mutex> lock(src->mu);
   if (src->frames.count(info.frame_id) > 0) {
-    return Status::OK();  // producer replay after a crash: already durable
+    // Already durable. A producer's crash replay lands here, but so
+    // does a producer that numbers its frames from 0 again over an
+    // old store, whose frames are then all dropped: count every drop
+    // and say so once.
+    ++src->stats.frames_duplicate;
+    if (!src->warned_duplicate) {
+      src->warned_duplicate = true;
+      GEOSTREAMS_LOG(kWarning)
+          << "tile store source '" << src->name << "': frame "
+          << info.frame_id
+          << " is already stored, dropping it (the producer replayed it "
+             "or restarted its frame ids); further drops are counted in "
+             "geostreams_store_frames_duplicate_total";
+    }
+    return Status::OK();
   }
   StorageGovernor* gov = options_.governor;
   if (gov != nullptr) {
@@ -866,6 +913,8 @@ Status TileStore::EmitFrame(SourceStore* src,
   const double half_x = std::abs(lattice.dx()) / 2.0;
   const double half_y = std::abs(lattice.dy()) / 2.0;
 
+  // A cap of 0 cuts after every point, as a cap of 1 does.
+  const size_t batch_cap = std::max<size_t>(scan.max_batch_points, 1);
   auto batch = std::make_shared<PointBatch>();
   auto reset_batch = [&] {
     batch = std::make_shared<PointBatch>();
@@ -943,32 +992,56 @@ Status TileStore::EmitFrame(SourceStore* src,
       ++tile_errors;
       continue;
     }
+    // The filled cells' samples follow the bitmap in bitmap order, one
+    // `stride` of band-interleaved doubles each: a page too short for
+    // its bitmap is damaged as a whole.
+    const size_t stride = static_cast<size_t>(bands) * sizeof(double);
+    const uint8_t* samples = reader.Take(
+        CountBits(bitmap, static_cast<size_t>(tw) * th) * stride);
+    if (samples == nullptr) {
+      ++tile_errors;
+      continue;
+    }
     const int64_t c0 = static_cast<int64_t>(ref.tile_col) * options_.tile_size;
     const int64_t r0 = static_cast<int64_t>(ref.tile_row) * options_.tile_size;
-    std::vector<double> vals(static_cast<size_t>(bands));
+    // Each row is walked as runs of filled cells; the region test stays
+    // per cell, and every kept stretch of a run is appended in bulk, cut
+    // where a batch fills.
     for (int64_t r = 0; r < th; ++r) {
-      for (int64_t c = 0; c < tw; ++c) {
-        const size_t bit = static_cast<size_t>(r * tw + c);
-        if ((bitmap[bit >> 3] & (1u << (bit & 7))) == 0) continue;
-        bool keep = true;
-        const int64_t col = c0 + c;
-        const int64_t row = r0 + r;
-        if (scan.region != nullptr &&
-            !scan.region->Contains(lattice.CellX(col), lattice.CellY(row))) {
-          keep = false;
-        }
-        if (keep) {
-          for (int b = 0; b < bands; ++b) {
-            vals[static_cast<size_t>(b)] = reader.F64();
+      const int32_t row = static_cast<int32_t>(r0 + r);
+      const double y = lattice.CellY(row);
+      const size_t row_bit = static_cast<size_t>(r) * tw;
+      const size_t row_end = row_bit + tw;
+      auto col_of = [&](size_t bit) {
+        return static_cast<int32_t>(c0 + static_cast<int64_t>(bit - row_bit));
+      };
+      auto inside = [&](size_t bit) {
+        return scan.region->Contains(lattice.CellX(col_of(bit)), y);
+      };
+      size_t bit = FindBit(bitmap, row_bit, row_end, true);
+      while (bit < row_end) {
+        const size_t run_end = FindBit(bitmap, bit, row_end, false);
+        while (bit < run_end) {
+          size_t keep_end = run_end;
+          if (scan.region != nullptr) {
+            for (; bit < run_end && !inside(bit); ++bit) samples += stride;
+            keep_end = bit;
+            while (keep_end < run_end && inside(keep_end)) ++keep_end;
           }
-          batch->Append(static_cast<int32_t>(col), static_cast<int32_t>(row),
-                        frame->frame_id, vals.data());
-          if (batch->size() >= scan.max_batch_points) {
-            GEOSTREAMS_RETURN_IF_ERROR(flush_batch());
+          while (bit < keep_end) {
+            const size_t n =
+                std::min(keep_end - bit, batch_cap - batch->size());
+            double* dst =
+                batch->AppendRowRun(col_of(bit), row, frame->frame_id, n);
+            GetArray(samples, dst, n * bands);
+            samples += n * stride;
+            bit += n;
+            if (batch->size() >= batch_cap) {
+              GEOSTREAMS_RETURN_IF_ERROR(flush_batch());
+            }
           }
-        } else {
-          reader.Take(static_cast<size_t>(bands) * 8);  // skip the samples
         }
+        bit = FindBit(bitmap, run_end, row_end, true);
       }
     }
   }
@@ -1066,6 +1139,7 @@ TileStoreStats TileStore::TotalStats() const {
     total.tiles_read += src->stats.tiles_read;
     total.tile_read_errors += src->stats.tile_read_errors;
     total.frames_rejected += src->stats.frames_rejected;
+    total.frames_duplicate += src->stats.frames_duplicate;
     total.sync_errors += src->stats.sync_errors;
     total.frames_pruned += src->stats.frames_pruned;
     total.segments_deleted += src->stats.segments_deleted;

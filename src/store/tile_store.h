@@ -201,6 +201,7 @@ struct TileStoreStats {
   uint64_t tiles_read = 0;
   uint64_t tile_read_errors = 0;
   uint64_t frames_rejected = 0;     // PutFrame refused while degraded
+  uint64_t frames_duplicate = 0;    // PutFrame of a stored id, dropped
   uint64_t sync_errors = 0;         // segment Sync/Close failures
   uint64_t frames_pruned = 0;       // retention evictions
   uint64_t segments_deleted = 0;    // fully-dead segments unlinked
@@ -238,8 +239,10 @@ class TileStore {
   /// raster, builds the overview pyramid (mask-aware factor-2 box
   /// reduction — nodata cells never fabricate values), and appends
   /// meta + pages + commit as one contiguous record run. Idempotent
-  /// on frame id: a frame already committed (e.g. a producer replay
-  /// after a crash) is a no-op. On a write error the active segment
+  /// on frame id: a frame already committed (a producer replay after
+  /// a crash, or a producer that restarted its ids over an old store)
+  /// is dropped, counted in frames_duplicate, and warned about once
+  /// per source. On a write error the active segment
   /// is abandoned (recovery sees an uncommitted run) and the frame is
   /// not indexed.
   Status PutFrame(const std::string& source, const FrameInfo& info,

@@ -223,6 +223,7 @@ TEST(MetricsMirrorTest, StoreSeriesEqualTheStoreStats) {
   for (int64_t f = 1; f <= 9; ++f) {
     GS_ASSERT_OK(PutFrame(store->get(), lattice, f));
   }
+  GS_ASSERT_OK(PutFrame(store->get(), lattice, 9));  // dropped: stored
   GS_ASSERT_OK((*store)->RunRetentionNow());
   CountingSink sink;
   GS_ASSERT_OK((*store)->Scan("src", StoreScan{}, &sink));
@@ -234,6 +235,7 @@ TEST(MetricsMirrorTest, StoreSeriesEqualTheStoreStats) {
   EXPECT_EQ(s.frames_pruned, 3u);
   EXPECT_EQ(s.segments_rewritten, 1u);
   EXPECT_EQ(s.frames_read, 6u);
+  EXPECT_EQ(s.frames_duplicate, 1u);
   EXPECT_EQ(Scraped(out, "geostreams_store_frames_written_total"),
             s.frames_written);
   EXPECT_EQ(Scraped(out, "geostreams_store_tiles_written_total"),
@@ -249,6 +251,8 @@ TEST(MetricsMirrorTest, StoreSeriesEqualTheStoreStats) {
             s.tile_read_errors);
   EXPECT_EQ(Scraped(out, "geostreams_store_frames_rejected_total"),
             s.frames_rejected);
+  EXPECT_EQ(Scraped(out, "geostreams_store_frames_duplicate_total"),
+            s.frames_duplicate);
   EXPECT_EQ(Scraped(out, "geostreams_store_sync_errors_total"),
             s.sync_errors);
   EXPECT_EQ(Scraped(out, "geostreams_store_frames_pruned_total"),
@@ -269,6 +273,42 @@ TEST(MetricsMirrorTest, StoreSeriesEqualTheStoreStats) {
             s.frames_written);
   EXPECT_EQ(Scraped(out, "geostreams_store_scan_frame_latency_us_count"),
             s.frames_read);
+}
+
+TEST(MetricsMirrorTest, RerunOverOneStoreDirectoryCountsDroppedFrames) {
+  // A second run over the same store directory whose producer numbers
+  // its frames from 1 again: every id it reuses is already stored, so
+  // its frames are dropped, and the drop count says so.
+  const GridLattice lattice = LatLonLattice(24, 16);
+  const std::string dir = FreshDir("store");
+  {
+    TileStoreOptions options;
+    options.dir = dir;
+    options.tile_size = 16;
+    auto first = TileStore::Open(options);
+    GS_ASSERT_OK(first.status());
+    for (int64_t f = 1; f <= 3; ++f) {
+      GS_ASSERT_OK(PutFrame(first->get(), lattice, f));
+    }
+    EXPECT_EQ((*first)->TotalStats().frames_duplicate, 0u);
+  }
+  MetricsRegistry registry;
+  TileStoreOptions options;
+  options.dir = dir;
+  options.tile_size = 16;
+  options.metrics = &registry;
+  auto second = TileStore::Open(options);
+  GS_ASSERT_OK(second.status());
+  for (int64_t f = 1; f <= 4; ++f) {
+    GS_ASSERT_OK(PutFrame(second->get(), lattice, f));
+  }
+  const TileStoreStats s = (*second)->TotalStats();
+  EXPECT_EQ(s.frames_duplicate, 3u);
+  EXPECT_EQ(s.frames_written, 1u);
+  EXPECT_EQ((*second)->FrameIds("src", INT64_MIN, INT64_MAX).size(), 4u);
+  EXPECT_EQ(Scraped(registry.RenderPrometheus(),
+                    "geostreams_store_frames_duplicate_total"),
+            3u);
 }
 
 TEST(MetricsMirrorTest, GovernorSeriesEqualTheGovernorStats) {
