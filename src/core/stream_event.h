@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,23 @@ struct FrameInfo {
   /// Number of points the sector will deliver (0 when unknown, e.g.
   /// point-by-point instruments).
   int64_t expected_points = 0;
+  /// The lattice cells this frame's points can occupy. A spatial
+  /// restriction G|R yields only the points in R (Sec. 3.1), so it
+  /// sets the support to R's bounds snapped to the lattice, and frame
+  /// buffers size themselves by it (Sec. 3.2). A hint only: the frame
+  /// keeps its lattice, and a point outside the support is still a
+  /// valid point. Unset means the whole lattice; operators that change
+  /// the lattice reset it.
+  std::optional<CellRect> support;
+
+  /// The support, or every cell of the lattice when none is set.
+  CellRect SupportCells() const {
+    return support ? support->Intersection(lattice.Cells()) : lattice.Cells();
+  }
+  /// Narrows the support to the cells whose centres can lie in `bounds`.
+  void RestrictSupport(const BoundingBox& bounds) {
+    support = SupportCells().Intersection(lattice.CellsWithin(bounds));
+  }
 
   std::string ToString() const;
 };

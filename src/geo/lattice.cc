@@ -1,6 +1,8 @@
 #include "geo/lattice.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/math_util.h"
 #include "common/string_util.h"
@@ -44,6 +46,62 @@ BoundingBox GridLattice::Extent() const {
   const double y0 = origin_y_ - dy_ / 2.0;
   const double y1 = origin_y_ + (height_ - 0.5) * dy_;
   return BoundingBox(x0, y0, x1, y1);
+}
+
+CellRect CellRect::Intersection(const CellRect& other) const {
+  const int64_t c0 = std::max(col0, other.col0);
+  const int64_t r0 = std::max(row0, other.row0);
+  const int64_t c1 = std::min(col0 + width, other.col0 + other.width);
+  const int64_t r1 = std::min(row0 + height, other.row0 + other.height);
+  if (c0 >= c1 || r0 >= r1) return CellRect{};
+  return CellRect{c0, r0, c1 - c0, r1 - r0};
+}
+
+namespace {
+
+/// How far, in cells, CellsWithin reaches past the bounds: far more
+/// than the rounding of (bound - origin) / step on any sane lattice,
+/// far less than a cell.
+constexpr double kSnapSlack = 1e-6;
+
+/// The indices i in [0, n) whose centre origin + i * step can lie in
+/// [lo, hi], as [*first, *end); false when none can. A NaN bound
+/// admits every index.
+bool CellSpan(double lo, double hi, double origin, double step, int64_t n,
+              int64_t* first, int64_t* end) {
+  double a = (lo - origin) / step;
+  double b = (hi - origin) / step;
+  if (std::isnan(a) || std::isnan(b)) {
+    *first = 0;
+    *end = n;
+    return n > 0;
+  }
+  if (a > b) std::swap(a, b);
+  // Clamped in double before the cast: the bounds may be huge.
+  const double f = std::max(std::ceil(a - kSnapSlack), 0.0);
+  const double l =
+      std::min(std::floor(b + kSnapSlack), static_cast<double>(n - 1));
+  if (f > l) return false;
+  *first = static_cast<int64_t>(f);
+  *end = static_cast<int64_t>(l) + 1;
+  return true;
+}
+
+}  // namespace
+
+CellRect GridLattice::CellsWithin(const BoundingBox& box) const {
+  CellRect rect;
+  int64_t c1 = 0, r1 = 0;
+  if (box.empty() ||
+      !CellSpan(box.min_x, box.max_x, origin_x_, dx_, width_, &rect.col0,
+                &c1) ||
+      !CellSpan(box.min_y, box.max_y, origin_y_, dy_, height_, &rect.row0,
+                &r1)) {
+    return CellRect{};
+  }
+  rect.width = c1 - rect.col0;
+  rect.height = r1 - rect.row0;
+  return rect;
 }
 
 bool GridLattice::AlignedWith(const GridLattice& other) const {

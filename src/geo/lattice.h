@@ -18,6 +18,24 @@
 
 namespace geostreams {
 
+/// A rectangle of lattice cells: columns [col0, col0 + width) and rows
+/// [row0, row0 + height). 0x0 holds no cell.
+struct CellRect {
+  int64_t col0 = 0;
+  int64_t row0 = 0;
+  int64_t width = 0;
+  int64_t height = 0;
+
+  int64_t num_cells() const { return width * height; }
+  bool Contains(int64_t col, int64_t row) const {
+    return col >= col0 && col - col0 < width && row >= row0 &&
+           row - row0 < height;
+  }
+  /// The cells both rectangles hold (0x0 when none).
+  CellRect Intersection(const CellRect& other) const;
+  bool operator==(const CellRect& other) const = default;
+};
+
 /// Geometry of a regular spatial lattice in some CRS.
 ///
 /// origin_x/origin_y locate the *centre* of cell (0, 0); dx > 0 steps
@@ -57,6 +75,14 @@ class GridLattice {
   /// Spatial extent covered by the lattice cells (cell centres padded
   /// by half a cell on each side).
   BoundingBox Extent() const;
+
+  /// Every cell of the lattice.
+  CellRect Cells() const { return CellRect{0, 0, width_, height_}; }
+  /// The smallest cell rectangle holding every cell whose centre lies
+  /// in `box`, clamped to the lattice (0x0 when none does). The snap
+  /// errs outwards: a centre within a millionth of a cell of the box
+  /// counts as inside, so rounding never drops a boundary cell.
+  CellRect CellsWithin(const BoundingBox& box) const;
 
   /// True when both lattices share CRS, spacing, and alignment: the
   /// precondition for point-by-point composition (Definition 10). The

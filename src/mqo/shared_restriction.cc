@@ -36,9 +36,16 @@ Status SharedRestrictionOp::UnregisterQuery(QueryId id) {
 
 Status SharedRestrictionOp::Consume(const StreamEvent& event) {
   switch (event.kind) {
-    case EventKind::kFrameBegin:
+    case EventKind::kFrameBegin: {
       frame_lattice_ = event.frame.lattice;
-      [[fallthrough]];
+      // Each query's FrameBegin carries its own region's support.
+      for (auto& [id, q] : queries_) {
+        StreamEvent begin = event;
+        begin.frame.RestrictSupport(q.region->bounds());
+        GEOSTREAMS_RETURN_IF_ERROR(q.sink->Consume(begin));
+      }
+      return Status::OK();
+    }
     case EventKind::kFrameEnd:
     case EventKind::kStreamEnd:
       for (auto& [id, q] : queries_) {

@@ -48,12 +48,12 @@ class NetServer::Connection : public SessionHooks {
     // session from its very first frame.
     auto sub = std::make_shared<Subscription>();
     sub->sessions.push_back(session_);
-    auto callback = [sub](int64_t frame_id, const Raster& raster,
+    auto callback = [sub](int64_t frame_id, const AssembledFrame& frame,
                           const std::vector<uint8_t>& png) {
       // Encode once; every subscriber shares the buffer. Enqueue is
       // non-blocking by construction — a slow or closed session sheds
       // and its status is ignored here (visible in its STATS).
-      FanOutFrame(sub.get(), frame_id, raster, png);
+      FanOutFrame(sub.get(), frame_id, frame, png);
     };
     CatchUpOptions catch_up;
     catch_up.since = since;
@@ -397,7 +397,7 @@ Status NetServer::AttachQuery(QueryId id,
 }
 
 void NetServer::FanOutFrame(Subscription* sub, int64_t frame_id,
-                            const Raster& raster,
+                            const AssembledFrame& frame,
                             const std::vector<uint8_t>& png) {
   // The delivery callback runs inside the operator chain, so the
   // frame's trace (when sampled) is active on this thread. Entry here
@@ -419,7 +419,7 @@ void NetServer::FanOutFrame(Subscription* sub, int64_t frame_id,
                     trace->ring_ordinal(), trace->pipeline());
   }
   auto buffer = std::make_shared<const std::vector<uint8_t>>(
-      EncodeResultFrame(sub->query_id.load(), frame_id, raster, png));
+      EncodeResultFrame(sub->query_id.load(), frame_id, frame, png));
   FrameStamp stamp;
   if (stages != nullptr) {
     // The `write` stage rides the frame into each session's writer

@@ -50,6 +50,7 @@
 #include "net/client_session.h"
 #include "net/command_dispatch.h"
 #include "net/ingest_session.h"
+#include "raster/frame_assembler.h"
 
 namespace geostreams {
 
@@ -132,13 +133,14 @@ class NetServer {
 
   class Connection;
 
-  /// Shared body of the delivery callbacks: encode once, fan the
-  /// buffer out to every subscriber session, and — when the frame is
+  /// Shared body of the delivery callbacks: encode the frame once,
+  /// straight from its window, fan the buffer out to every subscriber
+  /// session, and — when the frame is
   /// traced — observe the `operators`, `deliver` and `total` stages of
   /// the end-to-end latency plane (the `write` stage rides the frame
   /// into each session's writer thread via a FrameStamp).
   static void FanOutFrame(Subscription* sub, int64_t frame_id,
-                          const Raster& raster,
+                          const AssembledFrame& frame,
                           const std::vector<uint8_t>& png);
 
   void AcceptLoop();

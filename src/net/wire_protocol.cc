@@ -193,68 +193,101 @@ FillWindow FindFillWindow(const FillScanner<kOneBand>& scan, size_t width,
   return w;
 }
 
-/// One result-frame message, written header, preamble and body into
-/// a single buffer and CRCed in place: the PNG bytes when `png` is
-/// set, else the raw samples, or only their fill window (kFlagWindow)
-/// when that body is strictly smaller.
-std::vector<uint8_t> EncodeFrame(int64_t query_id, int64_t frame_id,
-                                 uint32_t width, uint32_t height,
-                                 uint16_t bands,
-                                 const std::vector<double>& samples,
-                                 const std::vector<uint8_t>* png) {
-  size_t body_bytes = png ? png->size() : samples.size() * sizeof(double);
-  std::vector<uint64_t> fill;
-  std::optional<FillWindow> window;
-  if (png == nullptr && bands != 0 && !samples.empty() &&
-      samples.size() == static_cast<size_t>(width) * height * bands) {
-    fill.resize(bands);
-    for (size_t b = 0; b < bands; ++b) {
-      fill[b] = std::bit_cast<uint64_t>(samples[b]);
-    }
-    const FillWindow w =
-        bands == 1
-            ? FindFillWindow(FillScanner<true>(samples.data(), 1, fill.data()),
-                             width, height)
-            : FindFillWindow(
-                  FillScanner<false>(samples.data(), bands, fill.data()),
-                  width, height);
-    const size_t window_bytes = WindowPreambleSize(bands) +
-                                w.width * w.height * bands * sizeof(double);
-    if (window_bytes < body_bytes) {
-      window = w;
-      body_bytes = window_bytes;
-    }
-  }
+/// The fill window of `height` rows of `width` cells at `samples`.
+FillWindow TrimFill(const double* samples, size_t width, size_t height,
+                    uint16_t bands, const uint64_t* fill) {
+  return bands == 1
+             ? FindFillWindow(FillScanner<true>(samples, 1, fill), width,
+                              height)
+             : FindFillWindow(FillScanner<false>(samples, bands, fill),
+                              width, height);
+}
+
+/// Bytes of a kFlagWindow body holding `w`.
+size_t WindowBodyBytes(const FillWindow& w, uint16_t bands) {
+  return WindowPreambleSize(bands) +
+         w.width * w.height * bands * sizeof(double);
+}
+
+/// The preamble every result frame starts with.
+struct FramePreamble {
+  int64_t query_id;
+  int64_t frame_id;
+  uint32_t width;
+  uint32_t height;
+  uint16_t bands;
+};
+
+/// One result-frame message, written header, preamble and body into a
+/// single buffer and CRCed in place; `put_body` appends the
+/// `body_bytes` of the body.
+template <typename PutBody>
+std::vector<uint8_t> WriteFrame(const FramePreamble& p, uint8_t flags,
+                                size_t body_bytes, PutBody&& put_body) {
   std::vector<uint8_t> out;
   out.reserve(kWireHeaderSize + kFramePreambleSize + body_bytes);
   const size_t start = BeginRecord(out);
-  PutU64(out, static_cast<uint64_t>(query_id));
-  PutU64(out, static_cast<uint64_t>(frame_id));
-  PutU32(out, width);
-  PutU32(out, height);
-  PutU16(out, bands);
+  PutU64(out, static_cast<uint64_t>(p.query_id));
+  PutU64(out, static_cast<uint64_t>(p.frame_id));
+  PutU32(out, p.width);
+  PutU32(out, p.height);
+  PutU16(out, p.bands);
   PutU16(out, 0);  // reserved
-  uint8_t flags = 0;
-  if (png) {
-    flags = kFlagPng;
-    out.insert(out.end(), png->begin(), png->end());
-  } else if (window) {
-    flags = kFlagWindow;
-    PutU32(out, static_cast<uint32_t>(window->col0));
-    PutU32(out, static_cast<uint32_t>(window->row0));
-    PutU32(out, static_cast<uint32_t>(window->width));
-    PutU32(out, static_cast<uint32_t>(window->height));
-    for (size_t b = 0; b < bands; ++b) PutU64(out, fill[b]);
-    for (size_t r = 0; r < window->height; ++r) {
-      const size_t cell = (window->row0 + r) * width + window->col0;
-      PutArray(out, samples.data() + cell * bands, window->width * bands);
-    }
-  } else {
-    PutArray(out, samples.data(), samples.size());
-  }
+  put_body(out);
   SealRecord(kWireFormat, static_cast<uint8_t>(MessageType::kResultFrame),
              flags, start, out);
   return out;
+}
+
+/// A kFlagWindow body for frame rectangle `w`. `rows` holds samples
+/// `stride` cells wide whose first cell is frame cell (row_col0,
+/// row_row0), and covers `w`.
+void PutWindowBody(std::vector<uint8_t>& out, const FillWindow& w,
+                   const std::vector<uint64_t>& fill, const double* rows,
+                   size_t stride, size_t row_col0, size_t row_row0) {
+  const size_t bands = fill.size();
+  PutU32(out, static_cast<uint32_t>(w.col0));
+  PutU32(out, static_cast<uint32_t>(w.row0));
+  PutU32(out, static_cast<uint32_t>(w.width));
+  PutU32(out, static_cast<uint32_t>(w.height));
+  for (uint64_t bits : fill) PutU64(out, bits);
+  for (size_t r = 0; r < w.height; ++r) {
+    const size_t cell = (w.row0 - row_row0 + r) * stride + (w.col0 - row_col0);
+    PutArray(out, rows + cell * bands, w.width * bands);
+  }
+}
+
+/// The PNG bytes when `png` is set, else the raw samples, or only
+/// their fill window (kFlagWindow) when that body is strictly smaller.
+std::vector<uint8_t> EncodeFrame(const FramePreamble& p,
+                                 const std::vector<double>& samples,
+                                 const std::vector<uint8_t>* png) {
+  if (png) {
+    return WriteFrame(p, kFlagPng, png->size(), [&](std::vector<uint8_t>& out) {
+      out.insert(out.end(), png->begin(), png->end());
+    });
+  }
+  const size_t raw_bytes = samples.size() * sizeof(double);
+  if (p.bands != 0 && !samples.empty() &&
+      samples.size() == static_cast<size_t>(p.width) * p.height * p.bands) {
+    std::vector<uint64_t> fill(p.bands);
+    for (size_t b = 0; b < p.bands; ++b) {
+      fill[b] = std::bit_cast<uint64_t>(samples[b]);
+    }
+    const FillWindow w =
+        TrimFill(samples.data(), p.width, p.height, p.bands, fill.data());
+    const size_t window_bytes = WindowBodyBytes(w, p.bands);
+    if (window_bytes < raw_bytes) {
+      return WriteFrame(p, kFlagWindow, window_bytes,
+                        [&](std::vector<uint8_t>& out) {
+                          PutWindowBody(out, w, fill, samples.data(), p.width,
+                                        0, 0);
+                        });
+    }
+  }
+  return WriteFrame(p, 0, raw_bytes, [&](std::vector<uint8_t>& out) {
+    PutArray(out, samples.data(), samples.size());
+  });
 }
 
 /// Rebuilds a kFlagWindow body into the full sample vector: every cell
@@ -323,19 +356,61 @@ Status DecodeWindowBody(const uint8_t* body, size_t body_len,
 }  // namespace
 
 std::vector<uint8_t> EncodeFrameMessage(const FrameMessage& message) {
-  return EncodeFrame(message.query_id, message.frame_id, message.width,
-                     message.height, message.bands, message.samples,
+  return EncodeFrame({message.query_id, message.frame_id, message.width,
+                      message.height, message.bands},
+                     message.samples,
                      message.png ? &message.png_bytes : nullptr);
 }
 
 std::vector<uint8_t> EncodeResultFrame(int64_t query_id, int64_t frame_id,
                                        const Raster& raster,
                                        const std::vector<uint8_t>& png) {
-  return EncodeFrame(query_id, frame_id,
-                     static_cast<uint32_t>(raster.width()),
-                     static_cast<uint32_t>(raster.height()),
-                     static_cast<uint16_t>(raster.bands()), raster.data(),
-                     png.empty() ? nullptr : &png);
+  return EncodeFrame({query_id, frame_id, static_cast<uint32_t>(raster.width()),
+                      static_cast<uint32_t>(raster.height()),
+                      static_cast<uint16_t>(raster.bands())},
+                     raster.data(), png.empty() ? nullptr : &png);
+}
+
+std::vector<uint8_t> EncodeResultFrame(int64_t query_id, int64_t frame_id,
+                                       const AssembledFrame& frame,
+                                       const std::vector<uint8_t>& png) {
+  const FramePreamble p = {query_id, frame_id,
+                           static_cast<uint32_t>(frame.width()),
+                           static_cast<uint32_t>(frame.height()),
+                           static_cast<uint16_t>(frame.bands())};
+  // The whole-frame scan takes cell (0, 0)'s bits as the fill pattern.
+  // Outside the window that cell holds the frame's fill in every band,
+  // so every cell outside the window matches the pattern and only the
+  // window's cells need a scan. A window holding cell (0, 0) (the whole
+  // frame, say) takes the whole-frame path.
+  if (!png.empty()) return EncodeFrame(p, {}, &png);
+  const CellRect& window = frame.window;
+  if (window.Contains(0, 0)) {
+    return EncodeFrame(p, frame.Expanded().data(), nullptr);
+  }
+  const std::vector<uint64_t> fill(p.bands,
+                                   std::bit_cast<uint64_t>(frame.fill));
+  FillWindow w = TrimFill(frame.raster.data().data(),
+                          static_cast<size_t>(window.width),
+                          static_cast<size_t>(window.height), p.bands,
+                          fill.data());
+  if (w.width != 0) {
+    w.col0 += static_cast<size_t>(window.col0);
+    w.row0 += static_cast<size_t>(window.row0);
+  }
+  const size_t window_bytes = WindowBodyBytes(w, p.bands);
+  const size_t raw_bytes = static_cast<size_t>(frame.lattice.num_cells()) *
+                           p.bands * sizeof(double);
+  if (window_bytes >= raw_bytes) {
+    return EncodeFrame(p, frame.Expanded().data(), nullptr);
+  }
+  return WriteFrame(p, kFlagWindow, window_bytes,
+                    [&](std::vector<uint8_t>& out) {
+                      PutWindowBody(out, w, fill, frame.raster.data().data(),
+                                    static_cast<size_t>(window.width),
+                                    static_cast<size_t>(window.col0),
+                                    static_cast<size_t>(window.row0));
+                    });
 }
 
 Result<FrameMessage> DecodeFrameMessage(const uint8_t* data, size_t len) {

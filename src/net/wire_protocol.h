@@ -81,6 +81,7 @@
 
 #include "common/status.h"
 #include "core/stream_event.h"
+#include "raster/frame_assembler.h"
 #include "raster/raster.h"
 #include "storage/record_file.h"
 
@@ -136,6 +137,13 @@ std::vector<uint8_t> EncodeFrameMessage(const FrameMessage& message);
 /// smaller.
 std::vector<uint8_t> EncodeResultFrame(int64_t query_id, int64_t frame_id,
                                        const Raster& raster,
+                                       const std::vector<uint8_t>& png);
+/// The same message for an assembled frame, written from its window:
+/// the bytes equal those of the expanded frame's raster, but when cell
+/// (0, 0) lies outside the window only the window's cells are scanned
+/// for the fill border, and the whole frame is never built.
+std::vector<uint8_t> EncodeResultFrame(int64_t query_id, int64_t frame_id,
+                                       const AssembledFrame& frame,
                                        const std::vector<uint8_t>& png);
 
 /// Decodes one complete message (header + payload). Strict: anything

@@ -42,6 +42,7 @@ Status DeliveryOp::Process(const StreamEvent& event) {
       }
       GEOSTREAMS_RETURN_IF_ERROR(assembler_.Add(*event.batch));
       points_pending_ += event.batch->size();
+      mutable_metrics().frames_widened = assembler_.widenings();
       ReportBuffered(assembler_.BufferedBytes());
       return Emit(event);
     }
@@ -61,13 +62,14 @@ Status DeliveryOp::Process(const StreamEvent& event) {
         if (options_.encode_png) {
           GEOSTREAMS_ASSIGN_OR_RETURN(
               png,
-              RasterToPng(frame.raster, options_.png_lo, options_.png_hi));
+              RasterToPng(frame.Expanded(), options_.png_lo,
+                          options_.png_hi));
           bytes_encoded_ += png.size();
         }
         ++frames_delivered_;
         points_delivered_ += points_pending_;
         points_pending_ = 0;
-        if (callback_) callback_(event.frame.frame_id, frame.raster, png);
+        if (callback_) callback_(event.frame.frame_id, frame, png);
       }
       return Emit(event);
     }

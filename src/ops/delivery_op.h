@@ -2,10 +2,19 @@
 // operator that ships stream results back to clients using the PNG
 // image format").
 //
-// Assembles each output frame into a raster and hands it to a client
-// callback — optionally pre-encoded as PNG bytes. The operator also
-// tracks delivery statistics (frames, points, encoded bytes) for the
+// Assembles each output frame and hands it to a client callback —
+// optionally pre-encoded as PNG bytes. The operator also tracks
+// delivery statistics (frames, points, encoded bytes) for the
 // end-to-end benchmark.
+//
+// A restricted frame is assembled as its support window only (the
+// region's bounds snapped to the lattice; raster/frame_assembler.h),
+// so a region query buffers its region, not the sector. The callback
+// receives that windowed AssembledFrame: the network plane encodes it
+// as it is (net/wire_protocol.h), while a callback taking
+// `const Raster&` receives the whole frame, expanded on demand. PNG
+// encoding reads the expanded frame too. Either way the bytes equal
+// those of a whole-frame assembly.
 
 #ifndef GEOSTREAMS_OPS_DELIVERY_OP_H_
 #define GEOSTREAMS_OPS_DELIVERY_OP_H_
@@ -29,10 +38,11 @@ struct DeliveryOptions {
   double nodata = 0.0;
 };
 
-/// Frame callback: raster always present; png empty unless encoding
-/// was requested.
+/// Frame callback: the frame always present; png empty unless
+/// encoding was requested. Callbacks declared over `const Raster&`
+/// bind too, and receive AssembledFrame::Expanded().
 using FrameCallback = std::function<void(int64_t frame_id,
-                                         const Raster& raster,
+                                         const AssembledFrame& frame,
                                          const std::vector<uint8_t>& png)>;
 
 class DeliveryOp : public UnaryOperator {

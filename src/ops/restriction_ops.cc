@@ -37,7 +37,7 @@ void SpatialRestrictionOp::Reset() {
 
 Status SpatialRestrictionOp::Process(const StreamEvent& event) {
   switch (event.kind) {
-    case EventKind::kFrameBegin:
+    case EventKind::kFrameBegin: {
       frame_lattice_ = event.frame.lattice;
       has_frame_geometry_ = true;
       in_frame_ = true;
@@ -45,7 +45,11 @@ Status SpatialRestrictionOp::Process(const StreamEvent& event) {
       // bounding box cannot contribute any point.
       frame_may_intersect_ =
           region_->bounds().Intersects(frame_lattice_.Extent());
-      return Emit(event);
+      // Downstream frame buffers hold only the cells R can reach.
+      StreamEvent begin = event;
+      begin.frame.RestrictSupport(region_->bounds());
+      return Emit(begin);
+    }
     case EventKind::kFrameEnd:
       in_frame_ = false;
       return Emit(event);

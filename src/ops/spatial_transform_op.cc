@@ -19,6 +19,7 @@ Status MagnifyOp::Process(const StreamEvent& event) {
       out_lattice_ = event.frame.lattice.Magnified(factor_);
       FrameInfo info = event.frame;
       info.lattice = out_lattice_;
+      info.support.reset();  // the support addressed the input lattice
       info.expected_points =
           event.frame.expected_points * factor_ * factor_;
       return Emit(StreamEvent::FrameBegin(std::move(info)));
@@ -90,6 +91,7 @@ Status ReduceOp::Process(const StreamEvent& event) {
       slabs_.resize(static_cast<size_t>(out_lattice_.height()));
       FrameInfo info = event.frame;
       info.lattice = out_lattice_;
+      info.support.reset();  // the support addressed the input lattice
       info.expected_points = out_lattice_.num_cells();
       return Emit(StreamEvent::FrameBegin(std::move(info)));
     }
@@ -232,6 +234,7 @@ Status GatherOp::Process(const StreamEvent& event) {
       frame_timestamp_ = event.frame.frame_id;
       FrameInfo info = event.frame;
       info.lattice = out_lattice_;
+      info.support.reset();  // the support addressed the input lattice
       info.expected_points = out_lattice_.num_cells();
       return Emit(StreamEvent::FrameBegin(std::move(info)));
     }
@@ -240,6 +243,7 @@ Status GatherOp::Process(const StreamEvent& event) {
         return Status::FailedPrecondition(what_ + " requires framed input");
       }
       GEOSTREAMS_RETURN_IF_ERROR(assembler_.Add(*event.batch));
+      mutable_metrics().frames_widened = assembler_.widenings();
       if (!event.batch->empty()) {
         frame_timestamp_ = event.batch->timestamps.front();
       }

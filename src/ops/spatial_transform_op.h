@@ -119,7 +119,9 @@ struct AffineMap {
 };
 
 /// A frame-buffered gather: buffers each (single-band) frame, then
-/// samples every cell of the output lattice from it at FrameEnd.
+/// samples every cell of the output lattice from it at FrameEnd. Only
+/// the input's support window is buffered; samples outside it read
+/// the fill, as they would from the whole frame.
 class GatherOp : public UnaryOperator {
  public:
   void Reset() override;
@@ -151,8 +153,8 @@ class GatherOp : public UnaryOperator {
     out->frame_id = frame_id;
     out->band_count = 1;
     out->Reserve(static_cast<size_t>(out_lattice_.num_cells()));
-    const int64_t width = frame.raster.width();
-    const int64_t height = frame.raster.height();
+    const int64_t width = frame.width();
+    const int64_t height = frame.height();
     for (int64_t r = 0; r < out_lattice_.height(); ++r) {
       for (int64_t c = 0; c < out_lattice_.width(); ++c) {
         double fc = 0.0, fr = 0.0;
@@ -167,7 +169,7 @@ class GatherOp : public UnaryOperator {
         if (!frame.IsFilled(nc, nr)) continue;
         out->Append1(static_cast<int32_t>(c), static_cast<int32_t>(r),
                      frame_timestamp_,
-                     SampleRaster(frame.raster, fc, fr, 0, kernel_));
+                     SampleRaster(frame, fc, fr, 0, kernel_));
       }
     }
     if (out->empty()) return Status::OK();

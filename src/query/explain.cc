@@ -102,12 +102,13 @@ std::string ExplainPlanMetrics(const ExecutablePlan& plan) {
   }
   out += StringPrintf(
       "%-22s points_in=%-10llu points_out=%-10llu frames=%llu "
-      "buffered_peak<=%lluB (worst op %lluB)\n",
+      "buffered_peak<=%lluB (worst op %lluB) widened=%llu\n",
       "(total)", static_cast<unsigned long long>(total.points_in),
       static_cast<unsigned long long>(total.points_out),
       static_cast<unsigned long long>(total.frames_in),
       static_cast<unsigned long long>(total.buffered_bytes_high_water),
-      static_cast<unsigned long long>(total.buffered_bytes_high_water_max));
+      static_cast<unsigned long long>(total.buffered_bytes_high_water_max),
+      static_cast<unsigned long long>(total.frames_widened));
   return out;
 }
 

@@ -16,29 +16,6 @@ const char* ResampleKernelName(ResampleKernel k) {
   return "?";
 }
 
-double SampleRaster(const Raster& src, double col, double row, int band,
-                    ResampleKernel kernel) {
-  switch (kernel) {
-    case ResampleKernel::kNearest:
-      return src.AtClamped(static_cast<int64_t>(std::llround(col)),
-                           static_cast<int64_t>(std::llround(row)), band);
-    case ResampleKernel::kBilinear: {
-      const double fc = std::floor(col);
-      const double fr = std::floor(row);
-      const auto c0 = static_cast<int64_t>(fc);
-      const auto r0 = static_cast<int64_t>(fr);
-      const double tx = col - fc;
-      const double ty = row - fr;
-      const double v00 = src.AtClamped(c0, r0, band);
-      const double v10 = src.AtClamped(c0 + 1, r0, band);
-      const double v01 = src.AtClamped(c0, r0 + 1, band);
-      const double v11 = src.AtClamped(c0 + 1, r0 + 1, band);
-      return Lerp(Lerp(v00, v10, tx), Lerp(v01, v11, tx), ty);
-    }
-  }
-  return 0.0;
-}
-
 double BoxAverage(const Raster& src, int64_t col0, int64_t row0, int k,
                   int band) {
   double sum = 0.0;

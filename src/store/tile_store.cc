@@ -1529,6 +1529,7 @@ Status StoreIngestSink::Consume(const StreamEvent& event) {
         store_errors_.fetch_add(1, std::memory_order_relaxed);
         return Status::OK();
       }
+      assembled->Expand();  // history holds whole frames
       Status st = store_->PutFrame(source_, pending_info_, assembled->raster,
                                    assembled->filled);
       if (st.ok()) {

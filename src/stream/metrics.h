@@ -36,6 +36,10 @@ struct OperatorMetrics {
   /// opposed to the summed upper bound. For an unmerged instance the
   /// two are equal.
   uint64_t buffered_bytes_high_water_max = 0;
+  /// Frames a frame-buffering operator had to widen from its support
+  /// window to the whole lattice because a point fell outside the
+  /// support (raster/frame_assembler.h). 0 on a well-formed plan.
+  uint64_t frames_widened = 0;
 
   /// Sets buffered_bytes and maintains the high-water mark.
   void SetBuffered(uint64_t bytes) {
@@ -57,6 +61,7 @@ struct OperatorMetrics {
     points_out += other.points_out;
     frames_in += other.frames_in;
     frames_out += other.frames_out;
+    frames_widened += other.frames_widened;
     buffered_bytes += other.buffered_bytes;
     buffered_bytes_high_water += other.buffered_bytes_high_water;
     uint64_t other_max = other.buffered_bytes_high_water_max

@@ -9,6 +9,7 @@
 #define GEOSTREAMS_STREAM_OPERATOR_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -95,7 +96,10 @@ class Operator {
   /// Binds the output; must be called before events arrive.
   void BindOutput(EventSink* out) { out_ = out; }
   /// Optional memory tracker for buffering reports.
-  void BindMemoryTracker(MemoryTracker* tracker) { tracker_ = tracker; }
+  void BindMemoryTracker(MemoryTracker* tracker) {
+    tracker_ = tracker;
+    tracked_bytes_.reset();
+  }
   /// Optional latency histogram (labeled by operator kind in the
   /// registry): receives this operator's exclusive microseconds for
   /// every *traced* delivery. Untraced events never observe.
@@ -127,9 +131,15 @@ class Operator {
     }
   }
 
+  /// Records the bytes buffered now. The shared tracker hears only of
+  /// changes: an unchanged figure leaves its total, high water and
+  /// per-owner high water as they are, and skips its lock.
   void ReportBuffered(uint64_t bytes) {
     metrics_.SetBuffered(bytes);
-    if (tracker_) tracker_->Update(name_, bytes);
+    if (tracker_ && tracked_bytes_ != bytes) {
+      tracker_->Update(name_, bytes);
+      tracked_bytes_ = bytes;
+    }
   }
 
   /// Span wrapper used by the Consume shims below: times `Process`
@@ -148,6 +158,8 @@ class Operator {
   std::string name_;
   EventSink* out_ = nullptr;
   MemoryTracker* tracker_ = nullptr;
+  /// The figure tracker_ last heard from this operator, if any.
+  std::optional<uint64_t> tracked_bytes_;
   MetricHistogram* latency_histogram_ = nullptr;
   OperatorMetrics metrics_;
 };

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "geo/region.h"
 #include "ops/compose_op.h"
+#include "ops/restriction_ops.h"
+#include "stream/memory_tracker.h"
 #include "tests/test_util.h"
 
 namespace geostreams {
@@ -30,6 +33,29 @@ TEST(DeliveryTest, DeliversAssembledFrames) {
   EXPECT_EQ(delivered[1].first, 4);
   EXPECT_DOUBLE_EQ(delivered[0].second.At(5, 3), TestValue(3, 5, 3));
   EXPECT_EQ(op.frames_delivered(), 2u);
+}
+
+TEST(DeliveryTest, SmallRegionReportsItsWindowBytes) {
+  // A region of 2x3 cells out of a 16x12 sector: the delivery buffer
+  // the MemoryTracker hears of is the region's window, not the sector.
+  GridLattice lattice = LatLonLattice(16, 12);
+  SpatialRestrictionOp region("region",
+                              MakeBBoxRegion(-123.5, 41.5, -122.5, 43.0));
+  DeliveryOp op("deliver", nullptr);
+  MemoryTracker tracker;
+  op.BindMemoryTracker(&tracker);
+  NullSink sink;
+  region.BindOutput(op.input(0));
+  op.BindOutput(&sink);
+  GS_ASSERT_OK(PushFrame(region.input(0), lattice, 0));
+  const uint64_t window_bytes = 2 * 3 * sizeof(double);
+  EXPECT_EQ(tracker.OwnerHighWater("deliver"), window_bytes);
+  EXPECT_EQ(tracker.HighWaterBytes(), window_bytes);
+  EXPECT_LT(tracker.OwnerHighWater("deliver"),
+            lattice.num_cells() * sizeof(double));
+  EXPECT_EQ(tracker.TotalBytes(), 0u);  // released at the frame's end
+  EXPECT_EQ(op.metrics().frames_widened, 0u);
+  EXPECT_EQ(op.points_delivered(), 6u);
 }
 
 TEST(DeliveryTest, PngEncodingProducesValidBytes) {

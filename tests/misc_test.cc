@@ -8,6 +8,7 @@
 #include "core/stream_event.h"
 #include "stream/memory_tracker.h"
 #include "stream/metrics.h"
+#include "stream/operator.h"
 #include "tests/test_util.h"
 
 namespace geostreams {
@@ -70,6 +71,52 @@ TEST(MemoryTrackerTest, AggregatesAcrossOwners) {
   tracker.Reset();
   EXPECT_EQ(tracker.TotalBytes(), 0u);
   EXPECT_EQ(tracker.HighWaterBytes(), 0u);
+}
+
+/// An operator whose buffered figure the test sets directly.
+class ReportingOp : public UnaryOperator {
+ public:
+  using UnaryOperator::UnaryOperator;
+  void Report(uint64_t bytes) { ReportBuffered(bytes); }
+
+ protected:
+  Status Process(const StreamEvent& event) override { return Emit(event); }
+};
+
+TEST(MemoryTrackerTest, UnchangedReportsKeepEveryFigure) {
+  // Operators skip the tracker when their figure did not change. The
+  // tracker must still read exactly as if it heard every report.
+  MemoryTracker tracker;
+  MemoryTracker every_report;
+  ReportingOp a("a");
+  ReportingOp b("b");
+  a.BindMemoryTracker(&tracker);
+  b.BindMemoryTracker(&tracker);
+  const std::vector<std::pair<ReportingOp*, uint64_t>> reports = {
+      {&a, 0},   {&b, 0},   {&a, 0},  {&a, 64}, {&a, 64}, {&b, 32},
+      {&b, 32},  {&a, 64},  {&b, 96}, {&a, 16}, {&a, 16}, {&b, 96},
+      {&b, 0},   {&b, 0},   {&a, 0},  {&a, 80}, {&b, 80}, {&b, 80},
+      {&a, 80},  {&a, 0},
+  };
+  for (size_t i = 0; i < reports.size(); ++i) {
+    auto [op, bytes] = reports[i];
+    op->Report(bytes);
+    every_report.Update(op->name(), bytes);
+    EXPECT_EQ(tracker.TotalBytes(), every_report.TotalBytes()) << i;
+    EXPECT_EQ(tracker.HighWaterBytes(), every_report.HighWaterBytes()) << i;
+    EXPECT_EQ(tracker.OwnerHighWater("a"), every_report.OwnerHighWater("a"))
+        << i;
+    EXPECT_EQ(tracker.OwnerHighWater("b"), every_report.OwnerHighWater("b"))
+        << i;
+    EXPECT_EQ(tracker.Snapshot(), every_report.Snapshot()) << i;
+    EXPECT_EQ(op->metrics().buffered_bytes, bytes) << i;
+  }
+  EXPECT_EQ(tracker.HighWaterBytes(), 160u);
+  // Rebinding forgets the last figure: the new tracker hears it.
+  MemoryTracker other;
+  a.BindMemoryTracker(&other);
+  a.Report(0);
+  EXPECT_EQ(other.Snapshot().count("a"), 1u);
 }
 
 TEST(DiagnosticsTest, StatusCodeNamesAreStable) {

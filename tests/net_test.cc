@@ -549,6 +549,9 @@ TEST(NetServerE2eTest, WindowedFramesDecodeToTheInProcessRasters) {
       "region(ndvi(goes.band2, goes.band1), bbox(-100, 35, -92, 40))",
       "reproject(region(ndvi(goes.band2, goes.band1), "
       "bbox(-120, 30, -110, 36)), \"mercator\")",
+      "region(goes.band1, disk(-95, 38, 4))",
+      "region(ndvi(goes.band2, goes.band1), "
+      "polygon(-118, 32, -104, 34, -110, 42))",
   };
   for (size_t workers : {size_t{0}, size_t{2}}) {
     SCOPED_TRACE(StringPrintf("workers=%zu", workers));
@@ -562,6 +565,7 @@ TEST(NetServerE2eTest, WindowedFramesDecodeToTheInProcessRasters) {
     GeoStreamsClient client;
     GS_ASSERT_OK(client.Connect("127.0.0.1", fixture.net().port()));
 
+    std::vector<QueryId> local_ids;
     for (size_t q = 0; q < queries.size(); ++q) {
       auto local_id = fixture.server().RegisterQuery(
           queries[q], [&, q](int64_t frame_id, const Raster& raster,
@@ -570,6 +574,7 @@ TEST(NetServerE2eTest, WindowedFramesDecodeToTheInProcessRasters) {
             local[q].emplace(frame_id, raster);
           });
       ASSERT_TRUE(local_id.ok()) << local_id.status().ToString();
+      local_ids.push_back(*local_id);
       auto response = client.Command("QUERY " + queries[q]);
       ASSERT_TRUE(response.ok()) << response.status().ToString();
       ASSERT_TRUE(StartsWith(*response, "OK QUERY ")) << *response;
@@ -612,9 +617,14 @@ TEST(NetServerE2eTest, WindowedFramesDecodeToTheInProcessRasters) {
       if ((wire[5] & kFlagWindow) != 0) ++windowed[q];
       local[q].erase(it);
     }
-    // The windowed path carried frames of every query.
+    // The windowed path carried frames of every query, and every frame
+    // fit its query's support window.
     for (size_t q = 0; q < queries.size(); ++q) {
       EXPECT_GT(windowed[q], 0u) << queries[q];
+      auto explain = fixture.server().ExplainAnalyze(local_ids[q]);
+      ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+      EXPECT_NE(explain->find(") widened=0\n"), std::string::npos)
+          << queries[q] << "\n" << *explain;
     }
   }
 }

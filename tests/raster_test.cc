@@ -290,12 +290,14 @@ TEST(FrameAssemblerTest, RejectsNestedFramesAndEmptyFinish) {
 }
 
 TEST(FrameAssemblerTest, ReportsBufferedBytes) {
-  // The raster is allocated at the frame's first point, not at Begin.
+  // The window is allocated at the frame's first point, not at Begin,
+  // and holds the frame's support, not its lattice.
   FrameAssembler assembler;
   EXPECT_EQ(assembler.BufferedBytes(), 0u);
   FrameInfo info;
   info.frame_id = 1;
   info.lattice = LatLonLattice(16, 16);
+  info.support = CellRect{2, 3, 5, 4};
   GS_ASSERT_OK(assembler.Begin(info, 1));
   EXPECT_EQ(assembler.BufferedBytes(), 0u);
   PointBatch batch;
@@ -303,7 +305,9 @@ TEST(FrameAssemblerTest, ReportsBufferedBytes) {
   batch.band_count = 1;
   batch.Append1(3, 4, 1, 2.5);
   GS_ASSERT_OK(assembler.Add(batch));
-  EXPECT_GE(assembler.BufferedBytes(), 16u * 16u * sizeof(double));
+  EXPECT_GE(assembler.BufferedBytes(), 5u * 4u * sizeof(double));
+  EXPECT_LT(assembler.BufferedBytes(), 16u * 16u * sizeof(double));
+  EXPECT_EQ(assembler.widenings(), 0u);
 }
 
 TEST(FrameAssemblerTest, FrameWithoutPointsFinishesAllNodata) {
