@@ -19,6 +19,7 @@ namespace geostreams {
 namespace {
 
 using bench_util::BenchLattice;
+using bench_util::PrebuiltFrame;
 using bench_util::PushBenchFrame;
 using bench_util::ReportPoints;
 using bench_util::ValueOrDie;
@@ -44,17 +45,21 @@ void BM_Magnify(benchmark::State& state) {
 BENCHMARK(BM_Magnify)->Arg(2)->Arg(3)->Arg(4)->Arg(8);
 
 void BM_Reduce(benchmark::State& state) {
+  // Args: k, then the input order: 0 row-by-row batches, or the tile
+  // edge of the store's tile-ordered emit (one batch per tile).
   const int k = static_cast<int>(state.range(0));
+  const int64_t tile = state.range(1);
   const int64_t w = 1024, h = 256;
-  GridLattice lattice = BenchLattice(w, h);
+  const PrebuiltFrame frame(BenchLattice(w, h), 0, 1, tile);
   ReduceOp op("r", k);
   NullSink sink;
   op.BindOutput(&sink);
   for (auto _ : state) {
-    PushBenchFrame(op.input(0), lattice, 0);
+    frame.Replay(op.input(0));
   }
-  ReportPoints(state, w * h);
+  ReportPoints(state, frame.num_points());
   state.counters["k"] = k;
+  state.counters["tile"] = static_cast<double>(tile);
   state.counters["buffered_bytes"] = static_cast<double>(
       op.metrics().buffered_bytes_high_water);
   // Compare with the whole reduced frame: the row-by-row stream must
@@ -62,7 +67,9 @@ void BM_Reduce(benchmark::State& state) {
   state.counters["frame_cells_after_reduce"] =
       static_cast<double>((w / k) * (h / k));
 }
-BENCHMARK(BM_Reduce)->Arg(2)->Arg(3)->Arg(4)->Arg(8);
+BENCHMARK(BM_Reduce)
+    ->ArgsProduct({{2, 3, 4, 8}, {0, 64}})
+    ->ArgNames({"k", "tile"});
 
 void BM_Affine_Rotation(benchmark::State& state) {
   const int64_t n = 256;

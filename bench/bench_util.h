@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -80,32 +81,43 @@ inline void PushBenchFrame(EventSink* sink, const GridLattice& lattice,
 /// iteration. Operators never mutate input batches, so the replay
 /// measures operator cost instead of harness-side batch construction
 /// — which dominates once the operators themselves are vectorized.
+/// With `tile` > 0 the points come in the tile store's emit order
+/// instead: one batch per tile x tile block, blocks row-major, cells
+/// row-major inside each block.
 class PrebuiltFrame {
  public:
   PrebuiltFrame(const GridLattice& lattice, int64_t frame_id,
-                int bands = 1) {
+                int bands = 1, int64_t tile = 0) {
     FrameInfo info;
     info.frame_id = frame_id;
     info.lattice = lattice;
     info.expected_points = lattice.num_cells();
     events_.push_back(StreamEvent::FrameBegin(info));
-    for (int64_t row = 0; row < lattice.height(); ++row) {
-      auto batch = std::make_shared<PointBatch>();
-      batch->frame_id = frame_id;
-      batch->band_count = bands;
-      batch->Reserve(static_cast<size_t>(lattice.width()));
-      for (int64_t col = 0; col < lattice.width(); ++col) {
-        double v[8];
-        for (int b = 0; b < bands; ++b) {
-          v[b] = 0.001 * static_cast<double>(col) +
-                 0.0001 * static_cast<double>(row) +
-                 0.01 * static_cast<double>((frame_id + b) % 10);
+    const int64_t block_w = tile > 0 ? tile : lattice.width();
+    const int64_t block_h = tile > 0 ? tile : 1;
+    for (int64_t r0 = 0; r0 < lattice.height(); r0 += block_h) {
+      for (int64_t c0 = 0; c0 < lattice.width(); c0 += block_w) {
+        auto batch = std::make_shared<PointBatch>();
+        batch->frame_id = frame_id;
+        batch->band_count = bands;
+        batch->Reserve(static_cast<size_t>(block_w * block_h));
+        const int64_t r1 = std::min(r0 + block_h, lattice.height());
+        const int64_t c1 = std::min(c0 + block_w, lattice.width());
+        for (int64_t row = r0; row < r1; ++row) {
+          for (int64_t col = c0; col < c1; ++col) {
+            double v[8];
+            for (int b = 0; b < bands; ++b) {
+              v[b] = 0.001 * static_cast<double>(col) +
+                     0.0001 * static_cast<double>(row) +
+                     0.01 * static_cast<double>((frame_id + b) % 10);
+            }
+            batch->Append(static_cast<int32_t>(col),
+                          static_cast<int32_t>(row), frame_id, v);
+          }
         }
-        batch->Append(static_cast<int32_t>(col), static_cast<int32_t>(row),
-                      frame_id, v);
+        num_points_ += static_cast<int64_t>(batch->size());
+        events_.push_back(StreamEvent::Batch(std::move(batch)));
       }
-      num_points_ += static_cast<int64_t>(batch->size());
-      events_.push_back(StreamEvent::Batch(std::move(batch)));
     }
     events_.push_back(StreamEvent::FrameEnd(info));
   }

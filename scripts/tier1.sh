@@ -62,9 +62,11 @@ cmake --build build-tsan -j "${JOBS}" \
        -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|CatchUpTest|WorkersAndPlans/CatchUpConcurrentIngestTest|RegistrationTest|WorkersAndStore/MidFrameRegistrationTest|WorkersAndStore/ConcurrentRegistrationTest|Workers/RestartRegistrationTest|JournalCompactionTest|StorageFormatTest|RecordFileTest|BothStores/DamageClassificationTest|JournalSyncTest|MetricsMirrorTest)')
 
 echo "== tier-1: ASan+UBSan lane (same concurrency/supervision set, plus the byte-plane codec, replay and windowed-assembly parity suites) =="
-# codec_parity_test rides along: the bulk column copies, the
-# slicing-by-8 CRC and the fill-window codec read and write at
-# unaligned offsets. So does replay_parity_test: the store scan walks
+# codec_parity_test rides along: the bulk column copies, both CRC
+# paths (the PCLMULQDQ kernel's unaligned 16-byte loads and the
+# slicing-by-8 tables) and the fill-window codec read and write at
+# unaligned offsets. GeoStreamsClientTest covers the client's parked
+# wire bytes, which it expands through pointers into its own copies. So does replay_parity_test: the store scan walks
 # bitmap runs and bulk-copies samples out of tile pages, and reduce
 # indexes dense row slabs by point coordinates. So does
 # windowed_assembly_parity_test: the assembler, the gathers and the
@@ -135,13 +137,16 @@ echo "== tier-1: churn stress lane (tile-store readers vs retention GC) =="
 echo "== tier-1: scalar-only lane (GEOSTREAMS_SIMD=OFF) =="
 # The portable fallback must pass the same kernel/operator suites it
 # shares with the AVX2 build (non-x86 targets compile exactly this).
+# The CRC parity suite runs here on the slicing-by-8 tables alone (no
+# PCLMULQDQ kernel is built), and the reduce parity suite with it.
 cmake -B build-scalar -S . -DGEOSTREAMS_SIMD=OFF >/dev/null
 cmake --build build-scalar -j "${JOBS}" \
       --target kernels_test restriction_ops_test transform_ops_test \
-               compose_test planner_test
+               compose_test planner_test codec_parity_test \
+               replay_parity_test
 (cd build-scalar && \
  ctest --output-on-failure -j "${JOBS}" \
-       -R '^(KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|SpatialRestrictionTest|TemporalRestrictionTest|ValueRestrictionTest|RestrictionsTest|ValueTransformTest|StretchTransformTest|AffineTest|MagnifyTest|ReduceTest|ComposeTest|NdviMacroTest|MacroOpsTest|PlannerTest)')
+       -R '^(KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|SpatialRestrictionTest|TemporalRestrictionTest|ValueRestrictionTest|RestrictionsTest|ValueTransformTest|StretchTransformTest|AffineTest|MagnifyTest|ReduceTest|ComposeTest|NdviMacroTest|MacroOpsTest|PlannerTest|CrcParityTest|ReduceParityTest)')
 
 echo "== tier-1: metrics exposition lint (live /metrics scrape) =="
 # A malformed exposition fails silently (Prometheus drops the whole

@@ -127,12 +127,21 @@ EnumeratedRegion::EnumeratedRegion(
     std::vector<std::pair<double, double>> points, double cell_size)
     : cell_size_(cell_size > 0 ? cell_size : 1.0) {
   keys_.reserve(points.size());
-  for (const auto& [x, y] : points) {
-    keys_.emplace_back(KeyOf(x), KeyOf(y));
-    bounds_.ExpandToInclude(x, y);
-  }
+  for (const auto& [x, y] : points) keys_.emplace_back(KeyOf(x), KeyOf(y));
   std::sort(keys_.begin(), keys_.end());
   keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+  // Contains() accepts whatever rounds to a key: up to half a cell
+  // around it. The bounds cover each key's whole cell, one ulp wider
+  // against the rounding of the products, so index and support pruning
+  // by bounds keeps every point Contains() keeps.
+  for (const auto& [kx, ky] : keys_) {
+    const auto edge = [this](int64_t k, double side) {
+      return std::nextafter((static_cast<double>(k) + side) * cell_size_,
+                            side * HUGE_VAL);
+    };
+    bounds_.ExpandToInclude(edge(kx, -0.5), edge(ky, -0.5));
+    bounds_.ExpandToInclude(edge(kx, 0.5), edge(ky, 0.5));
+  }
 }
 
 int64_t EnumeratedRegion::KeyOf(double v) const {

@@ -139,7 +139,8 @@ class ConstraintRegion : public Region {
 
 /// Explicit finite point set — enumeration case (1). Points are
 /// matched with a tolerance of half the given cell size, so lattice
-/// points snap correctly.
+/// points snap correctly; bounds() covers that whole tolerance cell
+/// around every point.
 class EnumeratedRegion : public Region {
  public:
   EnumeratedRegion(std::vector<std::pair<double, double>> points,

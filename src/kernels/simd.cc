@@ -15,6 +15,14 @@ SimdLevel Detect() {
   return SimdLevel::kScalar;
 }
 
+bool DetectClmul() {
+#if defined(GEOSTREAMS_SIMD_AVX2) && (defined(__x86_64__) || defined(__i386__))
+  return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+#else
+  return false;
+#endif
+}
+
 }  // namespace
 
 const char* SimdLevelName(SimdLevel level) {
@@ -48,6 +56,11 @@ void SetSimdLevelForTesting(SimdLevel level) {
 
 void ClearSimdLevelForTesting() {
   g_override.store(-1, std::memory_order_relaxed);
+}
+
+bool Crc32ClmulActive() {
+  static const bool clmul = DetectClmul();
+  return clmul && ActiveSimdLevel() == SimdLevel::kAvx2;
 }
 
 }  // namespace geostreams

@@ -8,6 +8,12 @@
 // are required to produce bit-identical outputs (enforced by the
 // parity suite in tests/kernels_test.cc), so dispatch is purely a
 // throughput decision.
+//
+// The same switch selects UpdateCrc32's carry-less-multiply kernel
+// (kernels/crc32_clmul.cc, built with -mpclmul -msse4.1): it folds
+// while the active level is kAvx2 and cpuid reports PCLMULQDQ and
+// SSE4.1, so forcing kScalar puts every CRC on slicing-by-8 too
+// (tests/codec_parity_test.cc runs both).
 
 #ifndef GEOSTREAMS_KERNELS_SIMD_H_
 #define GEOSTREAMS_KERNELS_SIMD_H_
@@ -38,6 +44,11 @@ void SetSimdLevelForTesting(SimdLevel level);
 
 /// Restores cpuid-detected dispatch.
 void ClearSimdLevelForTesting();
+
+/// Whether UpdateCrc32 folds with the carry-less-multiply kernel now:
+/// the active level is kAvx2 and the CPU has PCLMULQDQ and SSE4.1.
+/// Always false with the GEOSTREAMS_SIMD CMake option off.
+bool Crc32ClmulActive();
 
 }  // namespace geostreams
 

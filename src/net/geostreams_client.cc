@@ -69,8 +69,7 @@ Result<GeoStreamsClient::Incoming> GeoStreamsClient::ReadNext(
     int timeout_ms) {
   Incoming incoming;
   if (!parked_frames_.empty()) {
-    incoming.frame = std::move(parked_frames_.front());
-    parked_frames_.pop_front();
+    incoming.frame = TakeParked();
     return incoming;
   }
   if (fd_ < 0) return Status::FailedPrecondition("not connected");
@@ -79,7 +78,7 @@ Result<GeoStreamsClient::Incoming> GeoStreamsClient::ReadNext(
                               ReadUnitUntil(After(timeout_ms), &eof));
   incoming.eof = eof;
   incoming.line = std::move(unit.line);
-  incoming.frame = std::move(unit.frame);
+  if (unit.frame) incoming.frame = unit.frame->Expand();
   return incoming;
 }
 
@@ -95,18 +94,28 @@ Result<std::string> GeoStreamsClient::Command(const std::string& line,
       return Status::Unavailable("connection closed awaiting response");
     }
     if (unit.line) return std::move(*unit.line);
-    if (unit.frame) parked_frames_.push_back(std::move(*unit.frame));
+    if (unit.frame) {
+      // The bytes leave the decoder's buffer before the next read.
+      const CheckedFrame& checked = *unit.frame;
+      ParkedFrame& parked = parked_frames_.emplace_back();
+      parked.bytes.assign(checked.message, checked.message + checked.size);
+      parked.frame = checked;
+      parked.frame.message = parked.bytes.data();
+    }
     // `unit.ingest` cannot arrive here (servers do not send it), and
     // either way the shared deadline still bounds the wait.
   }
 }
 
+FrameMessage GeoStreamsClient::TakeParked() {
+  // Moving the vector keeps its buffer, so `message` stays valid.
+  const ParkedFrame parked = std::move(parked_frames_.front());
+  parked_frames_.pop_front();
+  return parked.frame.Expand();
+}
+
 Result<FrameMessage> GeoStreamsClient::ReadFrame(int timeout_ms) {
-  if (!parked_frames_.empty()) {
-    FrameMessage frame = std::move(parked_frames_.front());
-    parked_frames_.pop_front();
-    return frame;
-  }
+  if (!parked_frames_.empty()) return TakeParked();
   if (fd_ < 0) return Status::FailedPrecondition("not connected");
   const Deadline deadline = After(timeout_ms);
   for (;;) {
@@ -116,7 +125,7 @@ Result<FrameMessage> GeoStreamsClient::ReadFrame(int timeout_ms) {
     if (eof) {
       return Status::Unavailable("connection closed awaiting frame");
     }
-    if (unit.frame) return std::move(*unit.frame);
+    if (unit.frame) return unit.frame->Expand();
     // A stray text line (e.g. a late response) is skipped — against
     // the same deadline, so a line trickle cannot stall us forever.
   }

@@ -4,6 +4,13 @@
 // whatever arrives (text response or binary result frame) via
 // FrameDecoder, and Command() pairs the two while parking any frames
 // that stream in between.
+//
+// A parked frame has passed every check DecodeFrameMessage makes (a
+// malformed one fails Command() and poisons the connection), but it
+// is kept as its wire bytes: a windowed frame parks only its window.
+// It is expanded to a FrameMessage when ReadFrame()/ReadNext() hands
+// it out, so at most one expanded frame is alive per call, however
+// many frames a SINCE replay parks.
 
 #ifndef GEOSTREAMS_NET_GEOSTREAMS_CLIENT_H_
 #define GEOSTREAMS_NET_GEOSTREAMS_CLIENT_H_
@@ -11,6 +18,7 @@
 #include <chrono>
 #include <deque>
 #include <string>
+#include <vector>
 
 #include "net/wire_protocol.h"
 
@@ -72,9 +80,18 @@ class GeoStreamsClient {
   /// timeout into forever.
   Result<FrameDecoder::Unit> ReadUnitUntil(Deadline deadline, bool* eof);
 
+  /// A checked frame whose `message` points into its own `bytes`.
+  struct ParkedFrame {
+    std::vector<uint8_t> bytes;
+    CheckedFrame frame;
+  };
+
+  /// Expands and drops the oldest parked frame.
+  FrameMessage TakeParked();
+
   int fd_ = -1;
   FrameDecoder decoder_;
-  std::deque<FrameMessage> parked_frames_;
+  std::deque<ParkedFrame> parked_frames_;
 };
 
 }  // namespace geostreams

@@ -290,50 +290,65 @@ std::vector<uint8_t> EncodeFrame(const FramePreamble& p,
   });
 }
 
-/// Rebuilds a kFlagWindow body into the full sample vector: every cell
-/// gets the fill pattern, then the window's rows are copied in.
-Status DecodeWindowBody(const uint8_t* body, size_t body_len,
-                        FrameMessage* message) {
-  const uint16_t bands = message->bands;
+/// The rectangle a kFlagWindow body opens with (col0, row0, win_w,
+/// win_h), widened so sums of two cannot wrap.
+struct WindowRect {
+  uint64_t col0, row0, width, height;
+};
+
+WindowRect ReadWindowRect(const uint8_t* body) {
+  return {GetU32(body), GetU32(body + 4), GetU32(body + 8), GetU32(body + 12)};
+}
+
+/// Every check of a kFlagWindow body: the preamble is whole, the
+/// window lies inside the frame, and the rows fill the rest exactly.
+Status CheckWindowBody(const uint8_t* body, size_t body_len, uint32_t width,
+                       uint32_t height, uint16_t bands) {
   if (bands == 0) {
     return Status::InvalidArgument("windowed frame declares 0 bands");
   }
   uint64_t expected = 0;
-  if (!FrameSampleCount(message->width, message->height, bands, &expected)) {
+  if (!FrameSampleCount(width, height, bands, &expected)) {
     return Status::InvalidArgument(StringPrintf(
-        "windowed frame of %ux%ux%u exceeds %llu samples", message->width,
-        message->height, bands,
-        static_cast<unsigned long long>(kMaxFrameSamples)));
+        "windowed frame of %ux%ux%u exceeds %llu samples", width, height,
+        bands, static_cast<unsigned long long>(kMaxFrameSamples)));
   }
-  PayloadReader reader{body, body_len};
-  const uint64_t col0 = reader.U32();
-  const uint64_t row0 = reader.U32();
-  const uint64_t win_w = reader.U32();
-  const uint64_t win_h = reader.U32();
-  std::vector<uint64_t> fill(bands);
-  reader.Array(fill);
-  if (!reader.ok) {
+  if (body_len < WindowPreambleSize(bands)) {
     return Status::InvalidArgument("windowed frame preamble truncated");
   }
-  if (col0 + win_w > message->width || row0 + win_h > message->height) {
+  const WindowRect w = ReadWindowRect(body);
+  if (w.col0 + w.width > width || w.row0 + w.height > height) {
     return Status::InvalidArgument(StringPrintf(
         "frame window %llux%llu at (%llu, %llu) falls outside %ux%u",
-        static_cast<unsigned long long>(win_w),
-        static_cast<unsigned long long>(win_h),
-        static_cast<unsigned long long>(col0),
-        static_cast<unsigned long long>(row0), message->width,
-        message->height));
+        static_cast<unsigned long long>(w.width),
+        static_cast<unsigned long long>(w.height),
+        static_cast<unsigned long long>(w.col0),
+        static_cast<unsigned long long>(w.row0), width, height));
   }
-  const uint64_t row_samples = win_w * bands;
-  if (reader.remaining != win_h * row_samples * sizeof(double)) {
+  const size_t rows_len = body_len - WindowPreambleSize(bands);
+  const uint64_t window_bytes = w.height * w.width * bands * sizeof(double);
+  if (rows_len != window_bytes) {
     return Status::InvalidArgument(StringPrintf(
         "windowed frame body holds %zu bytes, a %llux%llux%u window "
         "needs %llu",
-        reader.remaining, static_cast<unsigned long long>(win_w),
-        static_cast<unsigned long long>(win_h), bands,
-        static_cast<unsigned long long>(win_h * row_samples *
-                                        sizeof(double))));
+        rows_len, static_cast<unsigned long long>(w.width),
+        static_cast<unsigned long long>(w.height), bands,
+        static_cast<unsigned long long>(window_bytes)));
   }
+  return Status::OK();
+}
+
+/// Rebuilds a checked kFlagWindow body into the full sample vector:
+/// every cell gets the fill pattern, then the window's rows are copied
+/// in.
+void ExpandWindowBody(const uint8_t* body, FrameMessage* message) {
+  const uint16_t bands = message->bands;
+  const WindowRect w = ReadWindowRect(body);
+  std::vector<uint64_t> fill(bands);
+  GetArray(body + 4 * sizeof(uint32_t), fill.data(), bands);
+  const uint8_t* rows = body + WindowPreambleSize(bands);
+  const uint64_t expected =
+      static_cast<uint64_t>(message->width) * message->height * bands;
   std::vector<double>& samples = message->samples;
   if (bands == 1) {
     samples.assign(expected, std::bit_cast<double>(fill[0]));
@@ -345,12 +360,12 @@ Status DecodeWindowBody(const uint8_t* body, size_t body_len,
       }
     }
   }
-  for (uint64_t r = 0; r < win_h; ++r) {
-    const uint64_t cell = (row0 + r) * message->width + col0;
-    GetArray(reader.p + r * row_samples * sizeof(double),
+  const uint64_t row_samples = w.width * bands;
+  for (uint64_t r = 0; r < w.height; ++r) {
+    const uint64_t cell = (w.row0 + r) * message->width + w.col0;
+    GetArray(rows + r * row_samples * sizeof(double),
              samples.data() + cell * bands, row_samples);
   }
-  return Status::OK();
 }
 
 }  // namespace
@@ -413,7 +428,7 @@ std::vector<uint8_t> EncodeResultFrame(int64_t query_id, int64_t frame_id,
                     });
 }
 
-Result<FrameMessage> DecodeFrameMessage(const uint8_t* data, size_t len) {
+Result<CheckedFrame> CheckFrameMessage(const uint8_t* data, size_t len) {
   RecordView view;
   GEOSTREAMS_RETURN_IF_ERROR(
       ValidateHeader(data, len, MessageType::kResultFrame, &view));
@@ -424,38 +439,63 @@ Result<FrameMessage> DecodeFrameMessage(const uint8_t* data, size_t len) {
         "frame payload too short for preamble: %u bytes", payload_len));
   }
 
-  FrameMessage message;
-  message.query_id = static_cast<int64_t>(GetU64(payload));
-  message.frame_id = static_cast<int64_t>(GetU64(payload + 8));
-  message.width = GetU32(payload + 16);
-  message.height = GetU32(payload + 20);
-  message.bands = GetU16(payload + 24);
-  message.png = (view.flags & kFlagPng) != 0;
+  CheckedFrame frame;
+  frame.query_id = static_cast<int64_t>(GetU64(payload));
+  frame.frame_id = static_cast<int64_t>(GetU64(payload + 8));
+  frame.width = GetU32(payload + 16);
+  frame.height = GetU32(payload + 20);
+  frame.bands = GetU16(payload + 24);
+  frame.flags = view.flags;
+  frame.message = data;
+  frame.size = len;
   const uint8_t* body = payload + kFramePreambleSize;
   const size_t body_len = payload_len - kFramePreambleSize;
-  if (message.png) {
+  if ((view.flags & kFlagPng) != 0) {
     if ((view.flags & kFlagWindow) != 0) {
       return Status::InvalidArgument("PNG frame carries the window flag");
     }
-    message.png_bytes.assign(body, body + body_len);
-    return message;
+    return frame;
   }
   if ((view.flags & kFlagWindow) != 0) {
-    GEOSTREAMS_RETURN_IF_ERROR(DecodeWindowBody(body, body_len, &message));
-    return message;
+    GEOSTREAMS_RETURN_IF_ERROR(CheckWindowBody(body, body_len, frame.width,
+                                               frame.height, frame.bands));
+    return frame;
   }
   uint64_t expected = 0;
-  if (!FrameSampleCount(message.width, message.height, message.bands,
-                        &expected) ||
+  if (!FrameSampleCount(frame.width, frame.height, frame.bands, &expected) ||
       body_len != expected * sizeof(double)) {
     return Status::InvalidArgument(StringPrintf(
         "frame body holds %zu bytes, not the %ux%ux%u samples its header "
         "declares",
-        body_len, message.width, message.height, message.bands));
+        body_len, frame.width, frame.height, frame.bands));
   }
-  message.samples.resize(expected);
-  GetArray(body, message.samples.data(), message.samples.size());
-  return message;
+  return frame;
+}
+
+FrameMessage CheckedFrame::Expand() const {
+  FrameMessage out;
+  out.query_id = query_id;
+  out.frame_id = frame_id;
+  out.width = width;
+  out.height = height;
+  out.bands = bands;
+  out.png = (flags & kFlagPng) != 0;
+  const uint8_t* body = message + kWireHeaderSize + kFramePreambleSize;
+  const size_t body_len = size - kWireHeaderSize - kFramePreambleSize;
+  if (out.png) {
+    out.png_bytes.assign(body, body + body_len);
+  } else if ((flags & kFlagWindow) != 0) {
+    ExpandWindowBody(body, &out);
+  } else {
+    out.samples.resize(body_len / sizeof(double));
+    GetArray(body, out.samples.data(), out.samples.size());
+  }
+  return out;
+}
+
+Result<FrameMessage> DecodeFrameMessage(const uint8_t* data, size_t len) {
+  GEOSTREAMS_ASSIGN_OR_RETURN(CheckedFrame frame, CheckFrameMessage(data, len));
+  return frame.Expand();
 }
 
 std::vector<uint8_t> EncodeIngestMessage(const IngestMessage& message) {
@@ -667,12 +707,12 @@ Result<std::optional<FrameDecoder::Unit>> FrameDecoder::Next() {
       }
       unit.ingest = std::move(decoded).value();
     } else {
-      Result<FrameMessage> decoded = DecodeFrameMessage(data, total);
-      if (!decoded.ok()) {
-        poisoned_ = decoded.status();
+      Result<CheckedFrame> checked = CheckFrameMessage(data, total);
+      if (!checked.ok()) {
+        poisoned_ = checked.status();
         return poisoned_;
       }
-      unit.frame = std::move(decoded).value();
+      unit.frame = *checked;
     }
     Consume(total);
     return std::optional<Unit>(std::move(unit));

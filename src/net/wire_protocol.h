@@ -146,11 +146,33 @@ std::vector<uint8_t> EncodeResultFrame(int64_t query_id, int64_t frame_id,
                                        const AssembledFrame& frame,
                                        const std::vector<uint8_t>& png);
 
-/// Decodes one complete message (header + payload). Strict: anything
-/// malformed — short buffer, bad magic, unknown type/version, length
-/// over kMaxWirePayload, CRC mismatch, truncated or trailing bytes, a
-/// window outside the frame — is InvalidArgument. A windowed body is
-/// expanded, so `samples` always holds width*height*bands values.
+/// A result-frame message that passed every check DecodeFrameMessage
+/// makes, read in place: the preamble's fields, plus the message's
+/// bytes (header first), which stay the caller's. Expand() builds the
+/// FrameMessage from those bytes and cannot fail.
+struct CheckedFrame {
+  int64_t query_id = 0;
+  int64_t frame_id = 0;
+  uint32_t width = 0;
+  uint32_t height = 0;
+  uint16_t bands = 1;
+  uint8_t flags = 0;
+  const uint8_t* message = nullptr;
+  size_t size = 0;
+
+  FrameMessage Expand() const;
+};
+
+/// The checking half of DecodeFrameMessage: one complete message
+/// (header + payload), strict. Anything malformed — short buffer, bad
+/// magic, unknown type/version, length over kMaxWirePayload, CRC
+/// mismatch, truncated or trailing bytes, a window outside the frame,
+/// a sample count over the limit — is InvalidArgument. Nothing is
+/// copied or expanded.
+Result<CheckedFrame> CheckFrameMessage(const uint8_t* data, size_t len);
+
+/// CheckFrameMessage, then Expand(). A windowed body is expanded, so
+/// `samples` always holds width*height*bands values.
 Result<FrameMessage> DecodeFrameMessage(const uint8_t* data, size_t len);
 
 /// One sequenced ingest event from a producer: which source stream it
@@ -187,9 +209,11 @@ Result<IngestMessage> DecodeIngestPayload(const RecordView& view);
 class FrameDecoder {
  public:
   /// One demultiplexed unit: exactly one of `frame` / `ingest` /
-  /// `line` is set.
+  /// `line` is set. A result frame is checked but not expanded: its
+  /// bytes stay in the decoder's buffer, valid until the next Feed()
+  /// or PrepareFeed(). Expand it, or copy the bytes, before then.
   struct Unit {
-    std::optional<FrameMessage> frame;
+    std::optional<CheckedFrame> frame;
     std::optional<IngestMessage> ingest;
     std::optional<std::string> line;
   };

@@ -1,5 +1,6 @@
 #include "ops/spatial_transform_op.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/math_util.h"
@@ -123,18 +124,26 @@ Status ReduceOp::Process(const StreamEvent& event) {
   const int64_t in_width = in_lattice_.width();
   const int64_t in_height = in_lattice_.height();
   const size_t out_width = static_cast<size_t>(out_lattice_.width());
+  const size_t n = in.size();
+  const int32_t* cols = in.cols.data();
+  const int32_t* rows = in.rows.data();
+  const double* values = in.values.data();
   auto out = std::make_shared<PointBatch>();
   out->frame_id = frame_id_;
   out->band_count = 1;
-  // The input row the last point fell in, its output row and that
-  // row's slab: consecutive points of a row skip the division and the
-  // lookup.
+  // The input row the last run fell in, its output row and that row's
+  // slab: consecutive runs of a row skip the division and the lookup.
   int64_t last_row = -1;
   int64_t orow = 0;
   RowSlab* slab = nullptr;
-  for (size_t i = 0; i < in.size(); ++i) {
-    const int64_t col = in.cols[i];
-    const int64_t row = in.rows[i];
+  // One step per run: the points from i on that stay in row `row` and
+  // in the output cell of cols[i] (re-sent points included), up to
+  // the cell's last missing contribution. The run adds into a register
+  // that starts from the cell's sum, in arrival order, so the sums are
+  // the per-point sums bit for bit.
+  for (size_t i = 0; i < n;) {
+    const int64_t col = cols[i];
+    const int64_t row = rows[i];
     if (col < 0 || col >= in_width || row < 0 || row >= in_height) {
       return Status::OutOfRange(StringPrintf(
           "point (%lld, %lld) outside frame lattice",
@@ -156,8 +165,23 @@ Status ReduceOp::Process(const StreamEvent& event) {
       cell.timestamp = in.timestamps[i];
       ++slab->open;
     }
-    cell.sum += in.ValueAt(i);
-    ++cell.count;
+    // Columns [cell_begin, cell_begin + span) of this row belong to
+    // the cell, and all lie inside the lattice.
+    const int64_t cell_begin = oc * factor_;
+    const auto span = static_cast<uint64_t>(
+        std::min<int64_t>(factor_, in_width - cell_begin));
+    const auto missing = static_cast<size_t>(cell.expected - cell.count);
+    const size_t run_end = i + std::min(n - i, missing);
+    double sum = cell.sum;
+    size_t j = i;
+    do {
+      sum += values[j];
+      ++j;
+    } while (j < run_end && rows[j] == row &&
+             static_cast<uint64_t>(cols[j] - cell_begin) < span);
+    cell.sum = sum;
+    cell.count += static_cast<int32_t>(j - i);
+    i = j;
     if (cell.count >= cell.expected) {
       out->Append1(static_cast<int32_t>(oc), static_cast<int32_t>(orow),
                    cell.timestamp, cell.sum / cell.count);

@@ -3,6 +3,8 @@
 #include <array>
 
 #include "common/byte_codec.h"
+#include "kernels/crc32_clmul.h"
+#include "kernels/simd.h"
 
 namespace geostreams {
 
@@ -37,6 +39,16 @@ constexpr CrcTables kCrcTables = MakeCrcTables();
 }  // namespace
 
 uint32_t UpdateCrc32(uint32_t crc, const uint8_t* data, size_t len) {
+#ifdef GEOSTREAMS_SIMD_AVX2
+  // The kernel folds the whole 16-byte blocks; the tables finish the
+  // last 0-15 bytes.
+  if (len >= kernels::kCrc32ClmulMinBytes && Crc32ClmulActive()) {
+    const size_t folded = len & ~size_t{15};
+    crc = kernels::Crc32Clmul(crc, data, folded);
+    data += folded;
+    len -= folded;
+  }
+#endif
   const auto& t = kCrcTables;
   // The eight bytes are read as two little-endian words whatever the
   // host order, so the table lookups see the bytes in stream order.

@@ -2,6 +2,14 @@
 // PNG delivery has no external dependencies. The one CRC-32 of the
 // code base: PNG chunks, GSF1 messages, GST1 tile pages and GSDL dead
 // letters all use it.
+//
+// UpdateCrc32 runs one of two paths with equal results. Buffers of 64
+// bytes or more fold their whole 16-byte blocks with a PCLMULQDQ
+// kernel (kernels/crc32_clmul.cc) while kernels/simd.h's
+// Crc32ClmulActive() holds: the active SIMD level is AVX2 and cpuid
+// reports PCLMULQDQ and SSE4.1. Slicing-by-8 tables take the rest of
+// the bytes, short buffers, GEOSTREAMS_SIMD=OFF builds and
+// SetSimdLevelForTesting(SimdLevel::kScalar).
 
 #ifndef GEOSTREAMS_RASTER_CHECKSUM_H_
 #define GEOSTREAMS_RASTER_CHECKSUM_H_

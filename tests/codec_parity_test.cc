@@ -1,5 +1,7 @@
 // Parity of the byte plane's fast paths against the simple ones they
-// replaced: the slicing-by-8 CRC-32 against a byte-at-a-time CRC, the
+// replaced: the CRC-32 (its carry-less-multiply kernel and its
+// slicing-by-8 tables, both run in this binary) against a bit-serial
+// CRC, the
 // bulk-copy GSF1 encoders against per-element reference encoders
 // kept here, and the one-pass fill-window trim against a brute-force
 // window. Every byte on the wire and on disk must stay the same.
@@ -20,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "common/byte_codec.h"
+#include "kernels/simd.h"
 #include "net/wire_protocol.h"
 #include "raster/checksum.h"
 #include "raster/raster.h"
@@ -205,35 +208,126 @@ double Sample(size_t i) {
 // ---------------------------------------------------------------------------
 // CRC-32
 
+/// Runs `check` twice: with UpdateCrc32 dispatched as on this machine
+/// (the folding kernel where the CPU has it), then forced onto the
+/// slicing-by-8 tables.
+template <typename Check>
+void OnBothCrcPaths(Check check) {
+  {
+    SCOPED_TRACE("dispatched");
+    check();
+  }
+  SetSimdLevelForTesting(SimdLevel::kScalar);
+  {
+    SCOPED_TRACE("tables");
+    ASSERT_FALSE(Crc32ClmulActive());
+    check();
+  }
+  ClearSimdLevelForTesting();
+}
+
 TEST(CrcParityTest, CheckValue) {
   const std::string check = "123456789";
   const auto* data = reinterpret_cast<const uint8_t*>(check.data());
-  EXPECT_EQ(Crc32(data, check.size()), 0xCBF43926u);
-  EXPECT_EQ(ReferenceCrc32(data, check.size()), 0xCBF43926u);
-  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  OnBothCrcPaths([&] {
+    EXPECT_EQ(Crc32(data, check.size()), 0xCBF43926u);
+    EXPECT_EQ(ReferenceCrc32(data, check.size()), 0xCBF43926u);
+    EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  });
 }
 
 TEST(CrcParityTest, EveryLengthAtEveryStartOffset) {
   const std::vector<uint8_t> bytes = PseudoRandomBytes(1024 + 8, 0x9E3779B9u);
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t len = 0; len <= 1024; ++len) {
-      ASSERT_EQ(Crc32(bytes.data() + offset, len),
-                ReferenceCrc32(bytes.data() + offset, len))
-          << "offset " << offset << " length " << len;
+  OnBothCrcPaths([&] {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t len = 0; len <= 1024; ++len) {
+        ASSERT_EQ(Crc32(bytes.data() + offset, len),
+                  ReferenceCrc32(bytes.data() + offset, len))
+            << "offset " << offset << " length " << len;
+      }
     }
-  }
+  });
 }
 
 TEST(CrcParityTest, ChainedAtEverySplitPoint) {
   const std::vector<uint8_t> bytes = PseudoRandomBytes(777, 42);
-  const uint32_t whole = Crc32(bytes.data(), bytes.size());
-  ASSERT_EQ(whole, ReferenceCrc32(bytes.data(), bytes.size()));
-  for (size_t split = 0; split <= bytes.size(); ++split) {
-    const uint32_t head = UpdateCrc32(0xFFFFFFFFu, bytes.data(), split);
-    const uint32_t chained =
-        UpdateCrc32(head, bytes.data() + split, bytes.size() - split) ^
-        0xFFFFFFFFu;
-    ASSERT_EQ(chained, whole) << "split " << split;
+  const uint32_t whole = ReferenceCrc32(bytes.data(), bytes.size());
+  OnBothCrcPaths([&] {
+    ASSERT_EQ(Crc32(bytes.data(), bytes.size()), whole);
+    for (size_t split = 0; split <= bytes.size(); ++split) {
+      const uint32_t head = UpdateCrc32(0xFFFFFFFFu, bytes.data(), split);
+      const uint32_t chained =
+          UpdateCrc32(head, bytes.data() + split, bytes.size() - split) ^
+          0xFFFFFFFFu;
+      ASSERT_EQ(chained, whole) << "split " << split;
+    }
+  });
+}
+
+TEST(CrcParityTest, LengthsAroundTheKernelThresholdFromRandomRegisters) {
+  // The kernel takes 64 bytes or more and folds 16-byte blocks, so
+  // lengths 48-80 cross its threshold and its block size, and
+  // 1000-1100 run the four-lane loop for every remainder mod 64. The
+  // starting register is random, not just the 0xFFFFFFFF of Crc32().
+  const std::vector<uint8_t> bytes = PseudoRandomBytes(1100 + 16, 7);
+  std::vector<size_t> lengths;
+  for (size_t len = 48; len <= 80; ++len) lengths.push_back(len);
+  for (size_t len = 1000; len <= 1100; ++len) lengths.push_back(len);
+  OnBothCrcPaths([&] {
+    std::mt19937 rng(1234);
+    for (size_t offset = 0; offset < 16; ++offset) {
+      for (size_t len : lengths) {
+        const uint32_t start = static_cast<uint32_t>(rng());
+        ASSERT_EQ(UpdateCrc32(start, bytes.data() + offset, len),
+                  ReferenceUpdateCrc32(start, bytes.data() + offset, len))
+            << "offset " << offset << " length " << len << " start "
+            << start;
+      }
+    }
+  });
+}
+
+TEST(CrcParityTest, EverySixteenByteTailAfterTheFoldedBlocks) {
+  // 64 * k + tail bytes: the kernel folds the blocks, the tables take
+  // the 0-15 byte tail. Long buffers (a tile page, a raw frame) too.
+  const std::vector<uint8_t> bytes = PseudoRandomBytes((64 << 10) + 32, 99);
+  OnBothCrcPaths([&] {
+    for (size_t blocks : {size_t{1}, size_t{2}, size_t{5}, size_t{1024}}) {
+      for (size_t tail = 0; tail < 16; ++tail) {
+        const size_t len = 64 * blocks + tail;
+        ASSERT_EQ(Crc32(bytes.data() + 3, len),
+                  ReferenceCrc32(bytes.data() + 3, len))
+            << "blocks " << blocks << " tail " << tail;
+      }
+    }
+    ASSERT_EQ(Crc32(bytes.data(), bytes.size()),
+              ReferenceCrc32(bytes.data(), bytes.size()));
+  });
+}
+
+TEST(CrcParityTest, RegisterCrossesBetweenKernelAndTables) {
+  // A chained CRC may hand its register from one path to the other
+  // mid-message: a head the kernel folded continues on the tables, and
+  // the reverse, at every split.
+  const std::vector<uint8_t> bytes = PseudoRandomBytes(300, 5);
+  const uint32_t whole = ReferenceCrc32(bytes.data(), bytes.size());
+  for (bool kernel_first : {true, false}) {
+    for (size_t split = 0; split <= bytes.size(); ++split) {
+      if (!kernel_first) SetSimdLevelForTesting(SimdLevel::kScalar);
+      const uint32_t head = UpdateCrc32(0xFFFFFFFFu, bytes.data(), split);
+      if (kernel_first) {
+        SetSimdLevelForTesting(SimdLevel::kScalar);
+      } else {
+        ClearSimdLevelForTesting();
+      }
+      const uint32_t chained =
+          UpdateCrc32(head, bytes.data() + split, bytes.size() - split) ^
+          0xFFFFFFFFu;
+      ClearSimdLevelForTesting();
+      ASSERT_EQ(chained, whole)
+          << (kernel_first ? "dispatched head" : "table head") << ", split "
+          << split;
+    }
   }
 }
 

@@ -1676,6 +1676,155 @@ TEST(GeoStreamsClientTest, TrickledLinesDoNotExtendReadFrameDeadline) {
   CloseFd(*listener);
 }
 
+/// Serves one connection on `listener`: waits for a command line and
+/// answers it with `reply` (frames and text, in one write).
+std::thread ServeOneCommand(int listener, std::vector<uint8_t> reply) {
+  return std::thread([listener, reply = std::move(reply)] {
+    auto accepted = AcceptClient(listener);
+    if (!accepted.ok()) return;
+    uint8_t byte = 0;
+    const auto read_one = [&] {
+      Result<size_t> n = ReadSome(*accepted, &byte, 1);
+      return n.ok() && *n == 1;
+    };
+    while (read_one() && byte != '\n') {
+    }
+    if (WriteAll(*accepted, reply.data(), reply.size()).ok()) {
+      while (read_one()) {  // hold the connection until the client hangs up
+      }
+    }
+    CloseFd(*accepted);
+  });
+}
+
+void AppendBytes(std::vector<uint8_t>& out, const std::vector<uint8_t>& in) {
+  out.insert(out.end(), in.begin(), in.end());
+}
+
+void AppendText(std::vector<uint8_t>& out, const std::string& text) {
+  out.insert(out.end(), text.begin(), text.end());
+}
+
+/// Result frames of every body kind: raw, windowed (one and three
+/// bands, NaN fill), all-fill and PNG.
+std::vector<std::vector<uint8_t>> MixedResultFrames() {
+  std::vector<std::vector<uint8_t>> frames;
+  Raster raw(5, 4, 1);
+  for (int64_t i = 0; i < 20; ++i) raw.Set(i % 5, i / 5, 0.25 * i - 1.0);
+  frames.push_back(EncodeResultFrame(9, 0, raw, {}));
+  Raster window(64, 48, 1, std::numeric_limits<double>::quiet_NaN());
+  for (int64_t r = 10; r < 20; ++r) {
+    for (int64_t c = 30; c < 41; ++c) window.Set(c, r, 0.5 * r * c);
+  }
+  frames.push_back(EncodeResultFrame(9, 1, window, {}));
+  Raster bands(32, 16, 3, -9999.0);
+  for (int b = 0; b < 3; ++b) bands.Set(7, 3, b, 1e300 * (b - 1));
+  frames.push_back(EncodeResultFrame(9, 2, bands, {}));
+  frames.push_back(EncodeResultFrame(9, 3, Raster(16, 16, 1, 2.5), {}));
+  frames.push_back(EncodeResultFrame(9, 4, raw, {0x89, 'P', 'N', 'G'}));
+  return frames;
+}
+
+void ExpectSameFrame(const FrameMessage& got, const FrameMessage& want) {
+  EXPECT_EQ(got.query_id, want.query_id);
+  EXPECT_EQ(got.frame_id, want.frame_id);
+  EXPECT_EQ(got.width, want.width);
+  EXPECT_EQ(got.height, want.height);
+  EXPECT_EQ(got.bands, want.bands);
+  EXPECT_EQ(got.png, want.png);
+  EXPECT_EQ(got.png_bytes, want.png_bytes);
+  ASSERT_EQ(got.samples.size(), want.samples.size());
+  EXPECT_EQ(std::memcmp(got.samples.data(), want.samples.data(),
+                        got.samples.size() * sizeof(double)),
+            0)
+      << "frame " << want.frame_id;
+}
+
+TEST(GeoStreamsClientTest, ParkedFramesDecodeLikeEagerOnes) {
+  // Frames that arrive ahead of the response are parked as their wire
+  // bytes and expanded when handed out; each must equal the eager
+  // decode of its bytes, bit for bit, in arrival order. The frame
+  // after the response is read fresh.
+  const std::vector<std::vector<uint8_t>> frames = MixedResultFrames();
+  std::vector<uint8_t> reply;
+  for (const auto& f : frames) AppendBytes(reply, f);
+  AppendText(reply, "OK QUERY 9\n");
+  AppendBytes(reply, frames[1]);
+
+  auto listener = ListenTcp(0);
+  GS_ASSERT_OK(listener.status());
+  auto port = LocalPort(*listener);
+  GS_ASSERT_OK(port.status());
+  std::thread server = ServeOneCommand(*listener, reply);
+
+  GeoStreamsClient client;
+  GS_ASSERT_OK(client.Connect("127.0.0.1", *port, 2000));
+  auto response = client.Command("QUERY x", 5000);
+  GS_ASSERT_OK(response.status());
+  EXPECT_EQ(*response, "OK QUERY 9");
+  EXPECT_EQ(client.pending_frames(), frames.size());
+  for (size_t i = 0; i <= frames.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "frame " << i);
+    const std::vector<uint8_t>& wire =
+        i < frames.size() ? frames[i] : frames[1];
+    auto eager = DecodeFrameMessage(wire.data(), wire.size());
+    GS_ASSERT_OK(eager.status());
+    // ReadFrame and ReadNext both hand parked frames out first.
+    std::optional<FrameMessage> got;
+    if (i % 2 == 0) {
+      auto frame = client.ReadFrame(1000);
+      GS_ASSERT_OK(frame.status());
+      got = std::move(*frame);
+    } else {
+      auto incoming = client.ReadNext(1000);
+      GS_ASSERT_OK(incoming.status());
+      ASSERT_TRUE(incoming->frame.has_value());
+      got = std::move(incoming->frame);
+    }
+    ExpectSameFrame(*got, *eager);
+    EXPECT_EQ(client.pending_frames(),
+              frames.size() - std::min(i + 1, frames.size()));
+  }
+
+  client.Close();
+  server.join();
+  CloseFd(*listener);
+}
+
+TEST(GeoStreamsClientTest, CorruptParkedFrameFailsTheCommand) {
+  // A frame whose payload fails its CRC, arriving ahead of the
+  // response, fails Command() and poisons the connection, as an eager
+  // decode did. The good frame ahead of it stays parked.
+  const std::vector<std::vector<uint8_t>> frames = MixedResultFrames();
+  std::vector<uint8_t> bad = frames[1];
+  bad[kWireHeaderSize + kFramePreambleSize + 5] ^= 0x10;
+  std::vector<uint8_t> reply = frames[0];
+  AppendBytes(reply, bad);
+  AppendText(reply, "OK QUERY 9\n");
+
+  auto listener = ListenTcp(0);
+  GS_ASSERT_OK(listener.status());
+  auto port = LocalPort(*listener);
+  GS_ASSERT_OK(port.status());
+  std::thread server = ServeOneCommand(*listener, reply);
+
+  GeoStreamsClient client;
+  GS_ASSERT_OK(client.Connect("127.0.0.1", *port, 2000));
+  auto response = client.Command("QUERY x", 5000);
+  EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument)
+      << response.status().ToString();
+  EXPECT_EQ(client.pending_frames(), 1u);
+  auto first = client.ReadFrame(1000);
+  GS_ASSERT_OK(first.status());
+  EXPECT_EQ(first->frame_id, 0);
+  auto next = client.ReadFrame(1000);
+  EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument);
+
+  client.Close();
+  server.join();
+  CloseFd(*listener);
+}
+
 TEST(SocketUtilTest, ConnectsByHostname) {
   NetFixture fixture;
   auto fd = ConnectTcp("localhost", fixture.net().port(), 2000);

@@ -5,11 +5,13 @@
 //    kept here, which walks the stored image tile by tile and cell by
 //    cell. Events are compared one for one: frame envelopes, batch
 //    boundaries, point order, and every sample bit.
-//  * ReduceParityTest — ReduceOp (dense row slabs) against the
-//    hash-map accumulator it replaced, kept here, over row-by-row,
-//    tile-ordered and shuffled input, ragged extents, cells that never
-//    complete, and points that arrive again after their cell was
-//    emitted. Output batches are compared bit for bit.
+//  * ReduceParityTest — ReduceOp (dense row slabs, summed one run of
+//    same-cell points at a time) against the per-point hash-map
+//    accumulator it replaced, kept here, over row-by-row, tile-ordered
+//    and shuffled input, ragged extents, runs cut by cell edges and by
+//    batch ends, cells that straddle tiles, cells that never complete,
+//    and points that arrive again, inside a run or after their cell
+//    was emitted. Output batches are compared bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -573,10 +575,15 @@ TEST(ReduceParityTest, RowTileAndShuffledOrdersMatchTheHashMap) {
     const GridLattice lattice = LatLonLattice(w, h);
     const std::vector<InputPoint> rows =
         RowMajorPoints(lattice, static_cast<uint32_t>(w * h));
-    for (int factor : {1, 2, 3, 4, 8}) {
+    for (int factor : {1, 2, 3, 4, 5, 8}) {
       SCOPED_TRACE(::testing::Message() << w << "x" << h << ", k=" << factor);
-      ExpectReduceParity(factor, Framed(lattice, 5, rows, lattice.width()));
-      ExpectReduceParity(factor, Framed(lattice, 5, rows, 13));
+      // Row-major runs end at cell edges; batch sizes that k does not
+      // divide also end them inside a cell, and the next batch resumes
+      // the half-summed cell.
+      for (size_t batch : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                           size_t{13}, static_cast<size_t>(lattice.width())}) {
+        ExpectReduceParity(factor, Framed(lattice, 5, rows, batch));
+      }
       ExpectReduceParity(factor,
                          Framed(lattice, 5, TileOrder(rows, 16), 97));
       ExpectReduceParity(factor,
@@ -664,6 +671,44 @@ TEST(ReduceParityTest, TileOrderedInputBuffersAboutOneOutputRow) {
   EXPECT_GT(op.metrics().buffered_bytes_high_water, 0u);
   EXPECT_LE(op.metrics().buffered_bytes_high_water, slab);
   EXPECT_EQ(op.metrics().buffered_bytes, 0u);
+}
+
+TEST(ReduceParityTest, ThreeWideCellsStraddleStoreTiles) {
+  // The store emits 64 x 64 tiles, row-major inside. With k = 3 the
+  // cells at columns 63-65 and rows 63-65 take points from two or four
+  // tiles, so they stay open across tile batches.
+  const GridLattice lattice = LatLonLattice(160, 70);
+  const std::vector<InputPoint> tiles =
+      TileOrder(RowMajorPoints(lattice, 41), 64);
+  for (size_t batch : {size_t{64 * 64}, size_t{100}, size_t{64}}) {
+    SCOPED_TRACE(::testing::Message() << "batch=" << batch);
+    ExpectReduceParity(3, Framed(lattice, 4, tiles, batch));
+  }
+}
+
+TEST(ReduceParityTest, ResentPointsInsideARun) {
+  // Points sent twice in a row, or out of column order inside their
+  // cell, land in one run. Each counts as a contribution, so a cell
+  // can complete mid-run; the run must stop there and the rest of it
+  // reopens the cell.
+  const GridLattice lattice = LatLonLattice(37, 23);
+  const std::vector<InputPoint> rows = RowMajorPoints(lattice, 51);
+  std::vector<InputPoint> doubled;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const InputPoint& p = rows[i];
+    doubled.push_back(p);
+    if (i % 5 == 0) doubled.push_back({p.col, p.row, p.t + 1, -p.value});
+  }
+  std::vector<InputPoint> swapped = rows;
+  for (size_t i = 0; i + 1 < swapped.size(); i += 3) {
+    std::swap(swapped[i], swapped[i + 1]);
+  }
+  for (int factor : {2, 3, 4}) {
+    SCOPED_TRACE(::testing::Message() << "k=" << factor);
+    ExpectReduceParity(factor, Framed(lattice, 6, doubled, 37));
+    ExpectReduceParity(factor, Framed(lattice, 6, doubled, 1000));
+    ExpectReduceParity(factor, Framed(lattice, 6, swapped, 37));
+  }
 }
 
 TEST(ReduceParityTest, PointsOutsideTheLatticeAreRefused) {

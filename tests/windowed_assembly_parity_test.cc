@@ -514,6 +514,40 @@ TEST(WindowedAssemblyParityTest, ReprojectReadsThroughTheWindow) {
   }
 }
 
+TEST(WindowedAssemblyParityTest, EnumeratedPointsMatchWithinTheirCellOnBothPaths) {
+  // points(0.5, -124.8, 44.8) keeps whatever rounds to its 0.5-degree
+  // key, which includes the centre (-124.75, 44.75) of cell (0, 0) of
+  // the 16x12 lattice, 0.05 degrees off the listed point. The shared
+  // path prunes by the region's bounds and the support window is the
+  // bounds snapped to the lattice, so the bounds must reach that
+  // centre: both paths keep the point, and no frame widens.
+  const GridLattice lattice = LatLonLattice(16, 12);
+  auto parsed = ParseQuery("region(g.nir, points(0.5, -124.8, 44.8))");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const RegionPtr region = (*parsed)->region;
+  ASSERT_NE(region, nullptr);
+  ASSERT_TRUE(region->Contains(-124.75, 44.75));
+  EXPECT_TRUE(region->bounds().Contains(-124.75, 44.75));
+  const double nodata = std::numeric_limits<double>::quiet_NaN();
+  std::vector<StreamEvent> source;
+  for (int64_t f = 0; f < 3; ++f) {
+    for (StreamEvent& e : SourceFrame(lattice, f, 1, nodata, f != 1)) {
+      source.push_back(std::move(e));
+    }
+  }
+
+  const std::vector<StreamEvent> unshared = Restrict(region, source);
+  EXPECT_EQ(PointBits(unshared).size(), 2u);
+  ExpectParity(unshared, nodata, "unshared points()");
+
+  SharedRestrictionOp shared(std::make_unique<CascadeTree>(lattice.Extent()));
+  CollectingSink sink;
+  GS_ASSERT_OK(shared.RegisterQuery(0, region, &sink));
+  for (const StreamEvent& e : source) GS_ASSERT_OK(shared.Consume(e));
+  EXPECT_TRUE(PointBits(sink.events()) == PointBits(unshared));
+  ExpectParity(sink.events(), nodata, "shared points()");
+}
+
 // ---------------------------------------------------------------------------
 // Whole plans: NDVI and reproject(region(...)) as the server plans them
 
