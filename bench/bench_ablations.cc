@@ -116,7 +116,16 @@ void BM_Ablation_CascadeDepth(benchmark::State& state) {
   state.counters["max_depth"] = depth;
   state.counters["nodes"] = static_cast<double>(tree.node_count());
 }
-BENCHMARK(BM_Ablation_CascadeDepth)->Arg(2)->Arg(4)->Arg(6)->Arg(8)->Arg(12);
+// 7 is the server's rule for this 512 x 256 lattice
+// (CascadeTree::DepthFor); 10 is the extent constructor's default.
+BENCHMARK(BM_Ablation_CascadeDepth)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(6)
+    ->Arg(7)
+    ->Arg(8)
+    ->Arg(10)
+    ->Arg(12);
 
 // --- A3: load shedding -------------------------------------------------------------
 

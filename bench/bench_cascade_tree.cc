@@ -52,14 +52,16 @@ BoundingBox RandomRegion(const BoundingBox& extent, uint64_t seed, int i) {
   return BoundingBox(x0, y0, x0 + w, y0 + h);
 }
 
-std::unique_ptr<RegionIndex> MakeIndex(int kind, const BoundingBox& extent) {
+/// The cascade tree is built as the server builds it: at the
+/// lattice's depth (CascadeTree::DepthFor, 7 for 512 x 256).
+std::unique_ptr<RegionIndex> MakeIndex(int kind, const GridLattice& lattice) {
   switch (kind) {
     case 0:
       return std::make_unique<FilterBank>();
     case 1:
-      return std::make_unique<GridIndex>(extent, 64, 64);
+      return std::make_unique<GridIndex>(lattice.Extent(), 64, 64);
     default:
-      return std::make_unique<CascadeTree>(extent, 10);
+      return std::make_unique<CascadeTree>(lattice);
   }
 }
 
@@ -72,7 +74,7 @@ void RunStab(benchmark::State& state) {
   const int n = static_cast<int>(state.range(1));
   GridLattice lattice = BenchLattice(kWidth, kHeight);
   const BoundingBox extent = lattice.Extent();
-  auto index = MakeIndex(kind, extent);
+  auto index = MakeIndex(kind, lattice);
   for (int i = 0; i < n; ++i) {
     CheckOk(index->Insert(i, RandomRegion(extent, 12345, i)), "insert");
   }
@@ -107,7 +109,7 @@ void BM_RegisterUnregister(benchmark::State& state) {
   const int n = static_cast<int>(state.range(1));
   GridLattice lattice = BenchLattice(kWidth, kHeight);
   const BoundingBox extent = lattice.Extent();
-  auto index = MakeIndex(kind, extent);
+  auto index = MakeIndex(kind, lattice);
   // Pre-populate with n resident queries.
   for (int i = 0; i < n; ++i) {
     CheckOk(index->Insert(i, RandomRegion(extent, 999, i)), "insert");
@@ -132,7 +134,7 @@ void BM_SharedRestriction_EndToEnd(benchmark::State& state) {
   const int n = static_cast<int>(state.range(1));
   GridLattice lattice = BenchLattice(kWidth, kHeight);
   const BoundingBox extent = lattice.Extent();
-  SharedRestrictionOp op(MakeIndex(kind, extent));
+  SharedRestrictionOp op(MakeIndex(kind, lattice));
   std::vector<std::unique_ptr<NullSink>> sinks;
   for (int i = 0; i < n; ++i) {
     sinks.push_back(std::make_unique<NullSink>());

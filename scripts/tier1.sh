@@ -61,7 +61,7 @@ cmake --build build-tsan -j "${JOBS}" \
  ctest --output-on-failure -j "${JOBS}" \
        -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|CatchUpTest|WorkersAndPlans/CatchUpConcurrentIngestTest|RegistrationTest|WorkersAndStore/MidFrameRegistrationTest|WorkersAndStore/ConcurrentRegistrationTest|Workers/RestartRegistrationTest|JournalCompactionTest|StorageFormatTest|RecordFileTest|BothStores/DamageClassificationTest|JournalSyncTest|MetricsMirrorTest)')
 
-echo "== tier-1: ASan+UBSan lane (same concurrency/supervision set, plus the byte-plane codec, replay and windowed-assembly parity suites) =="
+echo "== tier-1: ASan+UBSan lane (same concurrency/supervision set, plus the byte-plane codec, replay, windowed-assembly and cascade-tree suites) =="
 # codec_parity_test rides along: the bulk column copies, both CRC
 # paths (the PCLMULQDQ kernel's unaligned 16-byte loads and the
 # slicing-by-8 tables) and the fill-window codec read and write at
@@ -70,7 +70,10 @@ echo "== tier-1: ASan+UBSan lane (same concurrency/supervision set, plus the byt
 # bitmap runs and bulk-copies samples out of tile pages, and reduce
 # indexes dense row slabs by point coordinates. So does
 # windowed_assembly_parity_test: the assembler, the gathers and the
-# encoder index window rows by support offsets.
+# encoder index window rows by support offsets. So does mqo_test:
+# the cascade tree's RemoveRec prunes children while it recurses, and
+# the depth and routing parity suites insert and remove at every
+# depth.
 cmake -B build-asan -S . "-DGEOSTREAMS_SANITIZE=address,undefined" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "${JOBS}" \
@@ -82,10 +85,10 @@ cmake --build build-asan -j "${JOBS}" \
                storage_governor_test disk_pressure_e2e_test catchup_test \
                registration_test storage_format_test record_file_test journal_sync_test \
                metrics_mirror_test codec_parity_test replay_parity_test \
-               windowed_assembly_parity_test
+               windowed_assembly_parity_test mqo_test
 (cd build-asan && \
  ctest --output-on-failure -j "${JOBS}" \
-       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|JournalCompactionTest|DiskPressureE2eTest|CatchUpTest|WorkersAndPlans/CatchUpConcurrentIngestTest|RegistrationTest|WorkersAndStore/MidFrameRegistrationTest|WorkersAndStore/ConcurrentRegistrationTest|Workers/RestartRegistrationTest|StorageFormatTest|RecordFileTest|BothStores/DamageClassificationTest|JournalSyncTest|MetricsMirrorTest|CrcParityTest|ByteCodecParityTest|ResultFrameParityTest|IngestParityTest|StoreScanParityTest|ReduceParityTest|WindowedAssemblyParityTest)')
+       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|JournalCompactionTest|DiskPressureE2eTest|CatchUpTest|WorkersAndPlans/CatchUpConcurrentIngestTest|RegistrationTest|WorkersAndStore/MidFrameRegistrationTest|WorkersAndStore/ConcurrentRegistrationTest|Workers/RestartRegistrationTest|StorageFormatTest|RecordFileTest|BothStores/DamageClassificationTest|JournalSyncTest|MetricsMirrorTest|CrcParityTest|ByteCodecParityTest|ResultFrameParityTest|IngestParityTest|StoreScanParityTest|ReduceParityTest|WindowedAssemblyParityTest|CascadeTreeTest|Sweep/IndexEquivalence|Depth/IndexEquivalenceAtDepth|SharedRestrictionTest)')
 
 echo "== tier-1: caller-runs stress lane (workers=0 scheduler, TSan) =="
 # Four producers run one caller-runs scheduler on their own threads;

@@ -24,6 +24,9 @@ void LogMessage(LogLevel level, const char* file, int line,
 
 namespace internal {
 
+/// True when a `level` message would be emitted.
+inline bool LogEnabled(LogLevel level) { return level >= GetLogLevel(); }
+
 /// Stream-style builder backing the GEOSTREAMS_LOG macro.
 class LogStream {
  public:
@@ -44,11 +47,24 @@ class LogStream {
   std::ostringstream stream_;
 };
 
+/// Turns the `<<` chain into a void expression, so the macro can be
+/// the false arm of a conditional. `&` binds looser than `<<` and
+/// tighter than `?:`.
+struct LogVoidify {
+  void operator&(const LogStream&) {}
+};
+
 }  // namespace internal
 
-#define GEOSTREAMS_LOG(level)                                      \
-  ::geostreams::internal::LogStream(::geostreams::LogLevel::level, \
-                                    __FILE__, __LINE__)
+/// A filtered level constructs no LogStream and formats no operand.
+/// The macro is one expression, so it is safe as the body of an `if`
+/// with an `else`.
+#define GEOSTREAMS_LOG(level)                                          \
+  !::geostreams::internal::LogEnabled(::geostreams::LogLevel::level)   \
+      ? (void)0                                                        \
+      : ::geostreams::internal::LogVoidify() &                         \
+            ::geostreams::internal::LogStream(                         \
+                ::geostreams::LogLevel::level, __FILE__, __LINE__)
 
 }  // namespace geostreams
 

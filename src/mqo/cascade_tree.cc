@@ -41,6 +41,16 @@ CascadeTree::CascadeTree(BoundingBox extent, int max_depth)
   node_count_ = 1;
 }
 
+CascadeTree::CascadeTree(const GridLattice& lattice)
+    : CascadeTree(lattice.Extent(), DepthFor(lattice)) {}
+
+int CascadeTree::DepthFor(const GridLattice& lattice) {
+  const int64_t span = std::max(lattice.width(), lattice.height());
+  int depth = 1;
+  while (int64_t{4} << (depth + 1) <= span) ++depth;
+  return depth;
+}
+
 CascadeTree::~CascadeTree() = default;
 
 Status CascadeTree::Insert(QueryId id, const BoundingBox& box) {

@@ -10,12 +10,22 @@
 // therefore walks one root-to-leaf path, collecting cover lists on
 // the way: O(depth + answers + partials at one leaf), independent of
 // the total number of registered queries.
+//
+// The depth only trades nodes against partial-list tests: a point is
+// reported exactly when its query's rectangle contains it, at any
+// depth. The server builds each tree at the resolution of the
+// stream's reference lattice (DepthFor): a cell is split only while
+// its children still span at least 4x4 lattice cells, since finer
+// cells than the data carries buy no pruning and cost nodes. On the
+// 256x256 GOES full disk that is depth 6, and live_fanout's 248
+// regions take about 2.5 nodes each instead of 240 at depth 10.
 
 #ifndef GEOSTREAMS_MQO_CASCADE_TREE_H_
 #define GEOSTREAMS_MQO_CASCADE_TREE_H_
 
 #include <memory>
 
+#include "geo/lattice.h"
 #include "mqo/region_index.h"
 
 namespace geostreams {
@@ -26,7 +36,14 @@ class CascadeTree : public RegionIndex {
   /// outside it stab nothing). `max_depth`: subdivision levels; each
   /// level halves both axes.
   explicit CascadeTree(BoundingBox extent, int max_depth = 10);
+  /// A tree over the lattice's extent at DepthFor(lattice).
+  explicit CascadeTree(const GridLattice& lattice);
   ~CascadeTree() override;
+
+  /// The lattice's depth: max(1, floor(log2(max(w, h) / 4))), the
+  /// deepest level whose cells still span 4 lattice cells along the
+  /// longer axis (6 for 256x256).
+  static int DepthFor(const GridLattice& lattice);
 
   Status Insert(QueryId id, const BoundingBox& box) override;
   Status Remove(QueryId id) override;

@@ -67,6 +67,7 @@ void ReduceOp::Reset() {
 
 void ReduceOp::ClearSlabs() {
   slabs_.clear();
+  spare_cells_.clear();
   open_slabs_ = 0;
   ReportBuffered(0);
 }
@@ -155,7 +156,12 @@ Status ReduceOp::Process(const StreamEvent& event) {
       slab = &slabs_[static_cast<size_t>(orow)];
     }
     if (slab->cells.empty()) {
-      slab->cells.resize(out_width);
+      if (spare_cells_.empty()) {
+        slab->cells.resize(out_width);
+      } else {
+        slab->cells.swap(spare_cells_.back());
+        spare_cells_.pop_back();
+      }
       ++open_slabs_;
     }
     const int64_t oc = col / factor_;
@@ -187,13 +193,16 @@ Status ReduceOp::Process(const StreamEvent& event) {
                    cell.timestamp, cell.sum / cell.count);
       cell = CellAccum{};
       if (--slab->open == 0) {
-        std::vector<CellAccum>().swap(slab->cells);
+        // Every cell of the row is back to CellAccum{}: keep the
+        // storage for the next row instead of re-allocating it.
+        spare_cells_.emplace_back().swap(slab->cells);
         --open_slabs_;
       }
     }
   }
-  ReportBuffered(static_cast<uint64_t>(open_slabs_) * out_width *
-                 sizeof(CellAccum));
+  const uint64_t held_rows =
+      static_cast<uint64_t>(open_slabs_) + spare_cells_.size();
+  ReportBuffered(held_rows * out_width * sizeof(CellAccum));
   if (out->empty()) return Status::OK();
   return Emit(StreamEvent::Batch(std::move(out)));
 }

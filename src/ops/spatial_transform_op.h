@@ -87,7 +87,8 @@ class ReduceOp : public UnaryOperator {
   };
 
   Status FlushAll();
-  /// Drops every slab and reports nothing buffered.
+  /// Drops every slab, spare storage included, and reports nothing
+  /// buffered.
   void ClearSlabs();
   int32_t ExpectedContributions(int64_t ocol, int64_t orow) const;
 
@@ -98,8 +99,12 @@ class ReduceOp : public UnaryOperator {
   int64_t frame_id_ = 0;
   /// Indexed by output row; sized at FrameBegin.
   std::vector<RowSlab> slabs_;
-  /// Slabs holding cells; buffered bytes are these slabs' cells.
+  /// Slabs holding cells.
   int64_t open_slabs_ = 0;
+  /// Zeroed cell storage of completed rows, handed to the next row
+  /// that opens within the frame: never more than the peak number of
+  /// open slabs. Buffered bytes are the open slabs' and these cells.
+  std::vector<std::vector<CellAccum>> spare_cells_;
 };
 
 /// 2x3 affine matrix mapping output lattice cell indices to input

@@ -74,6 +74,9 @@ void CollectTimeHints(const ExprPtr& expr, std::vector<TimeSet> active,
 struct DsmsServer::SourceState : public EventSink {
   GeoStreamDescriptor desc;
   std::unique_ptr<SharedRestrictionOp> shared;
+  /// The shared restriction's index (owned by `shared`), read by the
+  /// scrape-time node-count collector under the shared state lock.
+  const CascadeTree* index = nullptr;
   /// Historical persistence (null without a store): assembles each
   /// frame and commits it to the TileStore. Consumed FIRST, before
   /// any query fan-out — the catch-up cut-over protocol depends on a
@@ -112,7 +115,18 @@ struct DsmsServer::SourceState : public EventSink {
   /// (send, journal, total), resolved once at stream registration;
   /// every trace born here carries the stage series.
   Gauge* freshness_gauge = nullptr;
+  /// Scrape-time node count of `index` (null without a shared
+  /// restriction).
+  Gauge* index_nodes_gauge = nullptr;
   std::shared_ptr<const SourceStageHistograms> stages;
+
+  /// One cascade tree at the resolution of the stream's reference
+  /// lattice serves every region registered against the stream.
+  void BuildSharedRestriction() {
+    auto tree = std::make_unique<CascadeTree>(desc.reference_lattice());
+    index = tree.get();
+    shared = std::make_unique<SharedRestrictionOp>(std::move(tree));
+  }
 
   Status Consume(const StreamEvent& event) override {
     if (store_sink) {
@@ -417,6 +431,13 @@ void DsmsServer::RegisterSourceObservables(SourceState* source) {
       "capture — or, unstamped, delivery — wall clock)",
       {{"source", name}});
   source->stages = SourceStageHistograms::Resolve(&metrics_registry_, name);
+  if (source->index != nullptr) {
+    source->index_nodes_gauge = metrics_registry_.GetGauge(
+        "geostreams_mqo_index_nodes",
+        "Nodes of the cascade tree indexing the source's registered "
+        "regions",
+        {{"source", name}});
+  }
 }
 
 void DsmsServer::RegisterCollectors() {
@@ -479,6 +500,9 @@ void DsmsServer::RegisterCollectors() {
       n_queries = queries_.size();
       const uint64_t now = TraceWallNowUs();
       for (const auto& [name, source] : sources_) {
+        if (source->index_nodes_gauge != nullptr) {
+          source->index_nodes_gauge->Set(source->index->node_count());
+        }
         if (source->freshness_gauge == nullptr) continue;
         const uint64_t stamp =
             source->last_frame_fresh_wall_us.load(std::memory_order_relaxed);
@@ -513,10 +537,7 @@ Status DsmsServer::RegisterStream(const GeoStreamDescriptor& desc) {
   GEOSTREAMS_RETURN_IF_ERROR(catalog_.Register(desc));
   auto source = std::make_unique<SourceState>();
   source->desc = desc;
-  if (options_.shared_restriction) {
-    source->shared = std::make_unique<SharedRestrictionOp>(
-        std::make_unique<CascadeTree>(desc.reference_lattice().Extent()));
-  }
+  if (options_.shared_restriction) source->BuildSharedRestriction();
   source->guard = std::make_unique<GuardedIngestSink>(this, source.get());
   RegisterSourceObservables(source.get());
   if (store_ != nullptr) {
@@ -771,11 +792,7 @@ Result<QueryId> DsmsServer::RegisterInternal(const std::string& query_text,
     auto source = std::make_unique<SourceState>();
     source->desc = view_desc;
     source->derived = true;
-    if (options_.shared_restriction) {
-      source->shared = std::make_unique<SharedRestrictionOp>(
-          std::make_unique<CascadeTree>(
-              view_desc.reference_lattice().Extent()));
-    }
+    if (options_.shared_restriction) source->BuildSharedRestriction();
     source->guard = std::make_unique<GuardedIngestSink>(this, source.get());
     RegisterSourceObservables(source.get());
     if (store_ != nullptr) {

@@ -42,7 +42,8 @@ namespace geostreams {
 
 struct DsmsOptions {
   /// Peel leaf spatial restrictions into a shared per-stream index (a
-  /// CascadeTree over the stream's reference lattice).
+  /// CascadeTree at the resolution of the stream's reference lattice,
+  /// CascadeTree::DepthFor).
   bool shared_restriction = true;
   /// Optimizer configuration applied to every registered query.
   OptimizerOptions optimizer;

@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
+#include "mqo/cascade_tree.h"
 #include "net/ingest_session.h"
 #include "net/net_server.h"
 #include "net/producer_client.h"
@@ -431,6 +433,44 @@ TEST(MetricsMirrorTest, IngestSeriesEqualTheSessionStats) {
             s.overload_shed_points);
   EXPECT_EQ(Scraped(out, series("geostreams_ingest_shed_bytes_total")),
             s.overload_shed_bytes);
+}
+
+TEST(MetricsMirrorTest, IndexNodeSeriesEqualTheCascadeTreeNodes) {
+  // The gauge mirrors the node count of the tree each stream's shared
+  // restriction owns; a reference tree over the same lattice, fed the
+  // same boxes, gives the expected count.
+  DsmsServer dsms;
+  const GeoStreamDescriptor desc =
+      testing_util::TestDescriptor("sat.band1", 64, 48);
+  GS_ASSERT_OK(dsms.RegisterStream(desc));
+  auto view = dsms.RegisterDerivedStream("sat.half", "reduce(sat.band1, 2)");
+  GS_ASSERT_OK(view.status());
+  const std::string source = "geostreams_mqo_index_nodes{source=\"sat.band1\"}";
+  const std::string derived = "geostreams_mqo_index_nodes{source=\"sat.half\"}";
+  CascadeTree reference(desc.reference_lattice());
+  EXPECT_EQ(Scraped(dsms.RenderMetrics(), source), reference.node_count());
+  EXPECT_EQ(Scraped(dsms.RenderMetrics(), derived), 1u);
+
+  const std::vector<BoundingBox> boxes = {{-124.0, 30.0, -118.0, 33.5},
+                                          {-110.0, 22.0, -100.5, 44.0},
+                                          {-125.0, 21.0, -93.0, 45.0}};
+  std::vector<QueryId> ids;
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    const BoundingBox& b = boxes[i];
+    auto id = dsms.RegisterQuery(
+        StringPrintf("region(sat.band1, bbox(%g, %g, %g, %g))", b.min_x,
+                     b.min_y, b.max_x, b.max_y),
+        [](int64_t, const AssembledFrame&, const std::vector<uint8_t>&) {});
+    GS_ASSERT_OK(id.status());
+    ids.push_back(*id);
+    GS_ASSERT_OK(reference.Insert(static_cast<QueryId>(i), b));
+    EXPECT_EQ(Scraped(dsms.RenderMetrics(), source), reference.node_count());
+  }
+  EXPECT_GT(reference.node_count(), 1u);
+  GS_ASSERT_OK(dsms.UnregisterQuery(ids[1]));
+  GS_ASSERT_OK(reference.Remove(1));
+  EXPECT_EQ(Scraped(dsms.RenderMetrics(), source), reference.node_count());
+  EXPECT_EQ(Scraped(dsms.RenderMetrics(), derived), 1u);
 }
 
 // ---------------------------------------------------------------------------

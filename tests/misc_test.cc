@@ -25,6 +25,36 @@ TEST(LoggingTest, LevelRoundTrip) {
   SetLogLevel(before);
 }
 
+/// Counts how often a log statement formats it.
+struct FormatCounter {
+  int* formatted;
+};
+
+std::ostream& operator<<(std::ostream& os, const FormatCounter& counter) {
+  ++*counter.formatted;
+  return os << "counted";
+}
+
+TEST(LoggingTest, SuppressedLinesFormatNothing) {
+  const LogLevel before = GetLogLevel();
+  SetLogLevel(LogLevel::kWarning);
+  int formatted = 0;
+  GEOSTREAMS_LOG(kDebug) << FormatCounter{&formatted};
+  GEOSTREAMS_LOG(kInfo) << "value " << FormatCounter{&formatted};
+  EXPECT_EQ(formatted, 0);
+  GEOSTREAMS_LOG(kWarning) << FormatCounter{&formatted};
+  EXPECT_EQ(formatted, 1);
+  // One expression: an `else` after it binds to the caller's `if`.
+  bool took_else = false;
+  if (formatted == 0)
+    GEOSTREAMS_LOG(kError) << FormatCounter{&formatted};
+  else
+    took_else = true;
+  EXPECT_TRUE(took_else);
+  EXPECT_EQ(formatted, 1);
+  SetLogLevel(before);
+}
+
 TEST(MetricsTest, HighWaterTracksPeak) {
   OperatorMetrics metrics;
   metrics.SetBuffered(100);

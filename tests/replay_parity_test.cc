@@ -673,6 +673,24 @@ TEST(ReduceParityTest, TileOrderedInputBuffersAboutOneOutputRow) {
   EXPECT_EQ(op.metrics().buffered_bytes, 0u);
 }
 
+TEST(ReduceParityTest, StoreTilesReuseOneSlabAndReportIt) {
+  // 128 x 128 cells in the store's 64 x 64 tiles, one batch per tile,
+  // k = 2: every tile completes all its output cells, so no slab is
+  // open between batches. The completed rows' storage is kept for the
+  // next row instead of being freed and re-allocated, and the op
+  // reports it: above zero, never more than two output rows.
+  const GridLattice lattice = LatLonLattice(128, 128);
+  const std::vector<StreamEvent> input =
+      Framed(lattice, 1, TileOrder(RowMajorPoints(lattice, 8), 64), 64 * 64);
+  ReduceOp op("r", 2);
+  RunReduce(&op, input);
+  const uint64_t row = 64 * 24;  // 64 output cells of 24 bytes
+  EXPECT_GT(op.metrics().buffered_bytes_high_water, 0u);
+  EXPECT_LE(op.metrics().buffered_bytes_high_water, 2 * row);
+  EXPECT_EQ(op.metrics().buffered_bytes, 0u);
+  ExpectReduceParity(2, input);
+}
+
 TEST(ReduceParityTest, ThreeWideCellsStraddleStoreTiles) {
   // The store emits 64 x 64 tiles, row-major inside. With k = 3 the
   // cells at columns 63-65 and rows 63-65 take points from two or four
